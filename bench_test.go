@@ -167,7 +167,8 @@ func BenchmarkFigure2Tradeoff(b *testing.B) {
 }
 
 // BenchmarkAblationSolver contrasts the full pipeline with greedy-only and
-// no-reduction configurations (DESIGN.md ablation index).
+// no-reduction configurations: the reduction ablation behind Table 2 (see
+// README "Reproducing the paper's tables").
 func BenchmarkAblationSolver(b *testing.B) {
 	configs := []struct {
 		name   string

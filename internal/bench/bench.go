@@ -12,7 +12,8 @@
 // circuits are not fully testable by random patterns alone. The experiments
 // measure the relative behaviour of covering-based reseeding versus
 // simulation-driven search on the Detection Matrices these circuits induce;
-// that structure is preserved by the substitution (see DESIGN.md §2).
+// that structure is preserved by the substitution (see README "Reproducing
+// the paper's tables").
 package bench
 
 import (

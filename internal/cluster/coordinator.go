@@ -1,7 +1,8 @@
 package cluster
 
 // The coordinator half of the distributed solve: plan once, lease the
-// top-level subtrees to local workers and remote peers, merge.
+// top-level subtrees to executors — in-process workers and remote peers
+// alike, drained by one dispatch loop — and merge.
 //
 // Fault model: a peer that fails a lease (transport error, 5xx) gets its
 // branch requeued and is retired from the solve; local workers always
@@ -46,10 +47,6 @@ type Coordinator struct {
 	Client *http.Client
 	// Parallelism caps in-process lease workers (0 = GOMAXPROCS).
 	Parallelism int
-	// SubtreeMaxNodes bounds each lease's search (0 = unbounded). It is a
-	// liveness guard for remote leases, not a tuning knob: a truncated
-	// lease downgrades the solve to anytime.
-	SubtreeMaxNodes int64
 
 	seq atomic.Uint64 // distinguishes concurrent solves of equal problems
 }
@@ -102,15 +99,27 @@ func (c *Coordinator) Solve(ctx context.Context, p *setcover.Problem, weights []
 		}
 	}
 
+	// Local executors are mandatory participants: even with every peer
+	// dead they drain the queue, so a completed solve never depends on the
+	// network. A lease a peer fails goes back on the queue (whose capacity
+	// is n, so the requeue never blocks) and retires that executor.
+	var execs []executor
+	for i := 0; i < parallel.Degree(c.Parallelism); i++ {
+		execs = append(execs, c.local(dctx, pl, solveID))
+	}
+	for _, peer := range c.Peers {
+		execs = append(execs, c.remote(dctx, peer, SubtreeRequest{
+			SolveID:     solveID,
+			Problem:     pw,
+			Opts:        ow,
+			Coordinator: c.Self,
+		}))
+	}
 	results := make(chan setcover.SubtreeResult, n)
 	var wg sync.WaitGroup
-
-	// Local workers: mandatory participation. Even with every peer dead,
-	// these drain the queue, so a completed solve never depends on the
-	// network.
-	for i := 0; i < parallel.Degree(c.Parallelism); i++ {
+	for _, run := range execs {
 		wg.Add(1)
-		go func() {
+		go func(run executor) {
 			defer wg.Done()
 			for {
 				select {
@@ -119,74 +128,16 @@ func (c *Coordinator) Solve(ctx context.Context, p *setcover.Problem, weights []
 				case <-ctx.Done():
 					return
 				case b := <-queue:
-					_, ssp := obs.StartSpan(dctx, "subtree")
-					ssp.SetInt("branch", int64(b))
-					res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{
-						MaxNodes: c.SubtreeMaxNodes,
-						Context:  ctx,
-						Bound:    func() int { return c.Board.Best(solveID) },
-						OnImprove: func(inc setcover.Incumbent) {
-							c.Board.Exchange(solveID, inc.Cost)
-						},
-					})
-					if err != nil {
-						// Only invalid branches error, and the queue holds
-						// valid ones; treat as a lost lease.
-						ssp.End()
-						finish()
-						continue
-					}
-					ssp.SetInt("nodes", res.Nodes)
-					ssp.End()
-					results <- res
-					finish()
-				}
-			}
-		}()
-	}
-
-	// One runner per peer: leases stream to the peer until it fails,
-	// then its in-flight branch is requeued and the peer is retired for
-	// this solve. The queue's capacity is n, so a requeue never blocks.
-	for _, peer := range c.Peers {
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				case <-ctx.Done():
-					return
-				case b := <-queue:
-					// The lease span's position travels with the lease; the
-					// worker's subtree span parents to it, so the spans it
-					// ships back (folded in by leaseToPeer) stitch under it.
-					lctx, lsp := obs.StartSpan(dctx, "lease")
-					lsp.SetInt("branch", int64(b))
-					lsp.SetStr("peer", peer)
-					res, ok := c.leaseToPeer(lctx, peer, SubtreeRequest{
-						SolveID:     solveID,
-						Problem:     pw,
-						Opts:        ow,
-						Branch:      b,
-						MaxNodes:    c.SubtreeMaxNodes,
-						Incumbent:   c.Board.Best(solveID),
-						Coordinator: c.Self,
-						Traceparent: obs.Traceparent(lctx),
-					})
+					res, ok := run(b)
 					if !ok {
-						lsp.SetInt("requeued", 1)
-						lsp.End()
-						queue <- b // hand the branch back for someone alive
+						queue <- b
 						return
 					}
-					lsp.End()
 					results <- res
 					finish()
 				}
 			}
-		}(peer)
+		}(run)
 	}
 
 	select {
@@ -200,6 +151,54 @@ func (c *Coordinator) Solve(ctx context.Context, p *setcover.Problem, weights []
 		collected = append(collected, res)
 	}
 	return pl.Merge(collected), nil
+}
+
+// executor runs the lease of one branch. ok=false means the executor is
+// unusable for the rest of the solve: the branch is requeued for another.
+type executor func(branch int) (res setcover.SubtreeResult, ok bool)
+
+// local runs leases on this process's plan, under a "subtree" span.
+func (c *Coordinator) local(ctx context.Context, pl *setcover.ExactPlan, solveID string) executor {
+	return func(b int) (setcover.SubtreeResult, bool) {
+		_, ssp := obs.StartSpan(ctx, "subtree")
+		defer ssp.End()
+		ssp.SetInt("branch", int64(b))
+		res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{
+			Context: ctx,
+			Bound:   func() int { return c.Board.Best(solveID) },
+			OnImprove: func(inc setcover.Incumbent) {
+				c.Board.Exchange(solveID, inc.Cost)
+			},
+		})
+		if err != nil {
+			// Only invalid branches error, and the queue holds valid ones;
+			// count it as a lost lease.
+			return setcover.SubtreeResult{Branch: b, Truncated: true}, true
+		}
+		ssp.SetInt("nodes", res.Nodes)
+		return res, true
+	}
+}
+
+// remote streams leases to one peer, each under a "lease" span whose
+// position travels with the lease: the worker's subtree span parents to
+// it, so the spans it ships back (folded in by leaseToPeer) stitch under
+// it.
+func (c *Coordinator) remote(ctx context.Context, peer string, lease SubtreeRequest) executor {
+	return func(b int) (setcover.SubtreeResult, bool) {
+		lctx, lsp := obs.StartSpan(ctx, "lease")
+		defer lsp.End()
+		lsp.SetInt("branch", int64(b))
+		lsp.SetStr("peer", peer)
+		lease.Branch = b
+		lease.Incumbent = c.Board.Best(lease.SolveID)
+		lease.Traceparent = obs.Traceparent(lctx)
+		res, ok := c.leaseToPeer(lctx, peer, lease)
+		if !ok {
+			lsp.SetInt("requeued", 1)
+		}
+		return res, ok
+	}
 }
 
 // leaseToPeer executes one lease remotely. ok=false means the peer is

@@ -39,10 +39,22 @@ func EncodeProblem(p *setcover.Problem, weights []int) ProblemWire {
 }
 
 // Decode rebuilds the problem. Weight-count mismatches and malformed
-// bitmaps are errors.
+// bitmaps are errors. Every row must be exactly ⌈cols/4⌉ hex digits —
+// what EncodeProblem writes — and a problem with columns must have rows.
+// Both are checked before anything is allocated, so the column count is
+// bounded by the size of the body that carried it.
 func (w ProblemWire) Decode() (*setcover.Problem, []int, error) {
 	if w.Cols < 0 {
 		return nil, nil, fmt.Errorf("cluster: problem with %d columns", w.Cols)
+	}
+	if w.Cols > 0 && len(w.Rows) == 0 {
+		return nil, nil, fmt.Errorf("cluster: problem with %d columns and no rows", w.Cols)
+	}
+	digits := (w.Cols + 3) / 4
+	for i, h := range w.Rows {
+		if len(h) != digits {
+			return nil, nil, fmt.Errorf("cluster: row %d has %d hex digits, want %d for %d columns", i, len(h), digits, w.Cols)
+		}
 	}
 	if w.Weights != nil && len(w.Weights) != len(w.Rows) {
 		return nil, nil, fmt.Errorf("cluster: %d weights for %d rows", len(w.Weights), len(w.Rows))
@@ -83,15 +95,14 @@ func (w ProblemWire) Fingerprint() string {
 type SolveOptionsWire struct {
 	// Bound is "", "auto", "lagrangian" or "counting" ("" = auto).
 	Bound string `json:"bound,omitempty"`
-	// AscentIters / AscentPerNode follow setcover.ExactOptions semantics
-	// (0 = default, negative = disabled).
-	AscentIters   int `json:"ascent_iters,omitempty"`
-	AscentPerNode int `json:"ascent_per_node,omitempty"`
+	// AscentIters follows setcover.ExactOptions semantics (0 = default,
+	// negative = disabled).
+	AscentIters int `json:"ascent_iters,omitempty"`
 }
 
 // EncodeOptions extracts the wire subset of opts.
 func EncodeOptions(opts setcover.ExactOptions) SolveOptionsWire {
-	w := SolveOptionsWire{AscentIters: opts.AscentIters, AscentPerNode: opts.AscentPerNode}
+	w := SolveOptionsWire{AscentIters: opts.AscentIters}
 	switch opts.Bound {
 	case setcover.BoundCounting:
 		w.Bound = "counting"
@@ -103,7 +114,7 @@ func EncodeOptions(opts setcover.ExactOptions) SolveOptionsWire {
 
 // Decode rebuilds the options.
 func (w SolveOptionsWire) Decode() (setcover.ExactOptions, error) {
-	opts := setcover.ExactOptions{AscentIters: w.AscentIters, AscentPerNode: w.AscentPerNode}
+	opts := setcover.ExactOptions{AscentIters: w.AscentIters}
 	switch w.Bound {
 	case "", "auto":
 		opts.Bound = setcover.BoundAuto
@@ -153,8 +164,6 @@ type SubtreeRequest struct {
 	Opts    SolveOptionsWire `json:"opts"`
 	// Branch is the top-level branch index of the lease.
 	Branch int `json:"branch"`
-	// MaxNodes bounds the subtree's search (0 = engine default).
-	MaxNodes int64 `json:"max_nodes,omitempty"`
 	// Incumbent is the coordinator's best known cover cost at dispatch —
 	// the worker's initial external bound (0 = none beyond the greedy
 	// seed the worker computes itself).

@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/atpg"
 	"repro/internal/bitvec"
@@ -321,39 +322,19 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 
 	var chosen []int
 	necessary := map[int]bool{}
+	solver := opts.Solver
+	var weights []int // nil: every triplet costs 1
 	if opts.Objective == MinimizeTestLength {
 		// Weight each candidate by the trimmed length it would contribute
-		// if it had to cover everything it detects.
-		weights := make([]int, m.NumTriplets())
+		// if it had to cover everything it detects. This objective is
+		// always solved exactly.
+		solver = SolverExact
+		weights = make([]int, m.NumTriplets())
 		for i, row := range m.Rows {
 			weights[i] = m.EffectiveLength(i, row.Elements())
 		}
-		sub, red, err := problem.SolveMinimalWeighted(weights, opts.Exact)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		sol.ResidualRows = red.Residual.NumRows()
-		sol.ResidualCols = red.Residual.NumCols()
-		sol.DominatedRows = len(red.DominatedRows)
-		sol.ImpliedCols = red.ImpliedCols
-		sol.ReductionIters = red.Iterations
-		sol.SolverNodes = sub.Nodes
-		sol.Optimal = sub.Optimal
-		// Offset the residual solve's root bound by the essential rows'
-		// weight, so RootLB bounds the whole solution's covering cost.
-		essWeight := 0
-		for _, r := range red.Essential {
-			essWeight += weights[r]
-		}
-		sol.RootLB = sub.RootLB + essWeight
-		for _, r := range red.Essential {
-			necessary[r] = true
-		}
-		chosen = sub.Rows
-		coveringAttrs(csp, sol, len(red.Essential))
-		return f.assemble(sol, m, chosen, necessary, opts)
 	}
-	switch opts.Solver {
+	switch solver {
 	case SolverGreedyNoReduce:
 		g, err := problem.SolveGreedy()
 		if err != nil {
@@ -365,7 +346,14 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 		sol.ResidualCols = m.NumFaults
 	case SolverGreedy, SolverExact:
 		_, rsp := obs.StartSpan(cctx, "reduce")
-		red := problem.Reduce()
+		var red *setcover.Reduction
+		var err error
+		if weights == nil {
+			red = problem.Reduce()
+		} else if red, err = problem.ReduceWeighted(weights); err != nil {
+			rsp.End()
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		rsp.SetInt("residual_rows", int64(red.Residual.NumRows()))
 		rsp.SetInt("residual_cols", int64(red.Residual.NumCols()))
 		rsp.SetInt("essential", int64(len(red.Essential)))
@@ -375,18 +363,33 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 		sol.DominatedRows = len(red.DominatedRows)
 		sol.ImpliedCols = red.ImpliedCols
 		sol.ReductionIters = red.Iterations
+		// Essential rows are in every cover, so their cost shifts the
+		// residual's incumbents and root bound one-for-one.
+		essCost := len(red.Essential)
+		if weights != nil {
+			essCost = 0
+			for _, r := range red.Essential {
+				essCost += weights[r]
+			}
+		}
 		for _, r := range red.Essential {
 			necessary[r] = true
 			chosen = append(chosen, r)
 		}
 		if !red.Empty() {
 			var sub setcover.Solution
-			var err error
-			if opts.Solver == SolverExact {
-				sub, err = red.Residual.SolveExact(
-					opts.Exact.WithIncumbentOffset(len(red.Essential), len(red.Essential)))
-			} else {
+			exact := opts.Exact.WithIncumbentOffset(essCost, len(red.Essential))
+			switch {
+			case solver == SolverGreedy:
 				sub, err = red.Residual.SolveGreedy()
+			case weights == nil:
+				sub, err = red.Residual.SolveExact(exact)
+			default:
+				subWeights := make([]int, len(red.RowMap))
+				for i, r := range red.RowMap {
+					subWeights[i] = weights[r]
+				}
+				sub, err = red.Residual.SolveExactWeighted(subWeights, exact)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
@@ -395,17 +398,21 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 				chosen = append(chosen, red.RowMap[r])
 			}
 			sol.SolverNodes = sub.Nodes
-			sol.Optimal = opts.Solver == SolverExact && sub.Optimal
-			if opts.Solver == SolverExact {
-				// Essential rows are in every cover, so they shift the
-				// residual's root bound one-for-one.
-				sol.RootLB = sub.RootLB + len(red.Essential)
+			sol.Optimal = solver == SolverExact && sub.Optimal
+			if solver == SolverExact {
+				sol.RootLB = sub.RootLB + essCost
 			}
 		} else {
 			sol.Optimal = true
-			if opts.Solver == SolverExact {
-				sol.RootLB = len(chosen) // essentials alone: the cover is proven
+			if solver == SolverExact {
+				sol.RootLB = essCost // essentials alone: the cover is proven
 			}
+		}
+		if weights != nil {
+			// The test-length objective lists its triplets in row order.
+			// assemble breaks first-detection ties by list position, so
+			// the order fixes each triplet's trimmed length.
+			sort.Ints(chosen)
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown solver kind %d", int(opts.Solver))

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/setcover"
+	"repro/internal/tpg"
 )
 
 // Tracing is write-only telemetry: solving the same request with and
@@ -93,5 +95,74 @@ func TestTraceSpanTreeShape(t *testing.T) {
 		if sp.Duration < 0 {
 			t.Errorf("span %q has negative duration %d", sp.Name, sp.Duration)
 		}
+	}
+}
+
+// A testlength solve takes the same reduce → residual path as a triplets
+// solve: its trace records the reduce span, and its RootLB is the
+// residual solve's root bound (the ascent span's root_lb) plus the weight
+// of the essential rows, recomputed here from the Detection Matrix.
+func TestTestLengthTraceHasReduceAndRootLB(t *testing.T) {
+	eng := New(Options{})
+	req := Request{Circuit: "c499", TPG: "adder", Cycles: 8, Seed: 1, Objective: "testlength", Parallelism: 1}
+	ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("test"))
+	resp, err := eng.Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootLB := int64(-1)
+	reduced := false
+	for _, sp := range resp.Timing.Spans {
+		switch sp.Name {
+		case "reduce":
+			reduced = true
+		case "ascent":
+			for _, a := range sp.Attrs {
+				if a.Key == "root_lb" {
+					rootLB = a.Int
+				}
+			}
+		}
+	}
+	if !reduced || rootLB < 0 {
+		t.Fatalf("testlength trace lacks reduce (%v) or the ascent root_lb (%d)", reduced, rootLB)
+	}
+
+	flow, _, err := eng.PrepareNamed(context.Background(), req.Circuit, req.atpgOptions(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := tpg.ByName(req.TPG, len(flow.Circuit.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := req.coreOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := flow.BuildMatrix(gen, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := setcover.NewProblem(m.NumFaults)
+	weights := make([]int, len(m.Rows))
+	for i, row := range m.Rows {
+		p.AddRow(row)
+		weights[i] = m.EffectiveLength(i, row.Elements())
+	}
+	red, err := p.ReduceWeighted(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	essential := 0
+	for _, r := range red.Essential {
+		essential += weights[r]
+	}
+	if essential == 0 {
+		t.Fatal("no essential weight: the test needs an instance whose reduction forces rows")
+	}
+	if want := int(rootLB) + essential; resp.Solution.RootLB != want {
+		t.Errorf("RootLB = %d, want ascent root_lb %d + essential weight %d = %d",
+			resp.Solution.RootLB, rootLB, essential, want)
 	}
 }

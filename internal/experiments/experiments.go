@@ -10,9 +10,9 @@
 //
 // Results reproduce the paper's qualitative shape (who wins, where the
 // covering approach's advantages come from), not its absolute numbers: the
-// circuits here are the synthetic ISCAS-profile stand-ins described in
-// DESIGN.md and the substrate is this repository's own ATPG and fault
-// simulator rather than TestGen on a SparcStation.
+// circuits here are the synthetic ISCAS-profile stand-ins described in the
+// internal/bench package doc, and the substrate is this repository's own
+// ATPG and fault simulator rather than TestGen on a SparcStation.
 package experiments
 
 import (

@@ -68,7 +68,7 @@ var (
 // observeSolve folds one finished solve into the telemetry histograms:
 // end-to-end latency by route, per-phase latency walked from the
 // response's trace subtree, the B&B node count, and the root lower-bound
-// gap relative to the objective actually minimized.
+// gap of triplets solves.
 func (m *metrics) observeSolve(route string, req engine.Request, resp *engine.Response, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -89,17 +89,14 @@ func (m *metrics) observeSolve(route string, req engine.Request, resp *engine.Re
 		m.solveNodes = newHistogram(nodeBuckets)
 	}
 	m.solveNodes.observe(float64(sol.SolverNodes))
-	if sol.RootLB > 0 {
-		cost := len(sol.Triplets)
-		if req.Objective == "testlength" {
-			cost = sol.TestLength
+	// Only a triplets solve's returned cost is the covering cost its root
+	// bound bounds. A testlength bound is on the weighted covering cost,
+	// which trimming can push the reported TestLength below.
+	if cost := len(sol.Triplets); sol.RootLB > 0 && cost > 0 && req.Objective != "testlength" {
+		if m.rootGap == nil {
+			m.rootGap = newHistogram(gapBuckets)
 		}
-		if cost > 0 {
-			if m.rootGap == nil {
-				m.rootGap = newHistogram(gapBuckets)
-			}
-			m.rootGap.observe(float64(cost-sol.RootLB) / float64(cost))
-		}
+		m.rootGap.observe(float64(cost-sol.RootLB) / float64(cost))
 	}
 	if resp.Timing != nil {
 		if m.phaseDur == nil {

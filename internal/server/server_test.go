@@ -336,6 +336,49 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 }
 
+// A lease body is bounded in what it makes the replica allocate, not only
+// in bytes: a ~60-byte problem claiming 2^40 columns used to allocate the
+// claimed width before reading a row and kill the process. Both /v1/dist
+// endpoints must answer 400, and the replica must keep serving.
+func TestDistRejectsOversizedColumns(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, problem := range []string{
+		`{"cols":1099511627776,"rows":["1"]}`,
+		`{"cols":1099511627776,"rows":[]}`,
+	} {
+		for path, body := range map[string]string{
+			"/v1/dist/solve":   `{"problem":` + problem + `,"opts":{}}`,
+			"/v1/dist/subtree": `{"solve_id":"crash","problem":` + problem + `,"opts":{},"branch":0}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: %d, want 400: %s", path, problem, resp.StatusCode, msg)
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/dist/solve", "application/json",
+		strings.NewReader(`{"problem":{"cols":4,"rows":["c","6","3","9","8"]},"opts":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sol struct {
+		Cost    int  `json:"cost"`
+		Optimal bool `json:"optimal"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sol); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || sol.Cost != 2 || !sol.Optimal {
+		t.Errorf("replica stopped serving after the rejected leases: %d %+v", resp.StatusCode, sol)
+	}
+}
+
 // With every slot held and no queue, a synchronous solve is shed with 429
 // and a Retry-After hint instead of piling up.
 func TestBackpressure429(t *testing.T) {

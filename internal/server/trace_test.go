@@ -297,3 +297,55 @@ func TestBatchPerRequestTiming(t *testing.T) {
 		t.Errorf("metrics exposition missing %q (only successful members count)", want)
 	}
 }
+
+// metricValue returns the value of one unlabelled series in the /metrics
+// exposition, 0 when the series is absent.
+func metricValue(t *testing.T, base, series string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	return "0"
+}
+
+// The root-bound gap histogram observes triplets solves only: a
+// testlength solve's RootLB bounds its weighted covering cost, which
+// trimming can push the reported TestLength below, so folding it in would
+// record meaningless (even negative) gaps.
+func TestRootGapSkipsTestLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const series = "reseedd_solve_root_lb_gap_count"
+	if hres, body := postJSON(t, ts.URL+"/v1/solve", c499Req()); hres.StatusCode != http.StatusOK {
+		t.Fatalf("triplets solve: %d: %s", hres.StatusCode, body)
+	}
+	if got := metricValue(t, ts.URL, series); got != "1" {
+		t.Fatalf("%s after a triplets solve = %s, want 1", series, got)
+	}
+	req := c499Req()
+	req.Objective = "testlength"
+	hres, body := postJSON(t, ts.URL+"/v1/solve", req)
+	if hres.StatusCode != http.StatusOK {
+		t.Fatalf("testlength solve: %d: %s", hres.StatusCode, body)
+	}
+	var resp engine.Response
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Solution.RootLB <= 0 {
+		t.Fatalf("testlength solve reports root LB %d; the test needs a positive bound", resp.Solution.RootLB)
+	}
+	if got := metricValue(t, ts.URL, series); got != "1" {
+		t.Errorf("%s after a testlength solve = %s, want it unchanged at 1", series, got)
+	}
+}

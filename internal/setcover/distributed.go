@@ -1,29 +1,25 @@
 package setcover
 
-// The distributed face of the branch-and-bound engine. A coordinator
-// calls PlanExact once to compute the deterministic root of the search
-// tree — the greedy seed, the root-forced rows, the root bound with its
+// The lease face of the branch-and-bound engine. A coordinator calls
+// PlanExact once to compute the deterministic root of the search tree —
+// the greedy seed, the root-forced rows, the root bound with its
 // Lagrangian multipliers, and the canonical top-level branch list — and
-// then farms the branches out as independent subtree leases (any
-// process holding the same plan inputs computes the same plan, so a
-// lease is fully described by its branch index). SolveSubtree executes
-// one lease; Merge folds the completed results back into a Solution.
+// then farms the branches out as independent subtree leases (any process
+// holding the same plan inputs computes the same plan, so a lease is fully
+// described by its branch index). SolveSubtree executes one lease; Merge
+// folds the completed results back into a Solution.
 //
-// # Determinism across processes
-//
-// Each subtree runs exactly the search the in-process fan-out would run
-// for that branch index: the task-local bound starts at the greedy cost
-// and lowers only with the subtree's own finds, so a subtree's reported
-// witness is the first optimum of its branch in DFS order — a value
-// independent of every other subtree, every peer, and every external
-// bound report. The external bound (SubtreeOptions.Bound) feeds the
+// This is the in-process solve's own path (engine.go): solveBB plans the
+// same root, runs the same runBranch for every branch and calls the same
+// Merge. A lease differs only in running its branch on a search of its
+// own, whose node count starts at zero and which polls the external bound
+// (SubtreeOptions.Bound) at the node cadence. That bound feeds the
 // strictly-greater shared-cost prune only, which never cuts a subtree
 // containing an optimal cover as long as the reported value is a real
-// cover's cost (hence >= the global optimum). Merge replicates the
-// in-process incumbent rule — lower cost first, then lower branch index
-// — so a completed distributed solve returns Rows/Cost/Optimal
-// bit-identical to the single-process solver at any Parallelism, no
-// matter how leases were scheduled, retried, or duplicated.
+// cover's cost (hence >= the global optimum). So a completed distributed
+// solve returns Rows/Cost/Optimal bit-identical to the single-process
+// solver at any Parallelism, no matter how leases were scheduled,
+// retried, or duplicated.
 //
 // Truncated or missing subtrees degrade the merge to the anytime
 // contract: the best cover known (at worst the greedy seed) with
@@ -33,41 +29,15 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
-
-	"repro/internal/bitvec"
 )
 
-// ExactPlan is the deterministic root state of an exact solve, ready to
-// be fanned out as subtree leases. Create it with PlanExact. The plan is
-// immutable and safe for concurrent SolveSubtree calls.
-type ExactPlan struct {
-	p       *Problem
-	weights []int
-	opts    ExactOptions
-	greedy  Solution
-
-	root     rootState
-	rootMult []float64
-	rootLB   int
-	// terminal is non-nil when the root resolved the solve by itself
-	// (root-forced rows cover everything, or the root bound proves the
-	// greedy seed optimal): there is nothing to distribute.
-	terminal *Solution
-
-	// The static column view, computed once and shared read-only by every
-	// subtree engine.
-	colRows [][]int
-	colSets []*bitvec.Set
-}
-
 // PlanExact computes the distributed plan of an exact solve: everything
-// deterministic that precedes the top-level fan-out. opts.Parallelism,
-// Context, TimeBudget, MaxNodes and OnIncumbent are ignored at plan time
-// (subtree budgets are per-lease, see SubtreeOptions); the bound mode and
-// ascent budgets are captured because they shape the tree. Two processes
-// calling PlanExact with equal problems, weights and options obtain
-// equal plans — the property subtree leasing by branch index relies on.
+// deterministic that precedes the top-level fan-out. Only the tree-shaping
+// options — the bound mode and the ascent budget — are read; Parallelism,
+// Context, TimeBudget, MaxNodes and the observers are ignored (subtree
+// budgets are per-lease, see SubtreeOptions). Two processes calling
+// PlanExact with equal problems, weights and options obtain equal plans —
+// the property subtree leasing by branch index relies on.
 func (p *Problem) PlanExact(weights []int, opts ExactOptions) (*ExactPlan, error) {
 	if weights != nil {
 		if err := p.validateWeights(weights); err != nil {
@@ -77,42 +47,19 @@ func (p *Problem) PlanExact(weights []int, opts ExactOptions) (*ExactPlan, error
 	if bad := p.UncoverableColumns(); bad != nil {
 		return nil, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])
 	}
-	// Strip the per-run knobs so the plan depends only on tree-shaping
-	// options.
-	opts.Parallelism = 1
-	opts.Context = nil
-	opts.TimeBudget = 0
-	opts.MaxNodes = 0
-	opts.OnIncumbent = nil
-
-	pl := &ExactPlan{p: p, weights: weights, opts: opts}
 	if p.numCols == 0 {
-		pl.terminal = &Solution{Optimal: true}
-		return pl, nil
+		return &ExactPlan{terminal: &Solution{Optimal: true}}, nil
 	}
 	greedy, err := p.solveGreedyImpl(weights)
 	if err != nil {
 		return nil, err
 	}
-	pl.greedy = greedy
-	e := newEngine(p, weights, greedy, greedy.Cost, opts)
-	r := e.root(greedy)
-	pl.rootMult = e.rootMult
-	pl.rootLB = e.rootLB
-	if r.done {
-		sol := e.finish()
-		pl.terminal = &sol
-		return pl, nil
-	}
-	pl.root = r
-	pl.colRows = e.colRows
-	pl.colSets = e.colSets
-	return pl, nil
+	return p.plan(weights, greedy, opts, nil), nil
 }
 
 // NumBranches reports the number of independent subtree leases; 0 for a
 // terminal plan.
-func (pl *ExactPlan) NumBranches() int { return len(pl.root.branchRows) }
+func (pl *ExactPlan) NumBranches() int { return len(pl.branchRows) }
 
 // Terminal returns the root-resolved solution, or nil when the plan has
 // branches to solve.
@@ -144,9 +91,6 @@ type SubtreeOptions struct {
 	// Exhaustion truncates (the result is flagged Truncated and the merge
 	// loses its optimality proof).
 	MaxNodes int64
-	// TimeBudget, when positive, truncates the subtree after roughly this
-	// much wall-clock time.
-	TimeBudget time.Duration
 	// Context, when non-nil, cancels the subtree (truncation, not error).
 	Context context.Context
 	// Bound, when non-nil, is polled at the search's node cadence for the
@@ -192,47 +136,19 @@ func (pl *ExactPlan) SolveSubtree(branch int, sub SubtreeOptions) (SubtreeResult
 	if pl.terminal != nil {
 		return SubtreeResult{}, fmt.Errorf("setcover: plan is terminal, no subtrees to solve")
 	}
-	if branch < 0 || branch >= len(pl.root.branchRows) {
-		return SubtreeResult{}, fmt.Errorf("setcover: subtree branch %d out of range [0,%d)", branch, len(pl.root.branchRows))
+	if branch < 0 || branch >= len(pl.branchRows) {
+		return SubtreeResult{}, fmt.Errorf("setcover: subtree branch %d out of range [0,%d)", branch, len(pl.branchRows))
 	}
-	opts := pl.opts
-	opts.MaxNodes = sub.MaxNodes
-	opts.TimeBudget = sub.TimeBudget
-	opts.Context = sub.Context
-	e := newEngine(pl.p, pl.weights, pl.greedy, pl.greedy.Cost, opts)
-	// Share the plan's static column view and published multipliers; both
-	// are read-only during search.
-	e.colRows = pl.colRows
-	e.colSets = pl.colSets
-	e.rootMult = pl.rootMult
-	e.rootLB = pl.rootLB
-	e.externalBound = sub.Bound
-	if sub.OnImprove != nil {
-		e.onIncumbent = sub.OnImprove
-	}
-	// The subtree's node count starts at zero: the root node is accounted
-	// once by the coordinator's merge, not once per lease.
-	e.runBranch(pl.root, branch, pl.greedy.Cost)
-
-	res := SubtreeResult{
-		Branch:    branch,
-		Nodes:     e.nodes.Load(),
-		Truncated: e.truncated.Load(),
-	}
-	e.mu.Lock()
-	if e.bestBranch != unsetBranch {
-		res.Found = true
-		res.Cost = e.bestCost
-		res.Rows = append([]int(nil), e.bestRows...)
-	}
-	e.mu.Unlock()
-	sort.Ints(res.Rows)
-	return res, nil
+	// The lease's node count starts at zero: the root node is accounted
+	// once by Merge, not once per lease.
+	s := newSearch(pl.greedy.Cost, ExactOptions{MaxNodes: sub.MaxNodes, Context: sub.Context, OnIncumbent: sub.OnImprove})
+	s.pl, s.bound = pl, sub.Bound
+	return s.runBranch(branch), nil
 }
 
-// Merge folds subtree results into the final Solution, replicating the
-// in-process incumbent rule exactly: lower cost wins, ties resolve
-// toward the lower branch index, and the greedy seed stands when nothing
+// Merge folds subtree results into the final Solution with the engine's
+// one answer-picking rule (better): lower cost wins, ties resolve toward
+// the lower branch index, and the greedy seed stands when nothing
 // improved on it. Duplicate results for one branch are tolerated
 // (completed leases are deterministic, so duplicates agree; for a
 // truncated duplicate the completed one is preferred). Optimal is
@@ -247,7 +163,7 @@ func (pl *ExactPlan) Merge(results []SubtreeResult) Solution {
 	nodes := make(map[int]int64, len(results))
 	completed := make(map[int]bool, len(results))
 	for _, r := range results {
-		if r.Branch < 0 || r.Branch >= len(pl.root.branchRows) {
+		if r.Branch < 0 || r.Branch >= len(pl.branchRows) {
 			continue
 		}
 		if n := nodes[r.Branch]; r.Nodes > n {
@@ -256,7 +172,7 @@ func (pl *ExactPlan) Merge(results []SubtreeResult) Solution {
 		if !r.Truncated {
 			completed[r.Branch] = true
 		}
-		if r.Found && (r.Cost < best.Cost || (r.Cost == best.Cost && r.Branch < bestBranch)) {
+		if r.Found && better(r.Cost, r.Branch, best.Cost, bestBranch) {
 			best.Cost = r.Cost
 			best.Rows = append([]int(nil), r.Rows...)
 			bestBranch = r.Branch
@@ -266,7 +182,7 @@ func (pl *ExactPlan) Merge(results []SubtreeResult) Solution {
 	for _, n := range nodes {
 		best.Nodes += n
 	}
-	best.Optimal = len(completed) == len(pl.root.branchRows)
+	best.Optimal = len(completed) == len(pl.branchRows)
 	best.RootLB = pl.rootLB
 	sort.Ints(best.Rows)
 	return best

@@ -74,9 +74,10 @@ const (
 	// defaultAscentIters is the root subgradient budget when
 	// ExactOptions.AscentIters is zero.
 	defaultAscentIters = 64
-	// defaultAscentPerNode is the per-node refinement budget when
-	// ExactOptions.AscentPerNode is zero.
-	defaultAscentPerNode = 2
+	// ascentPerNode is the number of task-local refinement steps applied
+	// to the root multipliers at every branch node before its dual value
+	// is read (Lagrangian modes only).
+	ascentPerNode = 2
 	// dualSlack is subtracted before rounding a float dual value up to an
 	// integer bound. It is orders of magnitude above the accumulated
 	// floating-point error of the summations, so rounding can only lose
@@ -112,16 +113,16 @@ func newDualScratch(numCols int) *dualScratch {
 // for uncovered j — and returns its squared norm. Rows and columns are
 // visited in ascending order, so the result is a pure deterministic
 // function of its inputs.
-func (e *engine) dualEval(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
+func (pl *ExactPlan) dualEval(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
 	if grad != nil {
 		uncovered.ForEach(func(j int) { grad[j] = 1 })
 	}
 	uncovered.ForEach(func(j int) { val += u[j] })
-	for r, row := range e.p.rows {
+	for r, row := range pl.p.rows {
 		if banned.Contains(r) {
 			continue
 		}
-		rc := float64(e.rowCost(r))
+		rc := float64(pl.rowCost(r))
 		row.ForEachIn(uncovered, func(j int) { rc -= u[j] })
 		if rc < 0 {
 			val += rc
@@ -140,14 +141,14 @@ func (e *engine) dualEval(u []float64, uncovered, banned *bitvec.Set, grad []flo
 // / (that row's column count). The classical warm start — each column
 // claims an equal share of its cheapest row — lands the ascent in the right
 // region immediately, which matters when the per-node budget is tiny.
-func (e *engine) dualInit(u []float64, uncovered, banned *bitvec.Set) {
+func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 	uncovered.ForEach(func(j int) {
 		best := math.Inf(1)
-		for _, r := range e.colRows[j] {
+		for _, r := range pl.colRows[j] {
 			if banned.Contains(r) {
 				continue
 			}
-			if v := float64(e.rowCost(r)) / float64(e.p.rows[r].Len()); v < best {
+			if v := float64(pl.rowCost(r)) / float64(pl.p.rows[r].Len()); v < best {
 				best = v
 			}
 		}
@@ -162,12 +163,12 @@ func (e *engine) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 // iteration. The ascent stops early when the subgradient vanishes (u is
 // dual-optimal) or the value reaches target (the caller will prune on it
 // anyway). s.u holds the multipliers of the best value when it returns.
-func (e *engine) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) float64 {
+func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) float64 {
 	best := math.Inf(-1)
 	var bestU []float64 // lazily cloned only when an iteration improves
 	f := agility
 	for it := 0; it <= iters; it++ {
-		val, gnorm2 := e.dualEval(s.u, uncovered, banned, s.g)
+		val, gnorm2 := pl.dualEval(s.u, uncovered, banned, s.g)
 		if val > best {
 			best = val
 			if iters > 0 {
@@ -221,13 +222,13 @@ func (p *Problem) DualBound(weights []int, iters int) (int, error) {
 	if iters <= 0 {
 		iters = defaultAscentIters
 	}
-	e := newEngine(p, weights, greedy, greedy.Cost, ExactOptions{})
+	pl := newPlan(p, weights)
 	uncovered := bitvec.NewSet(p.numCols)
 	uncovered.Fill()
 	banned := bitvec.NewSet(p.NumRows())
 	s := newDualScratch(p.numCols)
-	e.dualInit(s.u, uncovered, banned)
-	best := e.dualAscend(s, uncovered, banned, float64(greedy.Cost), iters, rootAgility)
+	pl.dualInit(s.u, uncovered, banned)
+	best := pl.dualAscend(s, uncovered, banned, float64(greedy.Cost), iters, rootAgility)
 	b := dualRound(best)
 	if b > greedy.Cost {
 		// Cannot happen (the ascent stops at target), but never report a

@@ -28,19 +28,16 @@ func TestBoundModeString(t *testing.T) {
 
 func TestAscentBudgets(t *testing.T) {
 	cases := []struct {
-		opts          ExactOptions
-		root, perNode int
+		opts ExactOptions
+		root int
 	}{
-		{ExactOptions{}, defaultAscentIters, defaultAscentPerNode},
-		{ExactOptions{AscentIters: 10, AscentPerNode: 3}, 10, 3},
-		{ExactOptions{AscentIters: -1, AscentPerNode: -1}, 0, 0},
-		{ExactOptions{AscentIters: -1}, 0, defaultAscentPerNode},
+		{ExactOptions{}, defaultAscentIters},
+		{ExactOptions{AscentIters: 10}, 10},
+		{ExactOptions{AscentIters: -1}, 0},
 	}
 	for _, c := range cases {
-		root, perNode := c.opts.ascentBudgets()
-		if root != c.root || perNode != c.perNode {
-			t.Errorf("ascentBudgets(%+v) = (%d, %d), want (%d, %d)",
-				c.opts, root, perNode, c.root, c.perNode)
+		if root := c.opts.ascentBudget(); root != c.root {
+			t.Errorf("ascentBudget(%+v) = %d, want %d", c.opts, root, c.root)
 		}
 	}
 }
@@ -161,6 +158,16 @@ func TestRootLBNeverExceedsOptimum(t *testing.T) {
 					t.Fatalf("trial %d bound=%v: RootLB depends on Parallelism: %d (serial) vs %d (par=4)",
 						trial, mode, serial.RootLB, sol.RootLB)
 				}
+			}
+			// The reduction pipeline's bound adds the essential rows'
+			// weight to the residual's root bound.
+			pipe, red, err := p.SolveMinimalWeighted(weights, ExactOptions{Bound: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ess := coverCost(weights, red.Essential); pipe.RootLB < ess || pipe.RootLB > serial.Cost {
+				t.Fatalf("trial %d bound=%v: pipeline RootLB %d outside [%d essential, %d optimum]",
+					trial, mode, pipe.RootLB, ess, serial.Cost)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package setcover
 
-// The unified branch-and-bound engine behind SolveExact and
-// SolveExactWeighted. Cardinality covering is the weights == nil
-// instantiation (every row costs 1); minimum-weight covering passes the
-// per-row weight slice. One core means every bound, every pruning rule and
-// every bugfix applies to both solvers at once.
+// The branch-and-bound engine behind SolveExact and SolveExactWeighted.
+// Cardinality covering is the weights == nil instantiation (every row costs
+// 1); minimum-weight covering passes the per-row weight slice. One core
+// means every bound, every pruning rule and every bugfix applies to both
+// solvers at once.
 //
 // # Search shape
 //
@@ -18,33 +18,42 @@ package setcover
 // exactly one forces that row without spending a branch node — the
 // classical essentiality rule re-applied under the current bans.
 //
-// # Parallelism and determinism
+// # One fan-out: plan → per-branch search → Merge
 //
-// The top-level branches fan out across the internal/parallel pool. All
-// workers prune against a shared atomic incumbent cost, and complete covers
-// merge into the incumbent rows under a mutex. Solution.Rows is
-// nevertheless bit-identical for every Parallelism value, because of how
-// the two bounds are combined:
+// Every exact solve takes one path. The ExactPlan is the read-only half:
+// the problem, its static column view, the root-forced rows, the root
+// multipliers and the canonical top-level branch list, computed once by
+// the root node. A search is the per-run half: budgets, the stop flag, the
+// shared incumbent cost and the observers. runBranch explores one
+// top-level branch on a search and returns its SubtreeResult; Merge folds
+// the results into the Solution. solveBB runs every branch on the
+// internal/parallel pool against one shared search, and a subtree lease
+// (distributed.go) runs one branch on a search of its own.
+//
+// # Determinism
+//
+// Solution.Rows is bit-identical for every Parallelism value and every
+// lease schedule, because of how the two bounds are combined:
 //
 //   - against the task-local bound (greedy seed cost, lowered only by the
-//     task's own finds) a node prunes when cost+lb >= bound — the classical
-//     rule, so each task reports the first optimum of its subtree in DFS
-//     order, a value independent of the other workers;
+//     branch's own finds) a node prunes when cost+lb >= bound — the
+//     classical rule, so each branch reports the first optimum of its
+//     subtree in DFS order, a value independent of the other workers;
 //   - against the shared bound a node prunes only when cost+lb is STRICTLY
 //     greater. The shared bound never drops below the global optimum C*, so
 //     strict pruning can never cut a subtree containing a cost-C* cover: the
-//     foreign bound accelerates the search without changing any task's
+//     foreign bound accelerates the search without changing any branch's
 //     reported result.
 //
-// The merge prefers lower cost, then the lower top-level branch index, so
-// the surviving incumbent is the first-discovered optimum of the lowest
-// optimal branch — no matter how worker completion interleaves. Only
-// Solution.Nodes (an effort counter) depends on timing when Parallelism > 1,
-// exactly as wall-clock time does.
+// Merge prefers lower cost, then the lower top-level branch index (better),
+// so the answer is the first-discovered optimum of the lowest optimal
+// branch — no matter how branches interleave. Only Solution.Nodes (an
+// effort counter) depends on timing when Parallelism > 1, exactly as
+// wall-clock time does.
 //
 // The guarantee covers solves that COMPLETE. A truncated solve (node
 // budget, time budget or cancellation) returns whatever best-so-far the
-// workers had recorded when the stop flag won the race, which is as
+// branches had found when the stop flag won the race, which is as
 // timing-dependent as the budget itself; it is flagged Optimal = false.
 //
 // # Anytime contract
@@ -126,32 +135,22 @@ type ExactOptions struct {
 	// (Lagrangian modes only). 0 means the default (64); negative means no
 	// ascent — the warm-start multipliers are used as-is.
 	AscentIters int
-	// AscentPerNode is the number of task-local refinement steps applied to
-	// the root multipliers at every branch node before its dual value is
-	// read (Lagrangian modes only). 0 means the default (2); negative means
-	// evaluation only.
-	AscentPerNode int
 
 	// noSiblingExclusion disables the duplicate-sibling-subtree fix so its
 	// node-count reduction is assertable. Test hook only.
 	noSiblingExclusion bool
 }
 
-// ascentBudgets resolves the zero-default/negative-disable convention of
-// the two ascent knobs.
-func (o ExactOptions) ascentBudgets() (root, perNode int) {
-	root, perNode = o.AscentIters, o.AscentPerNode
-	if root == 0 {
-		root = defaultAscentIters
-	} else if root < 0 {
-		root = 0
+// ascentBudget resolves the zero-default/negative-disable convention of
+// AscentIters.
+func (o ExactOptions) ascentBudget() int {
+	switch {
+	case o.AscentIters == 0:
+		return defaultAscentIters
+	case o.AscentIters < 0:
+		return 0
 	}
-	if perNode == 0 {
-		perNode = defaultAscentPerNode
-	} else if perNode < 0 {
-		perNode = 0
-	}
-	return root, perNode
+	return o.AscentIters
 }
 
 // WithIncumbentOffset returns options whose OnIncumbent and OnSample
@@ -214,182 +213,134 @@ const defaultMaxNodes = 50_000_000
 
 // unsetBranch orders the greedy seed after every real branch index, so a
 // solver find at equal cost from any branch would win the merge — which
-// cannot happen, since tasks record strict improvements only.
+// cannot happen, since branches record strict improvements only.
 const unsetBranch = int(^uint(0) >> 1)
 
-type engine struct {
+// rootBranch is the branch index of a cover the root node resolves by
+// itself; it orders before every top-level branch.
+const rootBranch = -1
+
+// better is the one answer-picking rule of an exact solve: a cover of cost
+// found by branch replaces the incumbent (bestCost, bestBranch) when it is
+// cheaper, or as cheap and from a lower top-level branch. Merge picks the
+// answer with it and the OnIncumbent path picks its snapshots with it, so
+// the last snapshot describes the returned cover.
+func better(cost, branch, bestCost, bestBranch int) bool {
+	return cost < bestCost || (cost == bestCost && branch < bestBranch)
+}
+
+// ExactPlan is the deterministic root state of an exact solve — the
+// read-only half of the engine, ready to be fanned out branch by branch.
+// Create it with PlanExact. The plan is immutable and safe for concurrent
+// SolveSubtree calls.
+type ExactPlan struct {
 	p       *Problem
 	weights []int   // nil ⇒ every row costs 1
 	colRows [][]int // static column view: colRows[j] = rows covering j
 	colSets []*bitvec.Set
 	exclude bool // sibling-row exclusion enabled
+	dual    bool // Lagrangian bound enabled
 
-	maxNodes int64
-	deadline time.Time
-	timed    bool
-	ctx      context.Context
+	greedy   Solution
+	rootMult []float64 // root multipliers every node re-prices with
+	rootLB   int       // root cost + root lower bound: a global LB on the optimum
 
-	// Lagrangian dual bound state. rootMult is written once by the root
-	// ascent before the parallel fan-out and read-only afterwards; each
-	// task refines a private copy.
-	dual          bool
-	ascentRoot    int
-	ascentPerNode int
-	rootMult      []float64
-	rootLB        int // rootCost + root lower bound: a global LB on the optimum
-
-	nodes     atomic.Int64 // shared node budget and effort counter
-	stop      atomic.Bool  // raised by budget, deadline or context
-	truncated atomic.Bool  // some subtree was cut off: optimality unproven
-
-	// sharedCost is the global incumbent cost every worker prunes against.
-	// It only decreases; a stale read merely delays a prune.
-	sharedCost atomic.Int64
-
-	// externalBound, when non-nil, is polled at the node cadence for the
-	// best cover cost known OUTSIDE this engine — another process's
-	// incumbent in a distributed solve. It can only lower sharedCost, and
-	// sharedCost prunes on strictly-greater only, so a correct external
-	// value (never below the global optimum) accelerates the search without
-	// changing any completed result — the same argument that makes the
-	// in-process shared incumbent deterministic.
-	externalBound func() int
-
-	mu          sync.Mutex
-	bestRows    []int           // guarded by mu
-	bestCost    int             // guarded by mu
-	bestBranch  int             // guarded by mu
-	onIncumbent func(Incumbent) // set once at construction, fired under mu
-
-	sampleMu sync.Mutex
-	onSample func(Sample) // set once at construction, fired under sampleMu
+	// The root-forced rows (in every cover) and their total cost, the
+	// residual columns, and the top-level branch rows in canonical order.
+	forced     []int
+	forcedCost int
+	uncovered  *bitvec.Set
+	branchRows []int
+	// terminal is non-nil when the root resolved the solve by itself
+	// (root-forced rows cover everything, the root bound proves the greedy
+	// seed optimal, or the budget expired before the root): there is
+	// nothing to fan out.
+	terminal *Solution
 }
 
-func newEngine(p *Problem, weights []int, seed Solution, seedCost int, opts ExactOptions) *engine {
-	e := &engine{
-		p:           p,
-		weights:     weights,
-		colRows:     make([][]int, p.numCols),
-		exclude:     !opts.noSiblingExclusion,
-		maxNodes:    opts.MaxNodes,
-		ctx:         opts.Context,
-		bestRows:    append([]int(nil), seed.Rows...),
-		bestCost:    seedCost,
-		bestBranch:  unsetBranch,
-		onIncumbent: opts.OnIncumbent,
-		onSample:    opts.OnSample,
-	}
-	if e.maxNodes == 0 {
-		e.maxNodes = defaultMaxNodes
-	}
-	e.dual = opts.Bound != BoundCounting
-	e.ascentRoot, e.ascentPerNode = opts.ascentBudgets()
-	if opts.TimeBudget > 0 {
-		//reseedvet:ignore detsource -- TimeBudget deadline is timing-only: expiry truncates the search and is recorded in Solution.Optimal; the rows selected stay deterministic
-		e.deadline = time.Now().Add(opts.TimeBudget)
-		e.timed = true
-	}
+// newPlan returns a plan holding only p's static column view; plan fills
+// in the root.
+func newPlan(p *Problem, weights []int) *ExactPlan {
+	pl := &ExactPlan{p: p, weights: weights, colRows: make([][]int, p.numCols)}
 	for i, r := range p.rows {
-		r.ForEach(func(j int) { e.colRows[j] = append(e.colRows[j], i) })
+		r.ForEach(func(j int) { pl.colRows[j] = append(pl.colRows[j], i) })
 	}
-	e.colSets = make([]*bitvec.Set, p.numCols)
-	for j, rows := range e.colRows {
+	pl.colSets = make([]*bitvec.Set, p.numCols)
+	for j, rows := range pl.colRows {
 		s := bitvec.NewSet(p.NumRows())
 		for _, r := range rows {
 			s.Add(r)
 		}
-		e.colSets[j] = s
+		pl.colSets[j] = s
 	}
-	e.sharedCost.Store(int64(seedCost))
-	return e
+	return pl
 }
 
-func (e *engine) rowCost(r int) int {
-	if e.weights == nil {
+// plan runs the root node: re-reduction, the root lower bound with its
+// optional multiplier ascent, and either a terminal solution or the
+// top-level branch list. Only the tree-shaping options (Bound, AscentIters
+// and the sibling-exclusion hook) are read. An in-process solve passes its
+// search s: the root then first checks s's budgets — an expired solve
+// plans to the unproven greedy seed — and reports a cover the root
+// resolves to s's observer. Callers have checked weights and coverability.
+func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *search) *ExactPlan {
+	if s != nil && s.expired() {
+		return &ExactPlan{greedy: greedy, terminal: &Solution{Rows: greedy.Rows, Cost: greedy.Cost, Nodes: 1}}
+	}
+	pl := newPlan(p, weights)
+	pl.greedy = greedy
+	pl.exclude = !opts.noSiblingExclusion
+	pl.dual = opts.Bound != BoundCounting
+	uncovered := bitvec.NewSet(p.numCols)
+	uncovered.Fill()
+	banned := bitvec.NewSet(p.NumRows())
+	var infos []colAvail
+	chosen, cost, infeasible, branchCol := pl.propagate(nil, 0, uncovered, banned, &infos)
+	if infeasible {
+		// Cannot happen: every column is coverable and the root bans nothing.
+		pl.terminal = &Solution{Rows: greedy.Rows, Cost: greedy.Cost, Optimal: true, Nodes: 1}
+		return pl
+	}
+	if branchCol < 0 {
+		// Essential rows alone cover everything; they are in every cover,
+		// so this is the optimum. The greedy seed can only tie or lose.
+		pl.rootLB = cost
+		if s != nil {
+			s.record(cost, len(chosen), rootBranch)
+		}
+		sort.Ints(chosen)
+		pl.terminal = &Solution{Rows: chosen, Cost: cost, Optimal: true, Nodes: 1, RootLB: cost}
+		return pl
+	}
+	rootBound := pl.lowerBound(infos, banned)
+	if pl.dual {
+		// Root multiplier ascent: warm-start from the cheapest-row shares,
+		// climb toward the greedy upper bound, and publish the multipliers
+		// for every branch to re-price its residuals with.
+		ds := newDualScratch(p.numCols)
+		pl.dualInit(ds.u, uncovered, banned)
+		best := pl.dualAscend(ds, uncovered, banned, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
+		pl.rootMult = ds.u
+		if d := dualRound(best); d > rootBound {
+			rootBound = d
+		}
+	}
+	pl.rootLB = cost + rootBound
+	if pl.rootLB >= greedy.Cost {
+		// The greedy seed is proven optimal.
+		pl.terminal = &Solution{Rows: greedy.Rows, Cost: greedy.Cost, Optimal: true, Nodes: 1, RootLB: pl.rootLB}
+		return pl
+	}
+	pl.forced, pl.forcedCost, pl.uncovered = chosen, cost, uncovered
+	pl.branchRows = pl.branchCandidates(branchCol, uncovered, banned)
+	return pl
+}
+
+func (pl *ExactPlan) rowCost(r int) int {
+	if pl.weights == nil {
 		return 1
 	}
-	return e.weights[r]
-}
-
-// expired reports whether the wall-clock budget or the context has run out.
-func (e *engine) expired() bool {
-	//reseedvet:ignore detsource -- wall-clock budget check is timing-only: it can only stop the search early, and truncation is recorded in Solution.Optimal
-	if e.timed && !time.Now().Before(e.deadline) {
-		return true
-	}
-	if e.ctx != nil {
-		select {
-		case <-e.ctx.Done():
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// halt raises the stop flag; every worker drains at its next node.
-func (e *engine) halt() {
-	e.truncated.Store(true)
-	e.stop.Store(true)
-}
-
-// record merges a complete cover into the shared incumbent. branch is the
-// top-level branch that found it (rootBranch for covers the root itself
-// resolves); cost ties resolve toward the lower branch, which makes the
-// final incumbent independent of worker timing.
-func (e *engine) record(cost int, rows []int, branch int) {
-	e.mu.Lock()
-	if cost < e.bestCost || (cost == e.bestCost && branch < e.bestBranch) {
-		e.bestCost = cost
-		e.bestBranch = branch
-		e.bestRows = append(e.bestRows[:0], rows...)
-		if e.onIncumbent != nil {
-			// Under e.mu, so snapshots are serialized; fired on every
-			// replacement — including an equal-cost witness from a lower
-			// branch — so the last snapshot always describes the cover the
-			// solve will return.
-			e.onIncumbent(Incumbent{Cost: cost, Rows: len(rows), Nodes: e.nodes.Load()})
-		}
-	}
-	e.mu.Unlock()
-	for {
-		cur := e.sharedCost.Load()
-		if int64(cost) >= cur || e.sharedCost.CompareAndSwap(cur, int64(cost)) {
-			return
-		}
-	}
-}
-
-// sample delivers one OnSample snapshot. rootLB is written once before
-// the fan-out and read-only afterwards; sampleMu serializes the
-// callback itself.
-func (e *engine) sample(n int64) {
-	if e.onSample == nil {
-		return
-	}
-	s := Sample{Nodes: n, Best: int(e.sharedCost.Load()), RootLB: e.rootLB}
-	e.sampleMu.Lock()
-	e.onSample(s)
-	e.sampleMu.Unlock()
-}
-
-// pullBound folds the external incumbent (when configured) into
-// sharedCost. Non-positive reports mean "no incumbent known" and are
-// ignored.
-func (e *engine) pullBound() {
-	if e.externalBound == nil {
-		return
-	}
-	b := int64(e.externalBound())
-	if b <= 0 {
-		return
-	}
-	for {
-		cur := e.sharedCost.Load()
-		if b >= cur || e.sharedCost.CompareAndSwap(cur, b) {
-			return
-		}
-	}
+	return pl.weights[r]
 }
 
 // colAvail is one uncovered column of a node's stable residual with its
@@ -406,7 +357,7 @@ type colAvail struct{ col, avail int }
 // lower column index) with the per-column counts appended to *infos for
 // the caller's lower bound. Availability is one word-level intersection
 // per column, not a per-row probe.
-func (e *engine) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (infeasible bool, forcedCols []int, branchCol int) {
+func (pl *ExactPlan) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (infeasible bool, forcedCols []int, branchCol int) {
 	branchCol = -1
 	bestAvail := int(^uint(0) >> 1)
 	*infos = (*infos)[:0]
@@ -414,7 +365,7 @@ func (e *engine) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (
 		if infeasible {
 			return
 		}
-		avail := len(e.colRows[j]) - e.colSets[j].IntersectionLen(banned)
+		avail := len(pl.colRows[j]) - pl.colSets[j].IntersectionLen(banned)
 		switch {
 		case avail == 0:
 			infeasible = true
@@ -440,12 +391,12 @@ func (e *engine) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (
 // taking every collected forced column in one batch (skipping those a
 // just-taken row already covered) reaches the fixpoint: the follow-up scan
 // can force nothing new and only rebuilds infos/branchCol for the residual.
-func (e *engine) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set, infos *[]colAvail) (newChosen []int, newCost int, infeasible bool, branchCol int) {
+func (pl *ExactPlan) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set, infos *[]colAvail) (newChosen []int, newCost int, infeasible bool, branchCol int) {
 	for {
 		if uncovered.Empty() {
 			return chosen, cost, false, -1
 		}
-		bad, forcedCols, col := e.scanColumns(uncovered, banned, infos)
+		bad, forcedCols, col := pl.scanColumns(uncovered, banned, infos)
 		if bad {
 			return chosen, cost, true, -1
 		}
@@ -456,10 +407,10 @@ func (e *engine) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set
 			if !uncovered.Contains(j) {
 				continue
 			}
-			r := e.colSets[j].FirstNotIn(banned)
+			r := pl.colSets[j].FirstNotIn(banned)
 			chosen = append(chosen, r)
-			cost += e.rowCost(r)
-			uncovered.AndNot(e.p.rows[r])
+			cost += pl.rowCost(r)
+			uncovered.AndNot(pl.p.rows[r])
 		}
 	}
 }
@@ -473,7 +424,7 @@ func (e *engine) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set
 // the final propagation scan (no recount) and sorts a scratch copy rare
 // columns first. The cheapest available row of a picked column is computed
 // lazily — and is the constant 1 for unit weights.
-func (e *engine) lowerBound(infos []colAvail, banned *bitvec.Set) int {
+func (pl *ExactPlan) lowerBound(infos []colAvail, banned *bitvec.Set) int {
 	sort.Slice(infos, func(a, b int) bool {
 		if infos[a].avail != infos[b].avail {
 			return infos[a].avail < infos[b].avail
@@ -483,24 +434,24 @@ func (e *engine) lowerBound(infos []colAvail, banned *bitvec.Set) int {
 	// usedRows accumulates the available rows of picked columns, so it
 	// never contains a banned row and one Intersects call per column is an
 	// exact available-row disjointness test.
-	usedRows := bitvec.NewSet(e.p.NumRows())
+	usedRows := bitvec.NewSet(pl.p.NumRows())
 	lb := 0
 	for _, ci := range infos {
-		if usedRows.Intersects(e.colSets[ci.col]) {
+		if usedRows.Intersects(pl.colSets[ci.col]) {
 			continue
 		}
-		usedRows.Or(e.colSets[ci.col])
+		usedRows.Or(pl.colSets[ci.col])
 		usedRows.AndNot(banned)
-		if e.weights == nil {
+		if pl.weights == nil {
 			lb++
 			continue
 		}
 		min, first := 0, true
-		for _, r := range e.colRows[ci.col] {
+		for _, r := range pl.colRows[ci.col] {
 			if banned.Contains(r) {
 				continue
 			}
-			if w := e.weights[r]; first || w < min {
+			if w := pl.weights[r]; first || w < min {
 				min, first = w, false
 			}
 		}
@@ -513,17 +464,17 @@ func (e *engine) lowerBound(infos []colAvail, banned *bitvec.Set) int {
 // cheapest-per-newly-covered-column first (for unit weights: decreasing
 // gain), ties toward the lower row index. Ratios compare by
 // cross-multiplication, so the order is exact and platform independent.
-func (e *engine) branchCandidates(col int, uncovered, banned *bitvec.Set) []int {
+func (pl *ExactPlan) branchCandidates(col int, uncovered, banned *bitvec.Set) []int {
 	type cand struct{ row, gain int }
-	cands := make([]cand, 0, len(e.colRows[col]))
-	for _, r := range e.colRows[col] {
+	cands := make([]cand, 0, len(pl.colRows[col]))
+	for _, r := range pl.colRows[col] {
 		if !banned.Contains(r) {
-			cands = append(cands, cand{r, e.p.rows[r].IntersectionLen(uncovered)})
+			cands = append(cands, cand{r, pl.p.rows[r].IntersectionLen(uncovered)})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
-		l := e.rowCost(cands[a].row) * cands[b].gain
-		r := e.rowCost(cands[b].row) * cands[a].gain
+		l := pl.rowCost(cands[a].row) * cands[b].gain
+		r := pl.rowCost(cands[b].row) * cands[a].gain
 		if l != r {
 			return l < r
 		}
@@ -536,14 +487,178 @@ func (e *engine) branchCandidates(col int, uncovered, banned *bitvec.Set) []int 
 	return rows
 }
 
+// search is the per-run half of an exact solve: budgets, the stop flag,
+// the shared incumbent cost and the observers, over the plan pl.
+type search struct {
+	pl *ExactPlan
+
+	maxNodes int64
+	deadline time.Time
+	timed    bool
+	ctx      context.Context
+
+	nodes     atomic.Int64 // shared node budget and effort counter
+	stop      atomic.Bool  // raised by budget, deadline or context
+	truncated atomic.Bool  // some subtree was cut off: optimality unproven
+
+	// sharedCost is the incumbent cost every branch prunes against at every
+	// node. It only decreases; a stale read merely delays a prune.
+	sharedCost atomic.Int64
+
+	// bound, when non-nil, is polled at the 128-node cadence for the best
+	// cover cost known OUTSIDE this search — another process's incumbent
+	// in a distributed solve. It can only lower sharedCost, and sharedCost
+	// prunes on strictly-greater only, so a correct external value (never
+	// below the global optimum) accelerates the search without changing
+	// any completed result — the same argument that makes the in-process
+	// shared incumbent deterministic.
+	bound func() int
+
+	// bestCost and bestBranch describe the cover of the last OnIncumbent
+	// snapshot; the answer itself comes from Merge.
+	mu          sync.Mutex
+	bestCost    int             // guarded by mu
+	bestBranch  int             // guarded by mu
+	onIncumbent func(Incumbent) // set once at construction, fired under mu
+
+	sampleMu sync.Mutex
+	onSample func(Sample) // set once at construction, fired under sampleMu
+}
+
+// newSearch starts the per-run state of a solve whose incumbent is the
+// greedy seed of cost greedyCost; the wall-clock budget starts now.
+func newSearch(greedyCost int, opts ExactOptions) *search {
+	s := &search{
+		maxNodes:    opts.MaxNodes,
+		ctx:         opts.Context,
+		bestCost:    greedyCost,
+		bestBranch:  unsetBranch,
+		onIncumbent: opts.OnIncumbent,
+		onSample:    opts.OnSample,
+	}
+	if s.maxNodes == 0 {
+		s.maxNodes = defaultMaxNodes
+	}
+	if opts.TimeBudget > 0 {
+		//reseedvet:ignore detsource -- TimeBudget deadline is timing-only: expiry truncates the search and is recorded in Solution.Optimal; the rows selected stay deterministic
+		s.deadline = time.Now().Add(opts.TimeBudget)
+		s.timed = true
+	}
+	s.sharedCost.Store(int64(greedyCost))
+	return s
+}
+
+// expired reports whether the wall-clock budget or the context has run out.
+func (s *search) expired() bool {
+	//reseedvet:ignore detsource -- wall-clock budget check is timing-only: it can only stop the search early, and truncation is recorded in Solution.Optimal
+	if s.timed && !time.Now().Before(s.deadline) {
+		return true
+	}
+	if s.ctx != nil {
+		select {
+		case <-s.ctx.Done():
+			return true
+		default:
+		}
+	}
+	return false
+}
+
+// halt raises the stop flag; every worker drains at its next node.
+func (s *search) halt() {
+	s.truncated.Store(true)
+	s.stop.Store(true)
+}
+
+// record publishes a cover found by branch: it lowers the shared incumbent
+// cost and, when the cover replaces the incumbent under better, fires
+// OnIncumbent. Firing on every replacement — an equal-cost witness from a
+// lower branch included — under s.mu keeps snapshots serialized and makes
+// the last one describe the cover Merge returns.
+func (s *search) record(cost, rows, branch int) {
+	if s.onIncumbent != nil {
+		s.mu.Lock()
+		if better(cost, branch, s.bestCost, s.bestBranch) {
+			s.bestCost, s.bestBranch = cost, branch
+			s.onIncumbent(Incumbent{Cost: cost, Rows: rows, Nodes: s.nodes.Load()})
+		}
+		s.mu.Unlock()
+	}
+	lowerCost(&s.sharedCost, int64(cost))
+}
+
+// sample delivers one OnSample snapshot; sampleMu serializes the callback.
+func (s *search) sample(n int64) {
+	if s.onSample == nil {
+		return
+	}
+	smp := Sample{Nodes: n, Best: int(s.sharedCost.Load()), RootLB: s.pl.rootLB}
+	s.sampleMu.Lock()
+	s.onSample(smp)
+	s.sampleMu.Unlock()
+}
+
+// pullBound folds the external incumbent (when configured) into
+// sharedCost. Non-positive reports mean "no incumbent known" and are
+// ignored.
+func (s *search) pullBound() {
+	if s.bound == nil {
+		return
+	}
+	if b := int64(s.bound()); b > 0 {
+		lowerCost(&s.sharedCost, b)
+	}
+}
+
+// lowerCost CASes v down to x when x is an improvement.
+func lowerCost(v *atomic.Int64, x int64) {
+	for {
+		cur := v.Load()
+		if x >= cur || v.CompareAndSwap(cur, x) {
+			return
+		}
+	}
+}
+
+// runBranch explores top-level branch i serially on s, pruning against the
+// greedy cost as its task-local bound, and reports the branch's first
+// optimum in DFS order. It is the unit of work of both the in-process
+// fan-out and a subtree lease, so both walk bit-identical trees.
+func (s *search) runBranch(i int) SubtreeResult {
+	pl := s.pl
+	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost}
+	banned := bitvec.NewSet(pl.p.NumRows())
+	if pl.exclude {
+		for _, row := range pl.branchRows[:i] {
+			banned.Add(row)
+		}
+	}
+	r := pl.branchRows[i]
+	next := pl.uncovered.Clone()
+	next.AndNot(pl.p.rows[r])
+	chosen := make([]int, len(pl.forced), len(pl.forced)+8)
+	copy(chosen, pl.forced)
+	t.search(append(chosen, r), pl.forcedCost+pl.rowCost(r), next, banned)
+
+	res := SubtreeResult{Branch: i, Nodes: t.nodes, Truncated: s.truncated.Load()}
+	if t.rows != nil {
+		res.Found, res.Cost, res.Rows = true, t.localBound, t.rows
+		sort.Ints(res.Rows)
+	}
+	return res
+}
+
 // bbTask is one top-level branch explored serially by one worker.
 type bbTask struct {
-	e      *engine
+	s      *search
 	branch int // merge tie-breaker
 	// localBound is the task-local incumbent cost: recording is strict
-	// improvement against it, which pins the task's reported witness to the
-	// first optimum in its own DFS order regardless of the other workers.
+	// improvement against it, which pins the branch's reported witness to
+	// the first optimum in its own DFS order regardless of the other
+	// workers. rows is that witness (nil until the branch finds a cover).
 	localBound int
+	rows       []int
+	nodes      int64 // this branch's share of s.nodes
 	// infos is the column-scan scratch, reused across the task's DFS: a
 	// node is done with it before its children run.
 	infos []colAvail
@@ -557,12 +672,12 @@ type bbTask struct {
 // returns the rounded dual value. It depends only on the node's state and
 // the task-local incumbent, so serial node counts are deterministic.
 func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
-	e := t.e
+	pl := t.s.pl
 	if t.ds == nil {
-		t.ds = newDualScratch(e.p.numCols)
+		t.ds = newDualScratch(pl.p.numCols)
 	}
-	copy(t.ds.u, e.rootMult)
-	best := e.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), e.ascentPerNode, nodeAgility)
+	copy(t.ds.u, pl.rootMult)
+	best := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
 	return dualRound(best)
 }
 
@@ -571,181 +686,79 @@ func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 // excluded by earlier sibling branches (owned by the caller, read-only
 // here; descendants receive a clone before it is extended).
 func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
-	e := t.e
-	if e.stop.Load() {
+	s, pl := t.s, t.s.pl
+	if s.stop.Load() {
 		return
 	}
-	n := e.nodes.Add(1)
-	if n > e.maxNodes {
-		e.halt()
+	t.nodes++
+	n := s.nodes.Add(1)
+	if n > s.maxNodes {
+		s.halt()
 		return
 	}
 	if n&127 == 0 {
-		if e.expired() {
-			e.halt()
+		if s.expired() {
+			s.halt()
 			return
 		}
-		e.pullBound()
+		s.pullBound()
 	}
 	// Telemetry sampling at a much coarser cadence than the budget
 	// checks: cheap enough to leave always-on, frequent enough for a
 	// useful nodes/sec trajectory.
 	if n&4095 == 0 {
-		e.sample(n)
+		s.sample(n)
 	}
 
-	chosen, cost, infeasible, branchCol := e.propagate(chosen, cost, uncovered, banned, &t.infos)
+	chosen, cost, infeasible, branchCol := pl.propagate(chosen, cost, uncovered, banned, &t.infos)
 	if infeasible {
 		return
 	}
 	if branchCol < 0 { // covered
 		if cost < t.localBound {
 			t.localBound = cost
-			e.record(cost, chosen, t.branch)
+			t.rows = append(t.rows[:0], chosen...)
+			s.record(cost, len(chosen), t.branch)
 		}
 		return
 	}
 	// The counting bound is cheap; the dual bound is evaluated only when
 	// counting fails to prune, and the stronger of the two rules the node.
-	lb := e.lowerBound(t.infos, banned)
-	if cost+lb >= t.localBound || int64(cost+lb) > e.sharedCost.Load() {
+	lb := pl.lowerBound(t.infos, banned)
+	if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
 		return
 	}
-	if e.dual {
+	if pl.dual {
 		if dlb := t.dualBound(cost, uncovered, banned); dlb > lb {
 			lb = dlb
-			if cost+lb >= t.localBound || int64(cost+lb) > e.sharedCost.Load() {
+			if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
 				return
 			}
 		}
 	}
 
-	rows := e.branchCandidates(branchCol, uncovered, banned)
+	rows := pl.branchCandidates(branchCol, uncovered, banned)
 	branchBanned := banned
-	if e.exclude {
+	if pl.exclude {
 		branchBanned = banned.Clone()
 	}
 	for _, r := range rows {
-		if e.stop.Load() {
+		if s.stop.Load() {
 			return
 		}
 		next := uncovered.Clone()
-		next.AndNot(e.p.rows[r])
-		t.search(append(chosen, r), cost+e.rowCost(r), next, branchBanned)
-		if e.exclude {
+		next.AndNot(pl.p.rows[r])
+		t.search(append(chosen, r), cost+pl.rowCost(r), next, branchBanned)
+		if pl.exclude {
 			branchBanned.Add(r)
 		}
 	}
 }
 
-// finish snapshots the engine's incumbent into a Solution. Workers may
-// still be draining when an expired solve returns, so even this final
-// read of the incumbent takes the lock.
-func (e *engine) finish() Solution {
-	e.mu.Lock()
-	sol := Solution{
-		Rows: append([]int(nil), e.bestRows...),
-		Cost: e.bestCost,
-	}
-	e.mu.Unlock()
-	sol.Optimal = !e.truncated.Load()
-	sol.Nodes = e.nodes.Load()
-	sol.RootLB = e.rootLB
-	sort.Ints(sol.Rows)
-	return sol
-}
-
-// rootState is the deterministic root of the branch-and-bound tree:
-// everything the search decides before the top-level fan-out. It is
-// computed identically by the in-process solve and by PlanExact (the
-// distributed coordinator), which is what makes a distributed solve
-// bit-identical to a local one.
-type rootState struct {
-	chosen     []int       // rows forced at the root (in every cover)
-	cost       int         // their total cost
-	uncovered  *bitvec.Set // residual columns (read-only after root)
-	branchRows []int       // top-level branch rows, in canonical order
-	// done reports that the root resolved the solve by itself — the
-	// engine's incumbent already holds the answer; there is nothing to
-	// fan out.
-	done bool
-}
-
-// root runs the root node: the cheap anytime pre-check, re-reduction,
-// the root lower bound with its optional multiplier ascent, and either a
-// terminal resolution (done = true) or the top-level branch list.
-func (e *engine) root(greedy Solution) rootState {
-	p := e.p
-	e.nodes.Store(1)
-	if e.expired() {
-		e.halt()
-		return rootState{done: true}
-	}
-	uncovered := bitvec.NewSet(p.numCols)
-	uncovered.Fill()
-	banned := bitvec.NewSet(p.NumRows())
-	var rootInfos []colAvail
-	rootChosen, rootCost, infeasible, branchCol := e.propagate(nil, 0, uncovered, banned, &rootInfos)
-	if infeasible {
-		// Cannot happen: every column is coverable and the root bans nothing.
-		return rootState{done: true}
-	}
-	if branchCol < 0 {
-		// Essential rows alone cover everything; they are in every cover,
-		// so this is the optimum. The greedy seed can only tie or lose.
-		e.rootLB = rootCost
-		e.record(rootCost, rootChosen, -1)
-		return rootState{done: true}
-	}
-	rootBound := e.lowerBound(rootInfos, banned)
-	if e.dual {
-		// Root multiplier ascent: warm-start from the cheapest-row shares,
-		// climb toward the greedy upper bound, and publish the multipliers
-		// for every task to re-price its residuals with.
-		s := newDualScratch(p.numCols)
-		e.dualInit(s.u, uncovered, banned)
-		best := e.dualAscend(s, uncovered, banned, float64(greedy.Cost-rootCost), e.ascentRoot, rootAgility)
-		e.rootMult = s.u
-		if d := dualRound(best); d > rootBound {
-			rootBound = d
-		}
-	}
-	e.rootLB = rootCost + rootBound
-	// The incumbent is still the greedy seed here — nothing has recorded
-	// yet — so compare against greedy.Cost rather than reading e.bestCost
-	// outside its lock.
-	if rootCost+rootBound >= greedy.Cost {
-		return rootState{done: true} // the greedy seed is proven optimal
-	}
-	return rootState{
-		chosen:     rootChosen,
-		cost:       rootCost,
-		uncovered:  uncovered,
-		branchRows: e.branchCandidates(branchCol, uncovered, banned),
-	}
-}
-
-// runBranch explores one top-level subtree serially: branch index i of
-// root state r, pruning against greedyCost as the task-local bound. It is
-// the unit of work the in-process fan-out and the distributed subtree
-// lease both execute, so both walk bit-identical trees.
-func (e *engine) runBranch(r rootState, i int, greedyCost int) {
-	t := &bbTask{e: e, branch: i, localBound: greedyCost}
-	taskBanned := bitvec.NewSet(e.p.NumRows())
-	if e.exclude {
-		for _, row := range r.branchRows[:i] {
-			taskBanned.Add(row)
-		}
-	}
-	next := r.uncovered.Clone()
-	next.AndNot(e.p.rows[r.branchRows[i]])
-	chosen := make([]int, len(r.chosen), len(r.chosen)+8)
-	copy(chosen, r.chosen)
-	t.search(append(chosen, r.branchRows[i]), r.cost+e.rowCost(r.branchRows[i]), next, taskBanned)
-}
-
 // solveBB is the shared entry point of SolveExact (weights == nil) and
-// SolveExactWeighted. Callers have validated weights already.
+// SolveExactWeighted: plan the root, run every top-level branch on the
+// worker pool against one shared search, Merge. Callers have validated
+// weights already.
 func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	if bad := p.UncoverableColumns(); bad != nil {
 		return Solution{}, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])
@@ -757,33 +770,31 @@ func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	e := newEngine(p, weights, greedy, greedy.Cost, opts)
-	if e.onIncumbent != nil {
-		e.onIncumbent(Incumbent{Cost: greedy.Cost, Rows: len(greedy.Rows)})
+	s := newSearch(greedy.Cost, opts)
+	s.nodes.Store(1) // the root is node 1 of the shared budget
+	if s.onIncumbent != nil {
+		s.onIncumbent(Incumbent{Cost: greedy.Cost, Rows: len(greedy.Rows)})
 	}
 
 	_, asp := obs.StartSpan(opts.Context, "ascent")
-	r := e.root(greedy)
-	asp.SetInt("root_lb", int64(e.rootLB))
+	s.pl = p.plan(weights, greedy, opts, s)
+	asp.SetInt("root_lb", int64(s.pl.rootLB))
 	asp.SetInt("greedy_cost", int64(greedy.Cost))
 	asp.End()
 	// One sample right after the root, so even a solve the root resolves
 	// produces a timeline point.
-	e.sample(e.nodes.Load())
-	if r.done {
-		return e.finish(), nil
+	s.sample(1)
+	if term := s.pl.Terminal(); term != nil {
+		return *term, nil
 	}
 	_, bsp := obs.StartSpan(opts.Context, "bb")
-	bsp.SetInt("branches", int64(len(r.branchRows)))
-	workers := parallel.Degree(opts.Parallelism)
-	_ = parallel.ForEach(workers, len(r.branchRows), func(_, i int) error { // infallible: the worker fn below always returns nil
-		if e.stop.Load() {
-			return nil
-		}
-		e.runBranch(r, i, greedy.Cost)
+	results := make([]SubtreeResult, s.pl.NumBranches())
+	bsp.SetInt("branches", int64(len(results)))
+	_ = parallel.ForEach(parallel.Degree(opts.Parallelism), len(results), func(_, i int) error { // infallible: the worker fn below always returns nil
+		results[i] = s.runBranch(i)
 		return nil
 	})
-	sol := e.finish()
+	sol := s.pl.Merge(results)
 	bsp.SetInt("nodes", sol.Nodes)
 	bsp.SetInt("cost", int64(sol.Cost))
 	bsp.SetInt("optimal", b2i(sol.Optimal))

@@ -230,35 +230,47 @@ func BenchmarkExactHardInstance(b *testing.B) {
 // with a parallel fan-out (an equal-cost snapshot marks the deterministic
 // merge replacing the witness), and the last snapshot equals the returned
 // optimum. Runs under -race in CI (callbacks are serialized by the engine).
+// The weighted cases include zero weights, so equal-cost covers from
+// different branches can differ in row count: only the tie-break the
+// snapshots share with Merge makes the last snapshot's Rows match the
+// returned cover's.
 func TestOnIncumbentContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		p := randomCoverable(rng, 14+rng.Intn(16), 30+rng.Intn(30))
+	check := func(trial int, p *Problem, weights []int) {
 		for _, j := range engineDegrees {
 			var snaps []Incumbent
-			sol, err := p.SolveExact(ExactOptions{
+			opts := ExactOptions{
 				Parallelism: j,
 				OnIncumbent: func(inc Incumbent) { snaps = append(snaps, inc) },
-			})
+			}
+			var sol Solution
+			var err error
+			if weights == nil {
+				sol, err = p.SolveExact(opts)
+			} else {
+				sol, err = p.SolveExactWeighted(weights, opts)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(snaps) == 0 {
-				t.Fatalf("trial %d j=%d: no snapshot at all (greedy seed missing)", trial, j)
+				t.Fatalf("trial %d j=%d weighted=%v: no snapshot at all (greedy seed missing)", trial, j, weights != nil)
 			}
 			if snaps[0].Nodes != 0 {
-				t.Errorf("trial %d j=%d: first snapshot is not the seed: %+v", trial, j, snaps[0])
+				t.Errorf("trial %d j=%d weighted=%v: first snapshot is not the seed: %+v", trial, j, weights != nil, snaps[0])
 			}
 			for i := 1; i < len(snaps); i++ {
 				if snaps[i].Cost > snaps[i-1].Cost {
-					t.Errorf("trial %d j=%d: snapshot costs increased: %+v", trial, j, snaps)
+					t.Errorf("trial %d j=%d weighted=%v: snapshot costs increased: %+v", trial, j, weights != nil, snaps)
 					break
 				}
 			}
 			last := snaps[len(snaps)-1]
 			if last.Cost != sol.Cost || last.Rows != len(sol.Rows) {
-				t.Errorf("trial %d j=%d: last snapshot %+v does not match the solution (cost %d, %d rows)",
-					trial, j, last, sol.Cost, len(sol.Rows))
+				t.Errorf("trial %d j=%d weighted=%v: last snapshot %+v does not match the solution (cost %d, %d rows)",
+					trial, j, weights != nil, last, sol.Cost, len(sol.Rows))
+			}
+			if weights != nil {
+				continue
 			}
 			// Unit weights: cost and cardinality coincide in every snapshot.
 			for _, s := range snaps {
@@ -267,6 +279,21 @@ func TestOnIncumbentContract(t *testing.T) {
 				}
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		check(trial, randomCoverable(rng, 14+rng.Intn(16), 30+rng.Intn(30)), nil)
+	}
+	// Equal-cost covers with different row counts are rare, so the
+	// weighted sweep is longer.
+	rng = rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		p := randomCoverable(rng, 14+rng.Intn(16), 30+rng.Intn(30))
+		weights := make([]int, p.NumRows())
+		for i := range weights {
+			weights[i] = rng.Intn(4) // zero weights included
+		}
+		check(trial, p, weights)
 	}
 }
 

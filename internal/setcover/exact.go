@@ -22,14 +22,30 @@ func (p *Problem) SolveExact(opts ExactOptions) (Solution, error) {
 // plus the residual cover. The second return value reports the reduction for
 // analysis (Table 2 of the paper).
 func (p *Problem) SolveMinimal(opts ExactOptions) (Solution, *Reduction, error) {
+	return p.solveMinimal(nil, opts)
+}
+
+// solveMinimal is the reduce → residual pipeline behind SolveMinimal
+// (weights nil) and SolveMinimalWeighted. Essential rows are in every
+// cover, so their cost shifts the residual's incumbents, samples and root
+// bound one-for-one: RootLB is the residual solve's plus the essentials'
+// cost. Callers have validated weights.
+func (p *Problem) solveMinimal(weights []int, opts ExactOptions) (Solution, *Reduction, error) {
 	if bad := p.UncoverableColumns(); bad != nil {
 		return Solution{}, nil, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])
 	}
-	red := p.Reduce()
-	sol := Solution{Rows: append([]int(nil), red.Essential...), Optimal: true}
+	red := p.reduceImpl(weights)
+	essCost := coverCost(weights, red.Essential)
+	sol := Solution{Rows: append([]int(nil), red.Essential...), Optimal: true, RootLB: essCost}
 	if !red.Empty() {
-		sub, err := red.Residual.SolveExact(
-			opts.WithIncumbentOffset(len(red.Essential), len(red.Essential)))
+		var subWeights []int
+		if weights != nil {
+			subWeights = make([]int, len(red.RowMap))
+			for i, r := range red.RowMap {
+				subWeights[i] = weights[r]
+			}
+		}
+		sub, err := red.Residual.solveBB(subWeights, opts.WithIncumbentOffset(essCost, len(red.Essential)))
 		if err != nil {
 			return Solution{}, nil, err
 		}
@@ -38,8 +54,9 @@ func (p *Problem) SolveMinimal(opts ExactOptions) (Solution, *Reduction, error) 
 		}
 		sol.Optimal = sub.Optimal
 		sol.Nodes = sub.Nodes
+		sol.RootLB += sub.RootLB
 	}
 	sort.Ints(sol.Rows)
-	sol.Cost = len(sol.Rows)
+	sol.Cost = coverCost(weights, sol.Rows)
 	return sol, red, nil
 }

@@ -231,6 +231,12 @@ func TestSolveMinimalMatchesPlainExact(t *testing.T) {
 		if !p.Minimal(viaReduce.Rows) {
 			t.Errorf("trial %d: solution is redundant", trial)
 		}
+		// Essential rows are in every cover: RootLB counts them on top of
+		// the residual's root bound, and never exceeds the optimum.
+		if viaReduce.RootLB < len(red.Essential) || viaReduce.RootLB > viaReduce.Cost {
+			t.Errorf("trial %d: RootLB %d outside [%d essential, %d cost]",
+				trial, viaReduce.RootLB, len(red.Essential), viaReduce.Cost)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package setcover
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Weighted covering: choose rows minimizing total weight rather than
 // cardinality. In the reseeding flow the weight of a candidate triplet is
@@ -74,28 +71,5 @@ func (p *Problem) SolveMinimalWeighted(weights []int, opts ExactOptions) (Soluti
 	if err := p.validateWeights(weights); err != nil {
 		return Solution{}, nil, err
 	}
-	if bad := p.UncoverableColumns(); bad != nil {
-		return Solution{}, nil, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])
-	}
-	red := p.reduceImpl(weights)
-	sol := Solution{Rows: append([]int(nil), red.Essential...), Optimal: true}
-	if !red.Empty() {
-		subWeights := make([]int, len(red.RowMap))
-		for i, r := range red.RowMap {
-			subWeights[i] = weights[r]
-		}
-		sub, err := red.Residual.SolveExactWeighted(subWeights,
-			opts.WithIncumbentOffset(totalWeight(weights, red.Essential), len(red.Essential)))
-		if err != nil {
-			return Solution{}, nil, err
-		}
-		for _, r := range sub.Rows {
-			sol.Rows = append(sol.Rows, red.RowMap[r])
-		}
-		sol.Optimal = sub.Optimal
-		sol.Nodes = sub.Nodes
-	}
-	sort.Ints(sol.Rows)
-	sol.Cost = totalWeight(weights, sol.Rows)
-	return sol, red, nil
+	return p.solveMinimal(weights, opts)
 }

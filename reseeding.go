@@ -190,7 +190,8 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 func FormatBench(c *Circuit) string { return netlist.Format(c) }
 
 // Benchmarks lists the built-in benchmark circuit names (synthetic stand-ins
-// for the ISCAS'85/'89 suite; see DESIGN.md for the substitution rationale).
+// for the ISCAS'85/'89 suite; the internal/bench package doc gives the
+// substitution rationale).
 func Benchmarks() []string { return bench.List() }
 
 // OpenBenchmark generates the named benchmark circuit. Sequential circuits
