@@ -7,6 +7,19 @@
 // is classical: a random-pattern phase with fault dropping, a deterministic
 // PODEM phase for the random-resistant faults, and reverse-order fault
 // simulation to compact the final pattern sequence.
+//
+// PODEM dominates the run. Its search evaluates the good and the faulty
+// machine together: each line holds both values as dual rails in one byte,
+// over a flat, level-ordered view of the circuit built once per Run.
+// A fault's search outcome (status, test cube, backtracks) depends only on
+// the circuit, the fault and the backtrack limit, so with Parallelism > 1
+// workers search ahead along the undetected-fault list while a single
+// consumer walks it in order: it classifies each outcome, X-fills each
+// test cube from the run's random source, and closes a batch at 64
+// patterns. The consumer sees the outcomes in the serial order and the
+// random source draws the same bits, so the Result is bit-identical for
+// every Parallelism. An outcome computed past a batch's end is kept for
+// the next batch; one whose fault a batch's patterns detect is wasted.
 package atpg
 
 import (
@@ -15,10 +28,10 @@ import (
 	"math/rand"
 
 	"repro/internal/bitvec"
-	"repro/internal/ctxutil"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // Options tunes the ATPG run. The zero value selects sensible defaults.
@@ -34,16 +47,20 @@ type Options struct {
 	BacktrackLimit int
 	// SkipCompaction keeps the raw pattern list (useful for ablation).
 	SkipCompaction bool
-	// Parallelism bounds the fault-simulation worker pool used by the
-	// random, PODEM-grading and compaction phases. 1 forces serial; 0 (and
-	// any negative value) means one worker per available processor. The
-	// generated test set is bit-identical for any value (the fsim
-	// determinism guarantee; PODEM itself is single-threaded).
+	// Parallelism bounds the PODEM search workers and the fault-simulation
+	// worker pool of the random, PODEM-grading and compaction phases. 1
+	// forces serial: every search runs on the calling goroutine and no
+	// goroutine is started for PODEM. 0 (and any negative value) means one
+	// worker per available processor. The Result is bit-identical for any
+	// value: PODEM outcomes are consumed in undetected-list order (see the
+	// package doc), and fault simulation keeps the fsim determinism
+	// guarantee.
 	Parallelism int
 	// Context, when non-nil, cancels the run: it is checked between
-	// fault-simulation blocks (through fsim), before every PODEM target and
-	// at each phase boundary. A cancelled run returns the context's error —
-	// there is no partial test set.
+	// fault-simulation blocks (through fsim), before every PODEM search and
+	// every outcome the consumer takes, and at each phase boundary. A
+	// cancelled run returns the context's error — there is no partial test
+	// set — after every worker it started has exited.
 	Context context.Context
 }
 
@@ -192,21 +209,16 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	// Phase 2: PODEM on the remaining faults. Patterns are produced in
 	// batches of up to 64 (one per distinct target fault) and then fault
 	// simulated as a single block, so each deterministic pattern can drop
-	// many faults at the cost of one parallel-pattern pass.
-	gen := newPodem(c, opts.BacktrackLimit)
+	// many faults at the cost of one parallel-pattern pass. Searches may run
+	// ahead on several workers, but outcomes are consumed — classified and
+	// X-filled from rng — strictly in undetected-list order.
+	pool := newOutcomes(newView(c), faults, opts)
 	classified := make([]bool, len(faults)) // untestable or aborted
 	for len(undetected) > 0 {
 		var batch []bitvec.Vector
 		var targets []int
-		for _, fi := range undetected {
-			if len(batch) == 64 {
-				break
-			}
-			if err := ctxutil.Err(opts.Context); err != nil {
-				return nil, fmt.Errorf("atpg: %w", err)
-			}
-			pattern, st := gen.generate(faults[fi], rng)
-			switch st {
+		err := pool.round(undetected, func(fi int, out *outcome) bool {
+			switch out.status {
 			case statusUntestable:
 				res.Untestable = append(res.Untestable, fi)
 				res.Stats.PodemUntestable++
@@ -216,9 +228,13 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 				res.Stats.PodemAborted++
 				classified[fi] = true
 			case statusDetected:
-				batch = append(batch, pattern)
+				batch = append(batch, fill(out.cube, rng))
 				targets = append(targets, fi)
 			}
+			return len(batch) < 64
+		})
+		if err != nil {
+			return nil, fmt.Errorf("atpg: %w", err)
 		}
 		n := 0
 		for _, fi := range undetected {
@@ -255,6 +271,11 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		undetected = filterUndetected(undetected, res.Detected)
 	}
 	res.Stats.PatternsBeforeCompaction = len(patterns)
+	if sp := obs.CurrentSpan(opts.Context); sp != nil {
+		sp.AddInt("podem_searches", pool.consumed)
+		sp.AddInt("podem_backtracks", pool.backtracks)
+		sp.AddInt("podem_wasted", pool.ran-pool.consumed)
+	}
 
 	// Phase 3: reverse-order compaction. Simulating the sequence backwards
 	// with fault dropping keeps only patterns that still first-detect a
@@ -288,6 +309,23 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	}
 	res.Patterns = patterns
 	return res, nil
+}
+
+// fill turns a test cube into a pattern, drawing each unassigned input
+// from rng in input order.
+func fill(cube []byte, rng *rand.Rand) bitvec.Vector {
+	out := bitvec.New(len(cube))
+	for i, v := range cube {
+		switch v {
+		case v1:
+			out.SetBit(i, true)
+		case vX:
+			if rng.Intn(2) == 1 {
+				out.SetBit(i, true)
+			}
+		}
+	}
+	return out
 }
 
 func subset(faults []fault.Fault, idx []int) []fault.Fault {

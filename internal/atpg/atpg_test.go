@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -76,15 +77,16 @@ func TestFullCoverageC17(t *testing.T) {
 func TestPodemDirectOnAllC17Faults(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	faults, _, _ := fault.List(c)
-	gen := newPodem(c, 1000)
+	gen := newPodem(newView(c), 1000)
 	rng := rand.New(rand.NewSource(3))
 	sim, _ := fsim.New(c)
 	for _, f := range faults {
-		pattern, st := gen.generate(f, rng)
-		if st != statusDetected {
-			t.Errorf("PODEM failed on testable fault %s (status %d)", f.String(c), st)
+		out := gen.generate(f)
+		if out.status != statusDetected {
+			t.Errorf("PODEM failed on testable fault %s (status %d)", f.String(c), out.status)
 			continue
 		}
+		pattern := fill(out.cube, rng)
 		res, err := sim.Run([]fault.Fault{f}, []bitvec.Vector{pattern}, fsim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -108,9 +110,8 @@ q = AND(z, b)
 	c := mustParse(t, "red", src)
 	gz, _ := c.GateByName("z")
 	faults := []fault.Fault{{Gate: gz.ID, Pin: fault.OutputPin, StuckAt1: true}}
-	gen := newPodem(c, 1000)
-	rng := rand.New(rand.NewSource(1))
-	if _, st := gen.generate(faults[0], rng); st != statusUntestable {
+	gen := newPodem(newView(c), 1000)
+	if st := gen.generate(faults[0]).status; st != statusUntestable {
 		t.Errorf("redundant fault classified %d, want untestable", st)
 	}
 
@@ -222,33 +223,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestEval3TruthTables(t *testing.T) {
-	// Spot-check the X-propagation rules.
-	cases := []struct {
-		t    netlist.GateType
-		in   []byte
-		want byte
-	}{
-		{netlist.And, []byte{v0, vX}, v0}, // controlling beats X
-		{netlist.And, []byte{v1, vX}, vX},
-		{netlist.Nand, []byte{v0, vX}, v1},
-		{netlist.Or, []byte{v1, vX}, v1},
-		{netlist.Or, []byte{v0, vX}, vX},
-		{netlist.Nor, []byte{v1, vX}, v0},
-		{netlist.Xor, []byte{v1, vX}, vX}, // XOR never resolves X
-		{netlist.Xor, []byte{v1, v1}, v0},
-		{netlist.Xnor, []byte{v1, v0}, v0},
-		{netlist.Not, []byte{vX}, vX},
-		{netlist.Not, []byte{v0}, v1},
-		{netlist.Buf, []byte{v1}, v1},
-	}
-	for _, cse := range cases {
-		if got := eval3(cse.t, cse.in); got != cse.want {
-			t.Errorf("eval3(%v, %v) = %d, want %d", cse.t, cse.in, got, cse.want)
-		}
-	}
-}
-
 // Randomized: ATPG must reach full testable coverage on random circuits and
 // its claimed detections must match independent grading.
 func TestRandomCircuitsFullTestableCoverage(t *testing.T) {
@@ -354,16 +328,26 @@ func itoa(n int) string {
 	return string(buf)
 }
 
-func BenchmarkATPGC17(b *testing.B) {
-	c := mustParse(b, "c17", c17Bench)
+// BenchmarkATPG times a full ATPG run on s1238 at each degree of
+// parallelism: j1 is the PODEM kernel alone, the others add the outcome
+// fan-out (and fsim's worker pool).
+func BenchmarkATPG(b *testing.B) {
+	c, err := bench.ScanView("s1238")
+	if err != nil {
+		b.Fatal(err)
+	}
 	faults, _, err := fault.List(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, faults, Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	for _, d := range parallelDegrees {
+		b.Run("s1238/"+d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Run(c, faults, Options{Seed: 1, Parallelism: d.j}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

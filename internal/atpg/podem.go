@@ -1,19 +1,131 @@
 package atpg
 
 import (
-	"math/rand"
+	"cmp"
+	"math/bits"
+	"slices"
 
-	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/netlist"
 )
 
-// Three-valued logic values.
+// Three-valued logic values. Objectives, decisions and test cubes use
+// them; the search state packs two of them per line (see below).
 const (
 	v0 byte = 0
 	v1 byte = 1
 	vX byte = 2
 )
+
+// Packed dual-rail values. One byte holds a line's value in both the good
+// and the faulty machine. Each machine has a 0-rail and a 1-rail: a binary
+// value sets exactly one of them and X sets neither. The 0-rails sit two
+// bits below the 1-rails, so one AND and one OR over a gate's fanin bytes
+// evaluate both machines at once, and inversion swaps the rail pairs.
+const (
+	good0   byte = 1 << 0
+	faulty0 byte = 1 << 1
+	good1   byte = 1 << 2
+	faulty1 byte = 1 << 3
+
+	zeroRails   = good0 | faulty0 // 0 in both machines
+	oneRails    = good1 | faulty1 // 1 in both machines
+	goodRails   = good0 | good1
+	faultyRails = faulty0 | faulty1
+
+	pX    byte = 0               // X in both machines
+	pD    byte = good1 | faulty0 // D: good 1, faulty 0
+	pNotD byte = good0 | faulty1 // D-bar: good 0, faulty 1
+)
+
+// swapRails inverts both machines.
+func swapRails(x byte) byte { return x>>2&zeroRails | x<<2&oneRails }
+
+// pack returns a three-valued value in both machines.
+func pack(v byte) byte {
+	switch v {
+	case v0:
+		return zeroRails
+	case v1:
+		return oneRails
+	}
+	return pX
+}
+
+// goodOf returns the good-machine value of a packed byte.
+func goodOf(x byte) byte {
+	switch {
+	case x&good0 != 0:
+		return v0
+	case x&good1 != 0:
+		return v1
+	}
+	return vX
+}
+
+// bothBinary reports whether neither machine is X.
+func bothBinary(x byte) bool { return x&goodRails != 0 && x&faultyRails != 0 }
+
+// evalGate evaluates gate type t in both machines from the packed values
+// val[f] of its fanin lines. AND-family gates take the AND of the 1-rails
+// and the OR of the 0-rails; XOR folds pairwise. Input gates (assigned, not
+// evaluated) read X.
+func evalGate(t netlist.GateType, val []byte, fanin []int32) byte {
+	switch t {
+	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
+		all, some := byte(zeroRails|oneRails), byte(0)
+		for _, f := range fanin {
+			x := val[f]
+			all &= x
+			some |= x
+		}
+		switch t {
+		case netlist.And:
+			return some&zeroRails | all&oneRails
+		case netlist.Nand:
+			return swapRails(some&zeroRails | all&oneRails)
+		case netlist.Or:
+			return all&zeroRails | some&oneRails
+		default:
+			return swapRails(all&zeroRails | some&oneRails)
+		}
+	case netlist.Xor, netlist.Xnor:
+		acc := zeroRails
+		for _, f := range fanin {
+			x := val[f]
+			same, diff := acc&x, acc&swapRails(x)
+			acc = (same|same>>2)&zeroRails | (diff|diff<<2)&oneRails
+		}
+		if t == netlist.Xnor {
+			return swapRails(acc)
+		}
+		return acc
+	case netlist.Not:
+		return swapRails(val[fanin[0]])
+	case netlist.Buf:
+		return val[fanin[0]]
+	case netlist.Const0:
+		return zeroRails
+	case netlist.Const1:
+		return oneRails
+	}
+	return pX
+}
+
+// evalStuck evaluates gate type t like evalGate, from its fanin values in,
+// with the faulty machine forced to stuckRail (faulty0 or faulty1) on one
+// fanin pin, or on the output for fault.OutputPin. pins is the identity
+// index 0, 1, …, at least len(in) long.
+func evalStuck(t netlist.GateType, in []byte, pins []int32, pin int, stuckRail byte) byte {
+	if pin == fault.OutputPin {
+		return evalGate(t, in, pins[:len(in)])&goodRails | stuckRail
+	}
+	saved := in[pin]
+	in[pin] = saved&goodRails | stuckRail
+	out := evalGate(t, in, pins[:len(in)])
+	in[pin] = saved
+	return out
+}
 
 // Status of a PODEM run for one fault.
 type status int
@@ -24,241 +136,197 @@ const (
 	statusAborted
 )
 
-// podem is a test generator for single stuck-at faults using the PODEM
-// algorithm: decisions are made only on primary inputs, with three-valued
-// event-driven implication of the good and faulty machines and trail-based
-// backtracking.
-type podem struct {
-	c     *netlist.Circuit
-	order []int
-	limit int // backtrack limit
-
-	gv []byte // good machine values
-	fv []byte // faulty machine values
+// view is the flat, read-only form of a combinational circuit that PODEM
+// searches: gate types, CSR fanin and combinational fanout lists, SCOAP
+// controllability and distance to a primary output. One view is built per
+// Run and shared by every worker.
+//
+// The view numbers its lines in level order (gate ID breaking ties), so
+// every line's fanout has larger indices than the line itself: events
+// propagate in one forward sweep over a bitmap of pending lines.
+type view struct {
+	c       *netlist.Circuit
+	line    []int32 // gate ID → line index
+	nodes   []node
+	fanin   []int32 // in pin order
+	fanout  []int32 // combinational fanout only, ascending
+	inputs  []int32 // primary inputs, in circuit input order
+	outputs []int32
+	isOut   []bool
+	pins    []int32 // identity index 0 … max fanin − 1, for evalStuck
 
 	distPO []int // min combinational distance to a primary output
 	cc0    []int // SCOAP-style 0-controllability
 	cc1    []int // SCOAP-style 1-controllability
-	isOut  []bool
 
-	// X-path memoization, valid for one xpathEpoch.
-	xpathMemo  []byte // 0 unknown, 1 yes, 2 no
-	xpathEpoch []int32
-	xpathCur   int32
-
-	// Event propagation state (same level-bucket scheme as fsim).
-	buckets    [][]int
-	sched      []int32
-	epoch      int32
-	minLevel   int
-	maxTouched int
-
-	// Trail-based undo.
-	trail   []trailEntry
-	markers []int
-
-	// Current fault.
-	flt      fault.Fault
-	siteGate int
-	// cone is the fanout cone of the site: the only region where the
-	// D-frontier can live. Cached per site gate because the output fault
-	// and all pin faults of a gate share it.
-	cone     []int
-	coneGate int
-
-	faninBuf []byte
+	// base holds every line's value with all primary inputs X and no
+	// fault: the state each search starts from before injecting its fault.
+	base []byte
 }
 
-type trailEntry struct {
-	id    int32
-	oldGV byte
-	oldFV byte
+// node is one line of the view: its gate type and the ranges of its fanin
+// and fanout in the view's shared lists.
+type node struct {
+	in, inEnd   int32
+	out, outEnd int32
+	typ         netlist.GateType
 }
 
-type decision struct {
-	pi        int // gate ID of the primary input
-	value     byte
-	triedBoth bool
-}
-
-func newPodem(c *netlist.Circuit, limit int) *podem {
-	p := &podem{
-		c:          c,
-		order:      c.TopoOrder(),
-		limit:      limit,
-		gv:         make([]byte, c.NumGates()),
-		fv:         make([]byte, c.NumGates()),
-		distPO:     make([]int, c.NumGates()),
-		cc0:        make([]int, c.NumGates()),
-		cc1:        make([]int, c.NumGates()),
-		isOut:      make([]bool, c.NumGates()),
-		xpathMemo:  make([]byte, c.NumGates()),
-		xpathEpoch: make([]int32, c.NumGates()),
-		buckets:    make([][]int, c.MaxLevel()+1),
-		sched:      make([]int32, c.NumGates()),
+func newView(c *netlist.Circuit) *view {
+	n := c.NumGates()
+	gates := make([]int32, n) // line index → gate ID
+	for id := range gates {
+		gates[id] = int32(id)
+	}
+	slices.SortStableFunc(gates, func(a, b int32) int { return cmp.Compare(c.Gates[a].Level, c.Gates[b].Level) })
+	v := &view{
+		c:      c,
+		line:   make([]int32, n),
+		nodes:  make([]node, n),
+		isOut:  make([]bool, n),
+		distPO: make([]int, n),
+		cc0:    make([]int, n),
+		cc1:    make([]int, n),
+		base:   make([]byte, n),
+	}
+	for l, id := range gates {
+		v.line[id] = int32(l)
+	}
+	maxFanin := 0
+	for l, id := range gates {
+		g, nd := c.Gates[id], &v.nodes[l]
+		nd.typ = g.Type
+		nd.in = int32(len(v.fanin))
+		for _, f := range g.Fanin {
+			v.fanin = append(v.fanin, v.line[f])
+		}
+		nd.inEnd, nd.out = int32(len(v.fanin)), int32(len(v.fanout))
+		for _, fo := range g.Fanout {
+			if c.Gates[fo].Type != netlist.DFF {
+				v.fanout = append(v.fanout, v.line[fo])
+			}
+		}
+		nd.outEnd = int32(len(v.fanout))
+		slices.Sort(v.fanout[nd.out:nd.outEnd])
+		maxFanin = max(maxFanin, len(g.Fanin))
+	}
+	v.pins = make([]int32, maxFanin)
+	for i := range v.pins {
+		v.pins[i] = int32(i)
+	}
+	for _, id := range c.Inputs {
+		v.inputs = append(v.inputs, v.line[id])
 	}
 	for _, id := range c.Outputs {
-		p.isOut[id] = true
+		v.outputs = append(v.outputs, v.line[id])
+		v.isOut[v.line[id]] = true
 	}
-	p.computeControllability()
-	// Distance to the nearest primary output, for D-frontier selection.
+	v.computeControllability()
+	v.computeDistPO()
+	for l := range v.nodes {
+		v.base[l] = evalGate(v.nodes[l].typ, v.base, v.faninOf(int32(l)))
+	}
+	return v
+}
+
+func (v *view) faninOf(id int32) []int32 {
+	nd := &v.nodes[id]
+	return v.fanin[nd.in:nd.inEnd]
+}
+
+func (v *view) fanoutOf(id int32) []int32 {
+	nd := &v.nodes[id]
+	return v.fanout[nd.out:nd.outEnd]
+}
+
+// computeControllability assigns SCOAP-style testability measures: cc0/cc1
+// estimate the effort of driving each line to 0/1 from the primary inputs.
+// They guide backtrace input selection.
+func (v *view) computeControllability() {
+	for id := range v.nodes {
+		fanin := v.faninOf(int32(id))
+		switch t := v.nodes[id].typ; t {
+		case netlist.Input, netlist.DFF:
+			v.cc0[id], v.cc1[id] = 1, 1
+		case netlist.Const0:
+			v.cc0[id], v.cc1[id] = 0, 1<<28
+		case netlist.Const1:
+			v.cc0[id], v.cc1[id] = 1<<28, 0
+		case netlist.Not:
+			v.cc0[id] = v.cc1[fanin[0]] + 1
+			v.cc1[id] = v.cc0[fanin[0]] + 1
+		case netlist.Buf:
+			v.cc0[id] = v.cc0[fanin[0]] + 1
+			v.cc1[id] = v.cc1[fanin[0]] + 1
+		case netlist.And, netlist.Nand:
+			sum1, min0 := 1, int(^uint(0)>>1)
+			for _, f := range fanin {
+				sum1 += v.cc1[f]
+				min0 = min(min0, v.cc0[f])
+			}
+			if t == netlist.And {
+				v.cc1[id], v.cc0[id] = sum1, min0+1
+			} else {
+				v.cc0[id], v.cc1[id] = sum1, min0+1
+			}
+		case netlist.Or, netlist.Nor:
+			sum0, min1 := 1, int(^uint(0)>>1)
+			for _, f := range fanin {
+				sum0 += v.cc0[f]
+				min1 = min(min1, v.cc1[f])
+			}
+			if t == netlist.Or {
+				v.cc0[id], v.cc1[id] = sum0, min1+1
+			} else {
+				v.cc1[id], v.cc0[id] = sum0, min1+1
+			}
+		case netlist.Xor, netlist.Xnor:
+			// Fold pairwise over the inputs.
+			c0, c1 := v.cc0[fanin[0]], v.cc1[fanin[0]]
+			for _, f := range fanin[1:] {
+				b0, b1 := v.cc0[f], v.cc1[f]
+				c0, c1 = min(c0+b0, c1+b1), min(c0+b1, c1+b0)
+			}
+			if t == netlist.Xnor {
+				c0, c1 = c1, c0
+			}
+			v.cc0[id], v.cc1[id] = c0+1, c1+1
+		}
+	}
+}
+
+// computeDistPO fills the distance to the nearest primary output, for
+// D-frontier selection.
+func (v *view) computeDistPO() {
 	const inf = 1 << 30
-	for i := range p.distPO {
-		p.distPO[i] = inf
+	for i := range v.distPO {
+		v.distPO[i] = inf
 	}
-	queue := make([]int, 0, len(c.Outputs))
-	for _, id := range c.Outputs {
-		if p.distPO[id] > 0 {
-			p.distPO[id] = 0
+	queue := make([]int32, 0, len(v.outputs))
+	for _, id := range v.outputs {
+		if v.distPO[id] > 0 {
+			v.distPO[id] = 0
 			queue = append(queue, id)
 		}
 	}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		for _, f := range c.Gates[id].Fanin {
-			if p.distPO[f] > p.distPO[id]+1 {
-				p.distPO[f] = p.distPO[id] + 1
+		for _, f := range v.faninOf(id) {
+			if v.distPO[f] > v.distPO[id]+1 {
+				v.distPO[f] = v.distPO[id] + 1
 				queue = append(queue, f)
 			}
 		}
 	}
-	return p
-}
-
-// computeControllability assigns SCOAP-style testability measures: cc0/cc1
-// estimate the effort of driving each line to 0/1 from the primary inputs.
-// They guide backtrace input selection.
-func (p *podem) computeControllability() {
-	for _, id := range p.order {
-		g := p.c.Gates[id]
-		switch g.Type {
-		case netlist.Input, netlist.DFF:
-			p.cc0[id], p.cc1[id] = 1, 1
-		case netlist.Const0:
-			p.cc0[id], p.cc1[id] = 0, 1<<28
-		case netlist.Const1:
-			p.cc0[id], p.cc1[id] = 1<<28, 0
-		case netlist.Not:
-			p.cc0[id] = p.cc1[g.Fanin[0]] + 1
-			p.cc1[id] = p.cc0[g.Fanin[0]] + 1
-		case netlist.Buf:
-			p.cc0[id] = p.cc0[g.Fanin[0]] + 1
-			p.cc1[id] = p.cc1[g.Fanin[0]] + 1
-		case netlist.And, netlist.Nand:
-			sum1, min0 := 1, int(^uint(0)>>1)
-			for _, f := range g.Fanin {
-				sum1 += p.cc1[f]
-				if p.cc0[f] < min0 {
-					min0 = p.cc0[f]
-				}
-			}
-			if g.Type == netlist.And {
-				p.cc1[id], p.cc0[id] = sum1, min0+1
-			} else {
-				p.cc0[id], p.cc1[id] = sum1, min0+1
-			}
-		case netlist.Or, netlist.Nor:
-			sum0, min1 := 1, int(^uint(0)>>1)
-			for _, f := range g.Fanin {
-				sum0 += p.cc0[f]
-				if p.cc1[f] < min1 {
-					min1 = p.cc1[f]
-				}
-			}
-			if g.Type == netlist.Or {
-				p.cc0[id], p.cc1[id] = sum0, min1+1
-			} else {
-				p.cc1[id], p.cc0[id] = sum0, min1+1
-			}
-		case netlist.Xor, netlist.Xnor:
-			// Fold pairwise over the inputs.
-			c0, c1 := p.cc0[g.Fanin[0]], p.cc1[g.Fanin[0]]
-			for _, f := range g.Fanin[1:] {
-				b0, b1 := p.cc0[f], p.cc1[f]
-				n0 := minInt(c0+b0, c1+b1)
-				n1 := minInt(c0+b1, c1+b0)
-				c0, c1 = n0, n1
-			}
-			if g.Type == netlist.Xnor {
-				c0, c1 = c1, c0
-			}
-			p.cc0[id], p.cc1[id] = c0+1, c1+1
-		}
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // cc returns the controllability cost of driving a line to val.
-func (p *podem) cc(id int, val byte) int {
+func (v *view) cc(id int32, val byte) int {
 	if val == v1 {
-		return p.cc1[id]
+		return v.cc1[id]
 	}
-	return p.cc0[id]
-}
-
-// eval3 computes the three-valued function of a gate type.
-func eval3(t netlist.GateType, in []byte) byte {
-	switch t {
-	case netlist.And, netlist.Nand:
-		v := v1
-		for _, x := range in {
-			if x == v0 {
-				v = v0
-				break
-			}
-			if x == vX {
-				v = vX
-			}
-		}
-		if t == netlist.Nand {
-			return not3(v)
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := v0
-		for _, x := range in {
-			if x == v1 {
-				v = v1
-				break
-			}
-			if x == vX {
-				v = vX
-			}
-		}
-		if t == netlist.Nor {
-			return not3(v)
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := v0
-		for _, x := range in {
-			if x == vX {
-				return vX
-			}
-			v ^= x
-		}
-		if t == netlist.Xnor {
-			return not3(v)
-		}
-		return v
-	case netlist.Not:
-		return not3(in[0])
-	case netlist.Buf:
-		return in[0]
-	case netlist.Const0:
-		return v0
-	case netlist.Const1:
-		return v1
-	default:
-		return vX
-	}
+	return v.cc0[id]
 }
 
 func not3(v byte) byte {
@@ -295,22 +363,80 @@ func inverts(t netlist.GateType) bool {
 	}
 }
 
-// generate attempts to produce a test pattern for the fault. Unassigned
-// inputs in the returned pattern are filled randomly from rng.
-func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) {
-	p.flt = f
-	p.siteGate = f.Gate
-	if p.cone == nil || p.coneGate != f.Gate {
-		p.cone = p.c.FanoutCone(f.Gate)
-		p.coneGate = f.Gate
+// podem is one worker's test generator for single stuck-at faults, using
+// the PODEM algorithm: decisions are made only on primary inputs, with
+// three-valued event-driven implication of the good and faulty machines
+// (packed, one evaluation for both) and trail-based backtracking. It owns
+// all of its mutable state, so workers share nothing but the view.
+type podem struct {
+	v     *view
+	limit int // backtrack limit
+
+	val []byte // packed good/faulty value per line
+
+	// X-path memoization, valid for one xpathEpoch.
+	xpathMemo  []byte // 0 unknown, 1 yes, 2 no
+	xpathEpoch []int32
+	xpathCur   int32
+
+	// Event propagation state: a bitmap of lines whose fanin changed, and
+	// the highest line set in it.
+	pending []uint64
+	last    int32
+
+	// Trail-based undo.
+	trail   []trailEntry
+	markers []int
+
+	// Current fault.
+	site      int32
+	pin       int  // fault.OutputPin or the faulted fanin pin
+	stuck     byte // v0 or v1
+	stuckRail byte // faulty0 or faulty1
+	siteIn    []byte
+	// cone is the fanout cone of the site, in gate ID order: the only
+	// region where the D-frontier can live. Cached per site because the
+	// output fault and all pin faults of a gate share it.
+	cone     []int32
+	coneGate int32
+}
+
+type trailEntry struct {
+	id  int32
+	old byte
+}
+
+type decision struct {
+	pi        int32 // line of the primary input
+	value     byte
+	triedBoth bool
+}
+
+func newPodem(v *view, limit int) *podem {
+	n := len(v.nodes)
+	return &podem{
+		v:          v,
+		limit:      limit,
+		val:        make([]byte, n),
+		xpathMemo:  make([]byte, n),
+		xpathEpoch: make([]int32, n),
+		pending:    make([]uint64, (n+63)/64),
+		siteIn:     make([]byte, len(v.pins)),
+		coneGate:   -1,
 	}
+}
+
+// generate runs PODEM for one fault. The outcome depends only on the
+// view, the fault and the backtrack limit.
+func (p *podem) generate(f fault.Fault) *outcome {
+	p.setFault(f)
 	p.reset()
 
 	var stack []decision
 	backtracks := 0
 	for {
 		if p.detected() {
-			return p.fillPattern(rng), statusDetected
+			return &outcome{status: statusDetected, cube: p.cube(), backtracks: backtracks}
 		}
 		objGate, objVal := p.objective()
 		if objVal != vX {
@@ -327,7 +453,7 @@ func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) 
 		// alternative.
 		backtracks++
 		if backtracks > p.limit {
-			return bitvec.Vector{}, statusAborted
+			return &outcome{status: statusAborted, backtracks: backtracks}
 		}
 		flipped := false
 		for len(stack) > 0 {
@@ -344,135 +470,106 @@ func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) 
 			}
 		}
 		if !flipped {
-			return bitvec.Vector{}, statusUntestable
+			return &outcome{status: statusUntestable, backtracks: backtracks}
 		}
 	}
 }
 
-// reset rebuilds the baseline three-valued state for the current fault: all
-// primary inputs X, constants propagated, the fault injected.
+func (p *podem) setFault(f fault.Fault) {
+	p.site = p.v.line[f.Gate]
+	p.pin = f.Pin
+	p.stuck, p.stuckRail = v0, faulty0
+	if f.StuckAt1 {
+		p.stuck, p.stuckRail = v1, faulty1
+	}
+	if p.coneGate != p.site {
+		p.cone = p.cone[:0]
+		for _, id := range p.v.c.FanoutCone(f.Gate) {
+			p.cone = append(p.cone, p.v.line[id])
+		}
+		p.coneGate = p.site
+	}
+}
+
+// reset rebuilds the starting state for the current fault: all primary
+// inputs X, constants propagated, the fault injected. It copies the
+// fault-free baseline and re-implies only what the fault changes.
 func (p *podem) reset() {
+	copy(p.val, p.v.base)
+	p.val[p.site] = p.eval(p.site)
+	p.propagate(p.site)
 	p.trail = p.trail[:0]
 	p.markers = p.markers[:0]
-	for _, id := range p.order {
-		g := p.c.Gates[id]
-		switch g.Type {
-		case netlist.Input:
-			p.gv[id] = vX
-		default:
-			p.gv[id] = p.evalGood(g)
-		}
-		p.fv[id] = p.evalFaulty(g)
-	}
 }
 
-func (p *podem) evalGood(g *netlist.Gate) byte {
-	in := p.faninBuf[:0]
-	for _, f := range g.Fanin {
-		in = append(in, p.gv[f])
+// eval computes a line's packed value from its fanin, injecting the fault
+// at its site.
+func (p *podem) eval(id int32) byte {
+	if id == p.site {
+		return p.evalSite()
 	}
-	p.faninBuf = in
-	return eval3(g.Type, in)
+	nd := &p.v.nodes[id]
+	return evalGate(nd.typ, p.val, p.v.fanin[nd.in:nd.inEnd])
 }
 
-// evalFaulty computes the faulty-machine value of a gate, injecting the
-// fault when the gate is the site.
-func (p *podem) evalFaulty(g *netlist.Gate) byte {
-	if g.ID == p.siteGate && p.flt.Pin == fault.OutputPin {
-		return stuckVal(p.flt)
+// evalSite evaluates the fault site. A primary input keeps its assigned
+// good value.
+func (p *podem) evalSite() byte {
+	nd := &p.v.nodes[p.site]
+	if nd.typ == netlist.Input {
+		return p.val[p.site]&goodRails | p.stuckRail // only an output fault sits on an input
 	}
-	in := p.faninBuf[:0]
-	for pin, f := range g.Fanin {
-		v := p.fv[f]
-		if g.ID == p.siteGate && pin == p.flt.Pin {
-			v = stuckVal(p.flt)
-		}
-		in = append(in, v)
+	in := p.siteIn[:0]
+	for _, f := range p.v.fanin[nd.in:nd.inEnd] {
+		in = append(in, p.val[f])
 	}
-	p.faninBuf = in
-	if g.Type == netlist.Input {
-		// An input gate's faulty value tracks its good value unless it is
-		// the fault site (handled above).
-		return p.gv[g.ID]
-	}
-	return eval3(g.Type, in)
-}
-
-func stuckVal(f fault.Fault) byte {
-	if f.StuckAt1 {
-		return v1
-	}
-	return v0
+	return evalStuck(nd.typ, in, p.v.pins, p.pin, p.stuckRail)
 }
 
 // assign sets a primary input to a binary value and propagates events.
-func (p *podem) assign(pi int, val byte) {
-	p.setValue(pi, val, p.faultyInputValue(pi, val))
+func (p *podem) assign(pi int32, val byte) {
+	x := pack(val)
+	if pi == p.site {
+		x = x&goodRails | p.stuckRail // only an output fault sits on an input
+	}
+	p.setValue(pi, x)
 	p.propagate(pi)
 }
 
-func (p *podem) faultyInputValue(pi int, good byte) byte {
-	if pi == p.siteGate && p.flt.Pin == fault.OutputPin {
-		return stuckVal(p.flt)
-	}
-	return good
+func (p *podem) setValue(id int32, x byte) {
+	p.trail = append(p.trail, trailEntry{id: id, old: p.val[id]})
+	p.val[id] = x
 }
 
-func (p *podem) setValue(id int, gv, fv byte) {
-	p.trail = append(p.trail, trailEntry{id: int32(id), oldGV: p.gv[id], oldFV: p.fv[id]})
-	p.gv[id] = gv
-	p.fv[id] = fv
-}
-
-// propagate performs level-ordered event propagation from a changed gate.
-func (p *podem) propagate(from int) {
-	p.epoch++
-	if p.epoch == 0 {
-		for i := range p.sched {
-			p.sched[i] = -1
-		}
-		p.epoch = 1
+// propagate re-implies the lines downstream of a changed line. Lines are
+// evaluated in increasing index, hence level, order, each at most once,
+// after every one of its changed fanins.
+func (p *podem) propagate(from int32) {
+	out := p.v.fanoutOf(from)
+	if len(out) == 0 {
+		return
 	}
-	p.minLevel = len(p.buckets)
-	p.maxTouched = -1
-	p.scheduleFanouts(from)
-	for lvl := p.minLevel; lvl <= p.maxTouched; lvl++ {
-		queue := p.buckets[lvl]
-		if len(queue) == 0 {
-			continue
-		}
-		for qi := 0; qi < len(queue); qi++ {
-			id := queue[qi]
-			g := p.c.Gates[id]
-			ngv := p.evalGood(g)
-			nfv := p.evalFaulty(g)
-			if ngv == p.gv[id] && nfv == p.fv[id] {
-				continue
+	p.last = -1
+	p.scheduleFanouts(out)
+	for w := out[0] >> 6; w <= p.last>>6; w++ {
+		for p.pending[w] != 0 {
+			id := w<<6 | int32(bits.TrailingZeros64(p.pending[w]))
+			p.pending[w] &= p.pending[w] - 1
+			if x := p.eval(id); x != p.val[id] {
+				p.setValue(id, x)
+				p.scheduleFanouts(p.v.fanoutOf(id))
 			}
-			p.setValue(id, ngv, nfv)
-			p.scheduleFanouts(id)
 		}
-		p.buckets[lvl] = queue[:0]
 	}
 }
 
-func (p *podem) scheduleFanouts(id int) {
-	for _, fo := range p.c.Gates[id].Fanout {
-		g := p.c.Gates[fo]
-		if g.Type == netlist.DFF {
-			continue
-		}
-		if p.sched[fo] == p.epoch {
-			continue
-		}
-		p.sched[fo] = p.epoch
-		p.buckets[g.Level] = append(p.buckets[g.Level], fo)
-		if g.Level < p.minLevel {
-			p.minLevel = g.Level
-		}
-		if g.Level > p.maxTouched {
-			p.maxTouched = g.Level
-		}
+// scheduleFanouts marks a changed line's fanout (ascending) pending.
+func (p *podem) scheduleFanouts(out []int32) {
+	for _, fo := range out {
+		p.pending[fo>>6] |= 1 << (fo & 63)
+	}
+	if len(out) > 0 {
+		p.last = max(p.last, out[len(out)-1])
 	}
 }
 
@@ -488,8 +585,7 @@ func (p *podem) popToMarker() {
 	p.markers = p.markers[:len(p.markers)-1]
 	for i := len(p.trail) - 1; i >= mark; i-- {
 		e := p.trail[i]
-		p.gv[e.id] = e.oldGV
-		p.fv[e.id] = e.oldFV
+		p.val[e.id] = e.old
 	}
 	p.trail = p.trail[:mark]
 }
@@ -497,9 +593,8 @@ func (p *podem) popToMarker() {
 // detected reports whether any primary output currently carries a fault
 // effect (binary and different in the two machines).
 func (p *podem) detected() bool {
-	for _, id := range p.c.Outputs {
-		g, f := p.gv[id], p.fv[id]
-		if g != vX && f != vX && g != f {
+	for _, id := range p.v.outputs {
+		if x := p.val[id]; x == pD || x == pNotD {
 			return true
 		}
 	}
@@ -509,16 +604,16 @@ func (p *podem) detected() bool {
 // objective returns the next (line, value) goal: activate the fault if it is
 // not yet activated, otherwise advance the D-frontier gate closest to a
 // primary output. It returns value vX when no goal exists (dead end).
-func (p *podem) objective() (int, byte) {
-	want := not3(stuckVal(p.flt)) // line value that activates the fault
-	actLine := p.siteGate
-	if p.flt.Pin != fault.OutputPin {
-		actLine = p.c.Gates[p.siteGate].Fanin[p.flt.Pin]
+func (p *podem) objective() (int32, byte) {
+	v := p.v
+	actLine := p.site
+	if p.pin != fault.OutputPin {
+		actLine = v.faninOf(p.site)[p.pin]
 	}
-	switch p.gv[actLine] {
+	switch goodOf(p.val[actLine]) {
 	case vX:
-		return actLine, want
-	case stuckVal(p.flt):
+		return actLine, not3(p.stuck) // the line value that activates the fault
+	case p.stuck:
 		return 0, vX // good value equals the stuck value: no divergence possible
 	}
 
@@ -527,28 +622,25 @@ func (p *podem) objective() (int, byte) {
 	// output (without an X path the divergence can never be observed, so
 	// the branch is pruned immediately).
 	p.xpathCur++
-	best, bestDist := -1, int(^uint(0)>>1)
-	for _, id := range p.cone {
-		if p.gv[id] != vX && p.fv[id] != vX {
-			continue
-		}
-		g := p.c.Gates[id]
-		if g.Type == netlist.Input {
+	best, bestDist := int32(-1), int(^uint(0)>>1)
+	for _, g := range p.cone {
+		id := int32(g)
+		if bothBinary(p.val[id]) || v.nodes[id].typ == netlist.Input {
 			continue
 		}
 		diverges := false
-		for pin, f := range g.Fanin {
-			gvv, fvv := p.gv[f], p.fv[f]
-			if id == p.siteGate && pin == p.flt.Pin {
-				fvv = stuckVal(p.flt)
+		for pin, f := range v.faninOf(id) {
+			x := p.val[f]
+			if id == p.site && pin == p.pin {
+				x = x&goodRails | p.stuckRail
 			}
-			if gvv != vX && fvv != vX && gvv != fvv {
+			if x == pD || x == pNotD {
 				diverges = true
 				break
 			}
 		}
-		if diverges && p.distPO[id] < bestDist && p.xpath(id) {
-			best, bestDist = id, p.distPO[id]
+		if diverges && v.distPO[id] < bestDist && p.xpath(id) {
+			best, bestDist = id, v.distPO[id]
 		}
 	}
 	if best < 0 {
@@ -558,19 +650,17 @@ func (p *podem) objective() (int, byte) {
 	// non-controlling value so the divergence passes through. All side
 	// inputs must eventually be set, so take the hardest one first (classic
 	// multiple-backtrace intuition): failing early is cheaper.
-	g := p.c.Gates[best]
-	ctrl := controlling(g.Type)
+	ctrl := controlling(v.nodes[best].typ)
 	nonCtrl := not3(ctrl)
 	if ctrl == vX {
 		nonCtrl = v0 // XOR family: any binary value sensitizes
 	}
-	pick, pickCost := -1, -1
-	for _, f := range g.Fanin {
-		if p.gv[f] != vX {
+	pick, pickCost := int32(-1), -1
+	for _, f := range v.faninOf(best) {
+		if p.val[f]&goodRails != 0 {
 			continue
 		}
-		cost := p.cc(f, nonCtrl)
-		if cost > pickCost {
+		if cost := v.cc(f, nonCtrl); cost > pickCost {
 			pick, pickCost = f, cost
 		}
 	}
@@ -580,24 +670,20 @@ func (p *podem) objective() (int, byte) {
 	return pick, nonCtrl
 }
 
-// xpath reports whether gate id has a path of X-valued gates to a primary
-// output (in either machine). Memoized per objective computation.
-func (p *podem) xpath(id int) bool {
+// xpath reports whether line id has a path of lines to a primary output
+// that are X in at least one machine. Memoized per objective computation.
+func (p *podem) xpath(id int32) bool {
 	if p.xpathEpoch[id] == p.xpathCur {
 		return p.xpathMemo[id] == 1
 	}
 	p.xpathEpoch[id] = p.xpathCur
 	p.xpathMemo[id] = 2 // assume no (also breaks fanout cycles defensively)
-	if p.isOut[id] {
+	if p.v.isOut[id] {
 		p.xpathMemo[id] = 1
 		return true
 	}
-	for _, fo := range p.c.Gates[id].Fanout {
-		g := p.c.Gates[fo]
-		if g.Type == netlist.DFF {
-			continue
-		}
-		if p.gv[fo] != vX && p.fv[fo] != vX {
+	for _, fo := range p.v.fanoutOf(id) {
+		if bothBinary(p.val[fo]) {
 			continue
 		}
 		if p.xpath(fo) {
@@ -613,11 +699,12 @@ func (p *podem) xpath(id int) bool {
 // try. Input selection is guided by controllability: when one controlling
 // input suffices, take the easiest; when all inputs are needed, take the
 // hardest (so infeasible branches fail early).
-func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
+func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
+	v := p.v
 	for {
-		g := p.c.Gates[line]
-		if g.Type == netlist.Input {
-			if p.gv[line] != vX {
+		t := v.nodes[line].typ
+		if t == netlist.Input {
+			if p.val[line]&goodRails != 0 {
 				return 0, 0, false
 			}
 			return line, val, true
@@ -625,16 +712,16 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 
 		var inVal byte
 		var pickEasiest bool
-		switch g.Type {
+		switch t {
 		case netlist.Not, netlist.Buf:
-			if inverts(g.Type) {
+			if inverts(t) {
 				val = not3(val)
 			}
-			line = g.Fanin[0]
+			line = v.faninOf(line)[0]
 			continue
 		case netlist.And, netlist.Nand:
 			out := val
-			if g.Type == netlist.Nand {
+			if t == netlist.Nand {
 				out = not3(val)
 			}
 			if out == v1 {
@@ -644,7 +731,7 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 			}
 		case netlist.Or, netlist.Nor:
 			out := val
-			if g.Type == netlist.Nor {
+			if t == netlist.Nor {
 				out = not3(val)
 			}
 			if out == v0 {
@@ -654,19 +741,19 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 			}
 		case netlist.Xor, netlist.Xnor:
 			// Parity gates: any X input works; aim for its cheaper value.
-			next, bestCost := -1, int(^uint(0)>>1)
+			next, bestCost := int32(-1), int(^uint(0)>>1)
 			var nextVal byte
-			for _, f := range g.Fanin {
-				if p.gv[f] != vX {
+			for _, f := range v.faninOf(line) {
+				if p.val[f]&goodRails != 0 {
 					continue
 				}
-				c0, c1 := p.cc(f, v0), p.cc(f, v1)
-				v, cost := byte(v0), c0
+				c0, c1 := v.cc(f, v0), v.cc(f, v1)
+				fv, cost := v0, c0
 				if c1 < c0 {
-					v, cost = v1, c1
+					fv, cost = v1, c1
 				}
 				if cost < bestCost {
-					next, nextVal, bestCost = f, v, cost
+					next, nextVal, bestCost = f, fv, cost
 				}
 			}
 			if next < 0 {
@@ -678,17 +765,15 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 			return 0, 0, false
 		}
 
-		next, bestCost := -1, 0
+		next, bestCost := int32(-1), -1
 		if pickEasiest {
 			bestCost = int(^uint(0) >> 1)
-		} else {
-			bestCost = -1
 		}
-		for _, f := range g.Fanin {
-			if p.gv[f] != vX {
+		for _, f := range v.faninOf(line) {
+			if p.val[f]&goodRails != 0 {
 				continue
 			}
-			cost := p.cc(f, inVal)
+			cost := v.cc(f, inVal)
 			if (pickEasiest && cost < bestCost) || (!pickEasiest && cost > bestCost) {
 				next, bestCost = f, cost
 			}
@@ -700,20 +785,12 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 	}
 }
 
-// fillPattern converts the current PI assignment into a pattern, filling
-// unassigned inputs randomly.
-func (p *podem) fillPattern(rng *rand.Rand) bitvec.Vector {
-	out := bitvec.New(len(p.c.Inputs))
-	for i, id := range p.c.Inputs {
-		switch p.gv[id] {
-		case v1:
-			out.SetBit(i, true)
-		case v0:
-		default:
-			if rng.Intn(2) == 1 {
-				out.SetBit(i, true)
-			}
-		}
+// cube returns the good-machine value of every primary input, in input
+// order: the test cube the search found.
+func (p *podem) cube() []byte {
+	out := make([]byte, len(p.v.inputs))
+	for i, id := range p.v.inputs {
+		out[i] = goodOf(p.val[id])
 	}
 	return out
 }

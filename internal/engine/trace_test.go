@@ -98,6 +98,42 @@ func TestTraceSpanTreeShape(t *testing.T) {
 	}
 }
 
+// The atpg span explains its duration with PODEM's effort: the searches
+// and backtracks behind the outcomes the run used are the same at every
+// Parallelism, and no search is wasted when there are no workers to run
+// ahead.
+func TestATPGSpanCountsPodemEffort(t *testing.T) {
+	attrs := func(j int) map[string]int64 {
+		t.Helper()
+		req := Request{Circuit: "s838", TPG: "adder", Cycles: 32, Seed: 1, Parallelism: j}
+		ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("test"))
+		resp, err := New(Options{}).Solve(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range resp.Timing.Spans {
+			if sp.Name == "atpg" {
+				m := make(map[string]int64)
+				for _, a := range sp.Attrs {
+					m[a.Key] = a.Int
+				}
+				return m
+			}
+		}
+		t.Fatal("no atpg span")
+		return nil
+	}
+	serial, fanned := attrs(1), attrs(4)
+	for _, key := range []string{"podem_searches", "podem_backtracks"} {
+		if serial[key] == 0 || serial[key] != fanned[key] {
+			t.Errorf("%s = %d at Parallelism 1, %d at 4; want equal and non-zero", key, serial[key], fanned[key])
+		}
+	}
+	if w := serial["podem_wasted"]; w != 0 {
+		t.Errorf("podem_wasted = %d at Parallelism 1, want 0", w)
+	}
+}
+
 // A testlength solve takes the same reduce → residual path as a triplets
 // solve: its trace records the reduce span, and its RootLB is the
 // residual solve's root bound (the ascent span's root_lb) plus the weight

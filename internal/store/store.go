@@ -375,6 +375,23 @@ func DecodeFlow(key string, data []byte) (*core.Flow, error) {
 		}
 		all[i] = fault.Fault{Gate: g.ID, Pin: fj.Pin, StuckAt1: fj.StuckAt}
 	}
+	// Every fault is detected, untestable, aborted or none of these: each
+	// index must be in range and listed once across the three lists.
+	listed := make([]bool, len(all))
+	for _, l := range []struct {
+		name string
+		idx  []int
+	}{{"detected", rec.Detected}, {"untestable", rec.Untestable}, {"aborted", rec.Aborted}} {
+		for _, fi := range l.idx {
+			if fi < 0 || fi >= len(all) {
+				return nil, fmt.Errorf("store: flow %s: %s index %d out of range", key, l.name, fi)
+			}
+			if listed[fi] {
+				return nil, fmt.Errorf("store: flow %s: %s index %d listed twice", key, l.name, fi)
+			}
+			listed[fi] = true
+		}
+	}
 	res := &atpg.Result{
 		Detected:   make([]bool, len(all)),
 		Untestable: rec.Untestable,
@@ -382,9 +399,6 @@ func DecodeFlow(key string, data []byte) (*core.Flow, error) {
 		Stats:      rec.Stats,
 	}
 	for _, fi := range rec.Detected {
-		if fi < 0 || fi >= len(all) {
-			return nil, fmt.Errorf("store: flow %s: detected index %d out of range", key, fi)
-		}
 		res.Detected[fi] = true
 	}
 	res.Patterns = make([]bitvec.Vector, len(rec.Patterns))
@@ -514,7 +528,11 @@ func (s *Store) LoadMatrix(key string) (*dmatrix.Matrix, error) {
 
 // DecodeMatrix rebuilds a Detection Matrix from its store record bytes,
 // verifying the embedded key. It returns (nil, nil) for a record of
-// another schema generation.
+// another schema generation. Every seed must be exactly ⌈width/4⌉ hex
+// digits and every row exactly ⌈num_faults/4⌉ — what EncodeMatrix writes —
+// and a matrix with faults must have rows. Both are checked before
+// anything is allocated, so neither size can exceed what the record's own
+// bytes spell out.
 func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 	var rec matrixJSON
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -528,6 +546,25 @@ func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 	}
 	if len(rec.Rows) != len(rec.Triplets) {
 		return nil, fmt.Errorf("store: matrix %s: %d rows for %d triplets", key, len(rec.Rows), len(rec.Triplets))
+	}
+	if rec.Width < 0 || rec.NumFaults < 0 {
+		return nil, fmt.Errorf("store: matrix %s: width %d and %d faults", key, rec.Width, rec.NumFaults)
+	}
+	if rec.NumFaults > 0 && len(rec.Rows) == 0 {
+		return nil, fmt.Errorf("store: matrix %s: %d faults and no rows", key, rec.NumFaults)
+	}
+	seedDigits, rowDigits := (rec.Width+3)/4, (rec.NumFaults+3)/4
+	for i, tj := range rec.Triplets {
+		if len(tj.Delta) != seedDigits || len(tj.Theta) != seedDigits {
+			return nil, fmt.Errorf("store: matrix %s: triplet %d seeds have %d and %d hex digits, want %d for width %d",
+				key, i, len(tj.Delta), len(tj.Theta), seedDigits, rec.Width)
+		}
+	}
+	for i, h := range rec.Rows {
+		if len(h) != rowDigits {
+			return nil, fmt.Errorf("store: matrix %s: row %d has %d hex digits, want %d for %d faults",
+				key, i, len(h), rowDigits, rec.NumFaults)
+		}
 	}
 	fd, err := decodeFirstDetection(rec.FirstDetection, len(rec.Triplets), rec.NumFaults)
 	if err != nil {
