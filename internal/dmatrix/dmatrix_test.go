@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
+	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/netlist"
 	"repro/internal/tpg"
 )
@@ -244,6 +246,62 @@ func TestParallelBuildIdentical(t *testing.T) {
 		for fi := range serial.FirstDetection[i] {
 			if serial.FirstDetection[i][fi] != parallel.FirstDetection[i][fi] {
 				t.Fatalf("first detection (%d,%d) differs", i, fi)
+			}
+		}
+	}
+}
+
+// TestLanesMatchPerTripletRows checks every row and first-detection entry
+// of a build against the reference row of its triplet: the triplet's test
+// set expanded on its own and fault simulated alone. The evolution lengths
+// cross every packing boundary: several triplets per 64-pattern block with
+// and without unused high bits (T = 1, 3, 5, 21, 32), one triplet per block
+// (33, 64), and one triplet over several blocks (65).
+func TestLanesMatchPerTripletRows(t *testing.T) {
+	c, err := bench.ScanView("s420")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := fault.List(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := atpg.Run(c, all, atpg.Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults []fault.Fault
+	for _, fi := range res.DetectedFaults() {
+		faults = append(faults, all[fi])
+	}
+	gen, _ := tpg.NewAdder(len(c.Inputs))
+	sim, err := fsim.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65} {
+		for _, j := range []int{1, 2} {
+			m, err := Build(c, faults, res.Patterns, gen,
+				Options{Cycles: cycles, Seed: 9, RecordFirstDetection: true, Parallelism: j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tr := range m.Triplets {
+				ts, err := tpg.Expand(gen, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := sim.Run(faults, ts, fsim.Options{DropDetected: true, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for fi := range faults {
+					if m.Rows[i].Contains(fi) != ref.Detected[fi] || int(m.FirstDetection[i][fi]) != ref.FirstPattern[fi] {
+						t.Fatalf("T=%d j%d triplet %d fault %d: row %v first %d, reference %v first %d",
+							cycles, j, i, fi, m.Rows[i].Contains(fi), m.FirstDetection[i][fi],
+							ref.Detected[fi], ref.FirstPattern[fi])
+					}
+				}
 			}
 		}
 	}

@@ -77,6 +77,22 @@ func refGoodEval(c *netlist.Circuit, p bitvec.Vector) []bool {
 	return refFaultyEval(c, fault.Fault{Gate: -1, Pin: fault.OutputPin}, p)
 }
 
+// refFirstDetection returns the index of the first pattern whose primary
+// outputs differ between the good machine and the machine with fault f,
+// or -1 if none does, by evaluating both from scratch per pattern.
+func refFirstDetection(c *netlist.Circuit, f fault.Fault, patterns []bitvec.Vector) int {
+	for pi, p := range patterns {
+		good := refGoodEval(c, p)
+		bad := refFaultyEval(c, f, p)
+		for o := range good {
+			if good[o] != bad[o] {
+				return pi
+			}
+		}
+	}
+	return -1
+}
+
 // TestAgainstBruteForce cross-checks the event-driven simulator against the
 // naive reference on every collapsed fault of c17 over random patterns.
 func TestAgainstBruteForce(t *testing.T) {
@@ -126,8 +142,9 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// Randomized property check on generated circuits: event-driven result must
-// match brute force for every fault and every pattern prefix position.
+// Randomized property check on generated circuits: the simulator's
+// detection and first detecting pattern must match brute force for every
+// fault.
 func TestRandomCircuitsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -149,22 +166,14 @@ func TestRandomCircuitsMatchBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for fi, f := range faults {
-			want := false
-			for _, p := range patterns {
-				good := refGoodEval(c, p)
-				bad := refFaultyEval(c, f, p)
-				for o := range good {
-					if good[o] != bad[o] {
-						want = true
-					}
-				}
-				if want {
-					break
-				}
-			}
-			if res.Detected[fi] != want {
+			first := refFirstDetection(c, f, patterns)
+			if want := first >= 0; res.Detected[fi] != want {
 				t.Fatalf("trial %d fault %s: detected=%v, want %v\n%s",
 					trial, f.String(c), res.Detected[fi], want, netlist.Format(c))
+			}
+			if res.FirstPattern[fi] != first {
+				t.Fatalf("trial %d fault %s: first pattern %d, want %d\n%s",
+					trial, f.String(c), res.FirstPattern[fi], first, netlist.Format(c))
 			}
 		}
 	}
