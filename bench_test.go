@@ -262,18 +262,20 @@ var parallelDegrees = []struct {
 // j4 over j1 on this benchmark.
 func BenchmarkParallelMatrixBuild(b *testing.B) {
 	for _, circuit := range []string{"s953", "s1238"} {
-		for _, d := range parallelDegrees {
-			b.Run(fmt.Sprintf("%s/%s", circuit, d.name), func(b *testing.B) {
-				flow := flowFor(b, circuit)
-				gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
-						dmatrix.Options{Cycles: 64, Seed: 2, Parallelism: d.j}); err != nil {
-						b.Fatal(err)
+		for _, cycles := range []int{8, 64, 128} {
+			for _, d := range parallelDegrees {
+				b.Run(fmt.Sprintf("%s/T%d/%s", circuit, cycles, d.name), func(b *testing.B) {
+					flow := flowFor(b, circuit)
+					gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
+							dmatrix.Options{Cycles: cycles, Seed: 2, Parallelism: d.j}); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

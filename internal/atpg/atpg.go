@@ -156,10 +156,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		return nil, fmt.Errorf("atpg: circuit %q is sequential; apply FullScan first", c.Name)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	sim, err := fsim.New(c)
-	if err != nil {
-		return nil, fmt.Errorf("atpg: %w", err)
-	}
+	v := newView(c)
+	sim := fsim.NewForView(&v.View)
 	res := &Result{Detected: make([]bool, len(faults))}
 	width := len(c.Inputs)
 
@@ -212,7 +210,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	// many faults at the cost of one parallel-pattern pass. Searches may run
 	// ahead on several workers, but outcomes are consumed — classified and
 	// X-filled from rng — strictly in undetected-list order.
-	pool := newOutcomes(newView(c), faults, opts)
+	pool := newOutcomes(v, faults, opts)
 	classified := make([]bool, len(faults)) // untestable or aborted
 	for len(undetected) > 0 {
 		var batch []bitvec.Vector

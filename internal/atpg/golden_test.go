@@ -45,13 +45,13 @@ func TestGoldenResults(t *testing.T) {
 		answer    string
 		gateEvals int64
 	}{
-		{"c432", 1, "0c333506f9021ebdc8aac50d528ebeee10115876a52cad9a7f29d64479eb4dad", 23139},
-		{"s420", 1, "6a5862854e928a4d20681f15e9e695e13646316ee0c8b63d01216c5496008cda", 38591},
-		{"s820", 1, "7328205b4c5818d1bf3f5cd123600e96c8bb0fa96caeacbf93e007b48007daaa", 55659},
-		{"s838", 1, "8662a215b11c1cc754a1532db0b0930a4e67618331bc468861a26058e172fb09", 104228},
-		{"s1238", 1, "cb991a369f3403c66e346f271ff3ed2224ac7d92ff673eae8ff8b038e99667e9", 119156},
-		{"c432", 2, "bca97fdc2ca0e75e432a718a914f28857409a15b6b5758f36b56c46462c33266", 23720},
-		{"s420", 2, "0e97794ed415f86705ff5db5caad804e2470457c103e6d7bf77d21f26be5c027", 41550},
+		{"c432", 1, "0c333506f9021ebdc8aac50d528ebeee10115876a52cad9a7f29d64479eb4dad", 6915},
+		{"s420", 1, "6a5862854e928a4d20681f15e9e695e13646316ee0c8b63d01216c5496008cda", 10870},
+		{"s820", 1, "7328205b4c5818d1bf3f5cd123600e96c8bb0fa96caeacbf93e007b48007daaa", 16275},
+		{"s838", 1, "8662a215b11c1cc754a1532db0b0930a4e67618331bc468861a26058e172fb09", 31737},
+		{"s1238", 1, "cb991a369f3403c66e346f271ff3ed2224ac7d92ff673eae8ff8b038e99667e9", 38635},
+		{"c432", 2, "bca97fdc2ca0e75e432a718a914f28857409a15b6b5758f36b56c46462c33266", 7006},
+		{"s420", 2, "0e97794ed415f86705ff5db5caad804e2470457c103e6d7bf77d21f26be5c027", 11149},
 	}
 	for _, tc := range cases {
 		c, err := bench.ScanView(tc.circuit)

@@ -1,9 +1,7 @@
 package atpg
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -136,24 +134,12 @@ const (
 	statusAborted
 )
 
-// view is the flat, read-only form of a combinational circuit that PODEM
-// searches: gate types, CSR fanin and combinational fanout lists, SCOAP
-// controllability and distance to a primary output. One view is built per
-// Run and shared by every worker.
-//
-// The view numbers its lines in level order (gate ID breaking ties), so
-// every line's fanout has larger indices than the line itself: events
-// propagate in one forward sweep over a bitmap of pending lines.
+// view is the circuit as PODEM searches it: the shared level-ordered
+// netlist.View plus SCOAP controllability and distance to a primary
+// output. One view is built per Run and shared by every worker.
 type view struct {
-	c       *netlist.Circuit
-	line    []int32 // gate ID → line index
-	nodes   []node
-	fanin   []int32 // in pin order
-	fanout  []int32 // combinational fanout only, ascending
-	inputs  []int32 // primary inputs, in circuit input order
-	outputs []int32
-	isOut   []bool
-	pins    []int32 // identity index 0 … max fanin − 1, for evalStuck
+	netlist.View
+	pins []int32 // identity index 0 … max fanin − 1, for evalStuck
 
 	distPO []int // min combinational distance to a primary output
 	cc0    []int // SCOAP-style 0-controllability
@@ -164,88 +150,33 @@ type view struct {
 	base []byte
 }
 
-// node is one line of the view: its gate type and the ranges of its fanin
-// and fanout in the view's shared lists.
-type node struct {
-	in, inEnd   int32
-	out, outEnd int32
-	typ         netlist.GateType
-}
-
 func newView(c *netlist.Circuit) *view {
-	n := c.NumGates()
-	gates := make([]int32, n) // line index → gate ID
-	for id := range gates {
-		gates[id] = int32(id)
-	}
-	slices.SortStableFunc(gates, func(a, b int32) int { return cmp.Compare(c.Gates[a].Level, c.Gates[b].Level) })
-	v := &view{
-		c:      c,
-		line:   make([]int32, n),
-		nodes:  make([]node, n),
-		isOut:  make([]bool, n),
-		distPO: make([]int, n),
-		cc0:    make([]int, n),
-		cc1:    make([]int, n),
-		base:   make([]byte, n),
-	}
-	for l, id := range gates {
-		v.line[id] = int32(l)
-	}
+	v := &view{View: *netlist.NewView(c)}
+	n := len(v.Nodes)
+	v.distPO, v.cc0, v.cc1, v.base = make([]int, n), make([]int, n), make([]int, n), make([]byte, n)
 	maxFanin := 0
-	for l, id := range gates {
-		g, nd := c.Gates[id], &v.nodes[l]
-		nd.typ = g.Type
-		nd.in = int32(len(v.fanin))
-		for _, f := range g.Fanin {
-			v.fanin = append(v.fanin, v.line[f])
-		}
-		nd.inEnd, nd.out = int32(len(v.fanin)), int32(len(v.fanout))
-		for _, fo := range g.Fanout {
-			if c.Gates[fo].Type != netlist.DFF {
-				v.fanout = append(v.fanout, v.line[fo])
-			}
-		}
-		nd.outEnd = int32(len(v.fanout))
-		slices.Sort(v.fanout[nd.out:nd.outEnd])
-		maxFanin = max(maxFanin, len(g.Fanin))
+	for l := range v.Nodes {
+		maxFanin = max(maxFanin, len(v.FaninOf(int32(l))))
 	}
 	v.pins = make([]int32, maxFanin)
 	for i := range v.pins {
 		v.pins[i] = int32(i)
 	}
-	for _, id := range c.Inputs {
-		v.inputs = append(v.inputs, v.line[id])
-	}
-	for _, id := range c.Outputs {
-		v.outputs = append(v.outputs, v.line[id])
-		v.isOut[v.line[id]] = true
-	}
 	v.computeControllability()
 	v.computeDistPO()
-	for l := range v.nodes {
-		v.base[l] = evalGate(v.nodes[l].typ, v.base, v.faninOf(int32(l)))
+	for l := range v.Nodes {
+		v.base[l] = evalGate(v.Nodes[l].Type, v.base, v.FaninOf(int32(l)))
 	}
 	return v
-}
-
-func (v *view) faninOf(id int32) []int32 {
-	nd := &v.nodes[id]
-	return v.fanin[nd.in:nd.inEnd]
-}
-
-func (v *view) fanoutOf(id int32) []int32 {
-	nd := &v.nodes[id]
-	return v.fanout[nd.out:nd.outEnd]
 }
 
 // computeControllability assigns SCOAP-style testability measures: cc0/cc1
 // estimate the effort of driving each line to 0/1 from the primary inputs.
 // They guide backtrace input selection.
 func (v *view) computeControllability() {
-	for id := range v.nodes {
-		fanin := v.faninOf(int32(id))
-		switch t := v.nodes[id].typ; t {
+	for id := range v.Nodes {
+		fanin := v.FaninOf(int32(id))
+		switch t := v.Nodes[id].Type; t {
 		case netlist.Input, netlist.DFF:
 			v.cc0[id], v.cc1[id] = 1, 1
 		case netlist.Const0:
@@ -302,8 +233,8 @@ func (v *view) computeDistPO() {
 	for i := range v.distPO {
 		v.distPO[i] = inf
 	}
-	queue := make([]int32, 0, len(v.outputs))
-	for _, id := range v.outputs {
+	queue := make([]int32, 0, len(v.Outputs))
+	for _, id := range v.Outputs {
 		if v.distPO[id] > 0 {
 			v.distPO[id] = 0
 			queue = append(queue, id)
@@ -312,7 +243,7 @@ func (v *view) computeDistPO() {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		for _, f := range v.faninOf(id) {
+		for _, f := range v.FaninOf(id) {
 			if v.distPO[f] > v.distPO[id]+1 {
 				v.distPO[f] = v.distPO[id] + 1
 				queue = append(queue, f)
@@ -413,7 +344,7 @@ type decision struct {
 }
 
 func newPodem(v *view, limit int) *podem {
-	n := len(v.nodes)
+	n := len(v.Nodes)
 	return &podem{
 		v:          v,
 		limit:      limit,
@@ -476,7 +407,7 @@ func (p *podem) generate(f fault.Fault) *outcome {
 }
 
 func (p *podem) setFault(f fault.Fault) {
-	p.site = p.v.line[f.Gate]
+	p.site = p.v.Line[f.Gate]
 	p.pin = f.Pin
 	p.stuck, p.stuckRail = v0, faulty0
 	if f.StuckAt1 {
@@ -484,8 +415,8 @@ func (p *podem) setFault(f fault.Fault) {
 	}
 	if p.coneGate != p.site {
 		p.cone = p.cone[:0]
-		for _, id := range p.v.c.FanoutCone(f.Gate) {
-			p.cone = append(p.cone, p.v.line[id])
+		for _, id := range p.v.Circuit.FanoutCone(f.Gate) {
+			p.cone = append(p.cone, p.v.Line[id])
 		}
 		p.coneGate = p.site
 	}
@@ -508,22 +439,22 @@ func (p *podem) eval(id int32) byte {
 	if id == p.site {
 		return p.evalSite()
 	}
-	nd := &p.v.nodes[id]
-	return evalGate(nd.typ, p.val, p.v.fanin[nd.in:nd.inEnd])
+	nd := &p.v.Nodes[id]
+	return evalGate(nd.Type, p.val, p.v.Fanin[nd.In:nd.InEnd])
 }
 
 // evalSite evaluates the fault site. A primary input keeps its assigned
 // good value.
 func (p *podem) evalSite() byte {
-	nd := &p.v.nodes[p.site]
-	if nd.typ == netlist.Input {
+	nd := &p.v.Nodes[p.site]
+	if nd.Type == netlist.Input {
 		return p.val[p.site]&goodRails | p.stuckRail // only an output fault sits on an input
 	}
 	in := p.siteIn[:0]
-	for _, f := range p.v.fanin[nd.in:nd.inEnd] {
+	for _, f := range p.v.Fanin[nd.In:nd.InEnd] {
 		in = append(in, p.val[f])
 	}
-	return evalStuck(nd.typ, in, p.v.pins, p.pin, p.stuckRail)
+	return evalStuck(nd.Type, in, p.v.pins, p.pin, p.stuckRail)
 }
 
 // assign sets a primary input to a binary value and propagates events.
@@ -545,7 +476,7 @@ func (p *podem) setValue(id int32, x byte) {
 // evaluated in increasing index, hence level, order, each at most once,
 // after every one of its changed fanins.
 func (p *podem) propagate(from int32) {
-	out := p.v.fanoutOf(from)
+	out := p.v.FanoutOf(from)
 	if len(out) == 0 {
 		return
 	}
@@ -557,7 +488,7 @@ func (p *podem) propagate(from int32) {
 			p.pending[w] &= p.pending[w] - 1
 			if x := p.eval(id); x != p.val[id] {
 				p.setValue(id, x)
-				p.scheduleFanouts(p.v.fanoutOf(id))
+				p.scheduleFanouts(p.v.FanoutOf(id))
 			}
 		}
 	}
@@ -593,7 +524,7 @@ func (p *podem) popToMarker() {
 // detected reports whether any primary output currently carries a fault
 // effect (binary and different in the two machines).
 func (p *podem) detected() bool {
-	for _, id := range p.v.outputs {
+	for _, id := range p.v.Outputs {
 		if x := p.val[id]; x == pD || x == pNotD {
 			return true
 		}
@@ -608,7 +539,7 @@ func (p *podem) objective() (int32, byte) {
 	v := p.v
 	actLine := p.site
 	if p.pin != fault.OutputPin {
-		actLine = v.faninOf(p.site)[p.pin]
+		actLine = v.FaninOf(p.site)[p.pin]
 	}
 	switch goodOf(p.val[actLine]) {
 	case vX:
@@ -625,11 +556,11 @@ func (p *podem) objective() (int32, byte) {
 	best, bestDist := int32(-1), int(^uint(0)>>1)
 	for _, g := range p.cone {
 		id := int32(g)
-		if bothBinary(p.val[id]) || v.nodes[id].typ == netlist.Input {
+		if bothBinary(p.val[id]) || v.Nodes[id].Type == netlist.Input {
 			continue
 		}
 		diverges := false
-		for pin, f := range v.faninOf(id) {
+		for pin, f := range v.FaninOf(id) {
 			x := p.val[f]
 			if id == p.site && pin == p.pin {
 				x = x&goodRails | p.stuckRail
@@ -650,13 +581,13 @@ func (p *podem) objective() (int32, byte) {
 	// non-controlling value so the divergence passes through. All side
 	// inputs must eventually be set, so take the hardest one first (classic
 	// multiple-backtrace intuition): failing early is cheaper.
-	ctrl := controlling(v.nodes[best].typ)
+	ctrl := controlling(v.Nodes[best].Type)
 	nonCtrl := not3(ctrl)
 	if ctrl == vX {
 		nonCtrl = v0 // XOR family: any binary value sensitizes
 	}
 	pick, pickCost := int32(-1), -1
-	for _, f := range v.faninOf(best) {
+	for _, f := range v.FaninOf(best) {
 		if p.val[f]&goodRails != 0 {
 			continue
 		}
@@ -678,11 +609,11 @@ func (p *podem) xpath(id int32) bool {
 	}
 	p.xpathEpoch[id] = p.xpathCur
 	p.xpathMemo[id] = 2 // assume no (also breaks fanout cycles defensively)
-	if p.v.isOut[id] {
+	if p.v.IsOut[id] {
 		p.xpathMemo[id] = 1
 		return true
 	}
-	for _, fo := range p.v.fanoutOf(id) {
+	for _, fo := range p.v.FanoutOf(id) {
 		if bothBinary(p.val[fo]) {
 			continue
 		}
@@ -702,7 +633,7 @@ func (p *podem) xpath(id int32) bool {
 func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
 	v := p.v
 	for {
-		t := v.nodes[line].typ
+		t := v.Nodes[line].Type
 		if t == netlist.Input {
 			if p.val[line]&goodRails != 0 {
 				return 0, 0, false
@@ -717,7 +648,7 @@ func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
 			if inverts(t) {
 				val = not3(val)
 			}
-			line = v.faninOf(line)[0]
+			line = v.FaninOf(line)[0]
 			continue
 		case netlist.And, netlist.Nand:
 			out := val
@@ -743,7 +674,7 @@ func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
 			// Parity gates: any X input works; aim for its cheaper value.
 			next, bestCost := int32(-1), int(^uint(0)>>1)
 			var nextVal byte
-			for _, f := range v.faninOf(line) {
+			for _, f := range v.FaninOf(line) {
 				if p.val[f]&goodRails != 0 {
 					continue
 				}
@@ -769,7 +700,7 @@ func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
 		if pickEasiest {
 			bestCost = int(^uint(0) >> 1)
 		}
-		for _, f := range v.faninOf(line) {
+		for _, f := range v.FaninOf(line) {
 			if p.val[f]&goodRails != 0 {
 				continue
 			}
@@ -788,8 +719,8 @@ func (p *podem) backtrace(line int32, val byte) (int32, byte, bool) {
 // cube returns the good-machine value of every primary input, in input
 // order: the test cube the search found.
 func (p *podem) cube() []byte {
-	out := make([]byte, len(p.v.inputs))
-	for i, id := range p.v.inputs {
+	out := make([]byte, len(p.v.Inputs))
+	for i, id := range p.v.Inputs {
 		out[i] = goodOf(p.val[id])
 	}
 	return out

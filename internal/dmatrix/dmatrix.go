@@ -8,13 +8,25 @@
 // the fault list by construction), a random input value θ_i, and a common
 // experimentally-tuned evolution length T.
 //
+// # Packing
+//
+// The fault simulator works on 64-pattern blocks. Build puts
+// max(1, ⌊64/T⌋) triplets in each block: triplet j of a pack owns the
+// T-bit lane starting at bit j·T, so one simulation of the block fills
+// several rows, and each fault's detection mask splits into the lanes'
+// rows and first-detection indices. A triplet with T > 64 spans several
+// blocks on its own, and a fault it has detected is dropped from its later
+// blocks. Packing changes how much is simulated, not what: each lane sees
+// exactly its own triplet's test set.
+//
 // # Parallelism and determinism
 //
-// Build fault-simulates the candidate triplets concurrently: rows are handed
-// out to Options.Parallelism workers in batches by the internal/parallel
-// pool, and every worker owns a private fsim.Simulator. Triplet expansion
-// and θ selection stay sequential (a single rand stream), and each worker
-// writes only its own row slots, so the finished Matrix — Triplets, Rows,
+// Build fault-simulates the packs concurrently: packs are handed out to
+// Options.Parallelism workers by the internal/parallel pool, and every
+// worker owns a private fsim.Simulator and buffers on one circuit view and
+// fault list shared by the whole build. Triplet expansion and θ selection
+// stay sequential (a single rand stream), and each worker writes only its
+// own packs' row slots, so the finished Matrix — Triplets, Rows,
 // FirstDetection, GateEvals, PatternsSimulated — is bit-identical for every
 // Parallelism value, including the serial value 1. The dmatrix tests assert
 // this equivalence on benchmark circuits.
@@ -23,6 +35,7 @@ package dmatrix
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/bitvec"
@@ -46,14 +59,13 @@ type Options struct {
 	// index of the earliest detecting pattern; needed for the paper's
 	// test-length trimming. Costs 4 bytes per matrix cell.
 	RecordFirstDetection bool
-	// Parallelism is the number of goroutines fault-simulating triplet rows
-	// concurrently. 1 forces the serial path; 0 (and any negative value)
+	// Parallelism is the number of goroutines fault-simulating packs of
+	// triplets concurrently. 1 forces the serial path; 0 (and any negative value)
 	// means one worker per available processor. The matrix is bit-identical
 	// for any value — see the package documentation.
 	Parallelism int
 	// Context, when non-nil, cancels the build: it is checked per triplet
-	// during expansion and per row batch (and per fault-simulation block
-	// inside each row) during the parallel fill. A cancelled build returns
+	// during expansion and per pack during the parallel fill. A cancelled build returns
 	// the context's error — there is no partial matrix.
 	Context context.Context
 }
@@ -89,7 +101,9 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		return nil, fmt.Errorf("dmatrix: generator width %d != circuit inputs %d",
 			gen.Width(), len(c.Inputs))
 	}
-	workers := parallel.Clamp(parallel.Degree(opts.Parallelism), len(patterns))
+	if !c.Finalized() || !c.IsCombinational() {
+		return nil, fmt.Errorf("dmatrix: circuit %q must be finalized and combinational", c.Name)
+	}
 
 	// Phase 1 (sequential, so the matrix is independent of the worker
 	// count): draw θ values and expand every candidate's test set.
@@ -114,68 +128,137 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		testSets[i] = ts
 	}
 
-	// Phase 2 (parallel): fault-simulate each test set. Every worker owns a
-	// private simulator; each result lands at its own triplet index, and the
-	// effort counters are folded serially afterwards, so the matrix and its
-	// statistics are independent of scheduling. Row-level parallelism is the
-	// right granularity here — each row's fault list is simulated serially
-	// (fsim Parallelism 1) so the pool is never oversubscribed.
+	// Phase 2 (parallel): fault-simulate the packs. Each pack's rows and
+	// effort land at its own indices and are folded serially afterwards,
+	// so the matrix and its statistics are independent of scheduling.
+	per := max(1, 64/opts.Cycles)
+	packs := (len(patterns) + per - 1) / per
+	workers := parallel.Clamp(parallel.Degree(opts.Parallelism), packs)
+	v := netlist.NewView(c)
+	targets := fsim.NewTargets(v, faults)
 	m.Rows = make([]*bitvec.Set, len(patterns))
 	if opts.RecordFirstDetection {
 		m.FirstDetection = make([][]int32, len(patterns))
 	}
-	// One fsim span covers the whole phase; every per-row Run folds its
-	// effort counters into it (see fsim.Run), so the span carries the
-	// phase totals without a span per row.
+	// One fsim span covers the whole phase and carries its totals.
 	fctx, fsp := obs.StartSpan(opts.Context, "fsim")
 	defer fsp.End()
 	fsp.SetInt("rows", int64(len(patterns)))
-	sims := make([]*fsim.Simulator, workers)
-	rowEvals := make([]int64, len(patterns))
-	rowPats := make([]int, len(patterns))
-	err := parallel.ForEach(workers, len(patterns), func(worker, i int) error {
+	packers := make([]*packer, workers)
+	stats := make([]packStats, packs)
+	err := parallel.ForEach(workers, packs, func(worker, k int) error {
 		if err := ctxutil.Err(fctx); err != nil {
 			return fmt.Errorf("dmatrix: %w", err)
 		}
-		sim := sims[worker]
-		if sim == nil {
-			var err error
-			if sim, err = fsim.New(c); err != nil {
-				return fmt.Errorf("dmatrix: %w", err)
+		w := packers[worker]
+		if w == nil {
+			w = &packer{
+				sim:   fsim.NewForView(v),
+				live:  make([]bool, len(faults)),
+				masks: make([]uint64, len(faults)),
 			}
-			sims[worker] = sim
+			packers[worker] = w
 		}
-		fres, err := sim.Run(faults, testSets[i], fsim.Options{DropDetected: true, Parallelism: 1, Context: fctx})
-		if err != nil {
-			return fmt.Errorf("dmatrix: triplet %d: %w", i, err)
+		lo, hi := k*per, min((k+1)*per, len(patterns))
+		var err error
+		if stats[k], err = w.fill(m, targets, testSets, lo, hi, opts.Cycles); err != nil {
+			return fmt.Errorf("dmatrix: triplets %d-%d: %w", lo, hi-1, err)
 		}
-		row := bitvec.NewSet(len(faults))
-		for fi, d := range fres.Detected {
-			if d {
-				row.Add(fi)
-			}
-		}
-		m.Rows[i] = row
-		if opts.RecordFirstDetection {
-			fd := make([]int32, len(faults))
-			for fi, fp := range fres.FirstPattern {
-				fd[fi] = int32(fp)
-			}
-			m.FirstDetection[i] = fd
-		}
-		rowEvals[i] = fres.GateEvals
-		rowPats[i] = fres.PatternsApplied
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range rowEvals {
-		m.GateEvals += rowEvals[i]
-		m.PatternsSimulated += rowPats[i]
+	var stems, blocks int64
+	for _, st := range stats {
+		m.GateEvals += st.GateEvals
+		stems += st.Stems
+		blocks += int64(st.blocks)
+		m.PatternsSimulated += st.patterns
 	}
 	m.TripletSims = len(patterns)
+	fsp.SetInt("gate_evals", m.GateEvals)
+	fsp.SetInt("patterns_applied", int64(m.PatternsSimulated))
+	fsp.SetInt("stems", stems)
+	fsp.SetInt("blocks", blocks)
 	return m, nil
+}
+
+// packer is one worker's simulator and buffers.
+type packer struct {
+	sim   *fsim.Simulator
+	block []bitvec.Vector
+	live  []bool
+	masks []uint64
+}
+
+// packStats is the work one pack took.
+type packStats struct {
+	fsim.Effort
+	blocks   int // 64-pattern blocks simulated
+	patterns int // summed over the pack's triplets
+}
+
+// fill simulates the pack of triplets lo..hi-1 and writes their rows and
+// first detections into m.
+func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, cycles int) (packStats, error) {
+	for i := lo; i < hi; i++ {
+		m.Rows[i] = bitvec.NewSet(len(w.live))
+		if m.FirstDetection != nil {
+			fd := make([]int32, len(w.live))
+			for fi := range fd {
+				fd[fi] = -1
+			}
+			m.FirstDetection[i] = fd
+		}
+	}
+	for fi := range w.live {
+		w.live[fi] = true
+	}
+	var st packStats
+	// Each lane holds width patterns of its triplet per block: all T of
+	// them when T <= 64, so a pack of several triplets is one block.
+	for base := 0; base < cycles; base += 64 {
+		width := min(64, cycles-base)
+		w.block = w.block[:0]
+		for i := lo; i < hi; i++ {
+			w.block = append(w.block, testSets[i][base:base+width]...)
+		}
+		e, err := w.sim.Detect(t, w.block, w.live, w.masks)
+		if err != nil {
+			return packStats{}, err
+		}
+		st.GateEvals += e.GateEvals
+		st.Stems += e.Stems
+		st.blocks++
+		st.patterns += len(w.block)
+		lane := ^uint64(0) >> (64 - width)
+		live := 0
+		for fi, mask := range w.masks {
+			if !w.live[fi] {
+				continue
+			}
+			if mask == 0 {
+				live++
+				continue
+			}
+			// Detected in this block: a later block, which only a pack of
+			// one triplet has, no longer needs the fault.
+			w.live[fi] = false
+			for mask != 0 {
+				j := bits.TrailingZeros64(mask) / width
+				m.Rows[lo+j].Add(fi)
+				if m.FirstDetection != nil {
+					m.FirstDetection[lo+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
+				}
+				mask &^= lane << (j * width)
+			}
+		}
+		if live == 0 {
+			break
+		}
+	}
+	return st, nil
 }
 
 // NumTriplets returns the number of rows.

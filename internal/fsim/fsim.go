@@ -1,11 +1,28 @@
-// Package fsim implements a parallel-pattern single-fault-propagation
-// stuck-at fault simulator.
+// Package fsim implements a parallel-pattern stuck-at fault simulator with
+// stem analysis.
 //
-// Patterns are processed in blocks of 64 (one bit per pattern). For each
-// block the good machine is simulated once; then every live fault is
-// injected and its effect propagated event-driven, visiting only gates whose
-// value actually changes, in level order. A fault is detected when any
-// primary output differs from the good machine in at least one pattern bit.
+// Patterns are processed in blocks of 64, one bit per pattern, on the
+// circuit's level-ordered netlist.View. For each block the good machine is
+// simulated once. The faults are then handled by the fanout-free region
+// they sit in (netlist.View.Root), not one at a time:
+//
+//   - One backward critical-path-tracing pass gives every line its path
+//     sensitivity: the patterns in which flipping the line flips its
+//     region root. Inside a region a line has one path to the root, so
+//     this is the AND of the local sensitivities of the gates along it.
+//   - A fault reaches its root in the patterns that activate it (the good
+//     value differs from the stuck value) and sensitize its path; a fault
+//     on a gate input pin also needs that pin's local sensitivity.
+//   - One event-driven propagation per region root flips the root in
+//     exactly the patterns some live fault of the region reaches it, and
+//     records in which of them a primary output changes: the root's
+//     observability.
+//
+// A fault's detection mask is activation & path sensitivity & root
+// observability. This is exact for single stuck-at faults (critical path
+// tracing, Abramovici, Menon & Miller 1984; PPSFP with stem analysis, Lee
+// & Ha 1991): a fault inside a region changes nothing outside it except
+// through the root, and the patterns of a block are independent bits.
 //
 // This simulator plays the role of the TestGen fault simulator in the paper:
 // it grades the ATPG test set and fills the Detection Matrix (which triplet
@@ -13,22 +30,20 @@
 //
 // # Parallelism and determinism
 //
-// Run additionally fans the live fault list of each block out across
-// Options.Parallelism worker goroutines. The good-machine block simulation
-// is shared state, computed exactly once per 64-pattern block; each worker
-// owns a private faulty machine (event queues, epoch tags, and scratch value
-// arrays), so workers never write shared state while simulating. Workers
-// record one detection mask per fault into that fault's own slot, and the
-// masks are folded into the Result serially, in fault-list order — the same
-// order the serial loop uses.
+// Run fans the region roots of each block out across Options.Parallelism
+// worker goroutines. The good-machine values and path sensitivities are
+// shared state, computed once per block before the fan-out; each worker
+// owns a private faulty machine, so workers never write shared state while
+// propagating. A root's faults are that root's alone, so each worker
+// writes only its own faults' mask slots, and the masks are folded into
+// the Result serially, in fault-list order.
 //
 // Determinism guarantee: for any Parallelism value (including 1, the serial
 // path), Run returns a bit-identical Result — Detected, FirstPattern,
-// NumDetected, PatternsApplied and GateEvals all match exactly. Per-fault
-// propagation work is identical in both paths, scheduling only changes which
-// goroutine performs it, and GateEvals is a sum of per-worker counters,
-// which is order-independent. The fsim and dmatrix test suites assert this
-// equivalence on the benchmark circuits.
+// NumDetected, PatternsApplied and GateEvals all match exactly. A root's
+// propagation is the same whichever worker runs it, and GateEvals is a sum
+// of per-root counts, which is order-independent. The fsim and dmatrix test
+// suites assert this equivalence on the benchmark circuits.
 //
 // # Cancellation
 //
@@ -46,7 +61,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ctxutil"
 	"repro/internal/fault"
-	"repro/internal/logicsim"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -61,8 +75,8 @@ type Options struct {
 	DropDetected bool
 	// StopWhenAllDetected ends the run early once every fault is detected.
 	StopWhenAllDetected bool
-	// Parallelism is the number of worker goroutines the live fault list of
-	// each pattern block is fanned out across. 1 forces the serial path;
+	// Parallelism is the number of worker goroutines the region roots of
+	// each pattern block are fanned out across. 1 forces the serial path;
 	// 0 (and any negative value) means one worker per available processor.
 	// The Result is bit-identical for every value — see the package
 	// documentation for the determinism guarantee.
@@ -85,9 +99,10 @@ type Result struct {
 	// PatternsApplied is how many patterns were actually simulated before
 	// any early stop.
 	PatternsApplied int
-	// GateEvals counts faulty-machine gate evaluations, a proxy for fault
-	// simulation effort (the paper's argument that the set covering flow
-	// needs far fewer fault simulations than GATSBY).
+	// GateEvals counts faulty-machine evaluations during stem
+	// propagation, a proxy for fault simulation effort (the paper's
+	// argument that the set covering flow needs far fewer fault
+	// simulations than GATSBY).
 	GateEvals int64
 }
 
@@ -99,82 +114,134 @@ func (r *Result) Coverage() float64 {
 	return float64(r.NumDetected) / float64(len(r.Detected))
 }
 
-// minFaultsPerWorker is the smallest per-worker share of the live fault
-// list worth a goroutine handoff; below it the block degrades toward the
-// serial path. Purely a scheduling threshold — it cannot affect results.
-const minFaultsPerWorker = 16
-
-// faultChunk is the number of live faults a worker claims per atomic
-// operation on the shared cursor.
-const faultChunk = 32
-
-// machine is one worker's private faulty-machine state: the event-driven
-// scratch needed to propagate a single fault against the shared good-machine
-// values. Epoch tags make the reset between faults O(1).
-type machine struct {
-	c     *netlist.Circuit
-	isOut []bool
-
-	fval       []uint64
-	fepoch     []int32
-	sched      []int32
-	epoch      int32
-	buckets    [][]int // per-level work queues
-	minLevel   int     // lowest level scheduled for the current fault
-	maxTouched int     // highest level scheduled for the current fault
-
-	faninBuf []uint64
+// Effort counts the work of simulating blocks.
+type Effort struct {
+	GateEvals int64 // faulty-machine evaluations during stem propagation
+	Stems     int64 // region-root propagations run
 }
 
-func newMachine(c *netlist.Circuit, isOut []bool) *machine {
-	return &machine{
-		c:       c,
-		isOut:   isOut,
-		fval:    make([]uint64, c.NumGates()),
-		fepoch:  make([]int32, c.NumGates()),
-		sched:   make([]int32, c.NumGates()),
-		buckets: make([][]int, c.MaxLevel()+1),
+// minRootsPerWorker is the smallest per-worker share of a block's active
+// region roots worth a goroutine handoff; below it the block degrades
+// toward the serial path. Purely a scheduling threshold — it cannot affect
+// results.
+const minRootsPerWorker = 8
+
+// rootChunk is the number of region roots a worker claims per atomic
+// operation on the shared cursor.
+const rootChunk = 16
+
+// Targets is a fault list prepared for one view: every fault's site and
+// activation line, grouped by region root. It is read-only once built, so
+// any number of Simulators on the view may share it.
+type Targets struct {
+	faults []target
+	roots  []int32 // region roots with at least one fault, ascending
+	start  []int32 // the faults of roots[i] are order[start[i]:start[i+1]]
+	order  []int32 // fault indices, grouped by root, ascending within one
+}
+
+// target is one fault on the view.
+type target struct {
+	site  int32  // the line whose value the fault changes first
+	act   int32  // the line whose good value activates it
+	pin   int    // faulted fanin pin of site, or fault.OutputPin
+	stuck uint64 // the stuck value in every pattern bit
+}
+
+// NewTargets prepares faults, which must lie in v's circuit.
+func NewTargets(v *netlist.View, faults []fault.Fault) *Targets {
+	t := &Targets{faults: make([]target, len(faults))}
+	count := make([]int32, len(v.Nodes)+1)
+	for i, f := range faults {
+		tg := &t.faults[i]
+		tg.site = v.Line[f.Gate]
+		tg.act, tg.pin = tg.site, f.Pin
+		if f.Pin != fault.OutputPin {
+			tg.act = v.FaninOf(tg.site)[f.Pin]
+		}
+		if f.StuckAt1 {
+			tg.stuck = ^uint64(0)
+		}
+		count[v.Root[tg.site]+1]++
 	}
+	// Counting sort by root keeps each root's faults in list order.
+	for l := range v.Nodes {
+		if count[l+1] > 0 {
+			t.roots = append(t.roots, int32(l))
+			t.start = append(t.start, count[l])
+		}
+		count[l+1] += count[l]
+	}
+	t.start = append(t.start, int32(len(faults)))
+	t.order = make([]int32, len(faults))
+	for i := range t.faults {
+		r := v.Root[t.faults[i].site]
+		t.order[count[r]] = int32(i)
+		count[r]++
+	}
+	return t
 }
 
 // Simulator holds the per-circuit state for fault simulation: the shared
 // good machine plus one private faulty machine per worker. A Simulator is
 // not safe for concurrent use by multiple goroutines — Run manages its own
 // internal worker pool instead; create one Simulator per concurrent caller.
+// Simulators on one view may run concurrently.
 type Simulator struct {
-	c      *netlist.Circuit
-	good   *logicsim.Simulator
-	isOut  []bool // gate ID -> is primary output
-	outIDs []int
+	v     *netlist.View
+	words []uint64 // packed primary-input words of the current block
+	good  []uint64 // good-machine value per line
+	sens  []uint64 // per line, the patterns in which flipping it flips its root
+	block int      // blocks simulated; a machine synced to this holds good
 
 	machines []*machine // machines[0] serves the serial path; grown on demand
-	maskBuf  []uint64   // per-live-fault detection masks for one block
-	evalsBuf []int64    // per-worker gate-evaluation counters
+	active   []int32    // region roots with a live fault in the current block
+	maskBuf  []uint64   // per-fault detection masks for one block
+	effort   []Effort   // per-worker effort counters
+}
+
+// machine is one worker's private faulty machine: the good values of the
+// current block, except on the lines the current propagation changed.
+type machine struct {
+	val     []uint64
+	block   int     // the Simulator block val holds the good values of
+	changed []int32 // lines whose val differs from good
+	pending []uint64
 }
 
 // New returns a fault simulator for the finalized combinational circuit.
 func New(c *netlist.Circuit) (*Simulator, error) {
-	good, err := logicsim.New(c)
-	if err != nil {
-		return nil, fmt.Errorf("fsim: %w", err)
+	if !c.Finalized() {
+		return nil, fmt.Errorf("fsim: circuit %q not finalized", c.Name)
 	}
-	s := &Simulator{
-		c:     c,
-		good:  good,
-		isOut: make([]bool, c.NumGates()),
+	if !c.IsCombinational() {
+		return nil, fmt.Errorf("fsim: circuit %q is sequential; apply FullScan first", c.Name)
 	}
-	for _, id := range c.Outputs {
-		s.isOut[id] = true
-		s.outIDs = append(s.outIDs, id)
+	return NewForView(netlist.NewView(c)), nil
+}
+
+// NewForView returns a fault simulator on a view of a combinational
+// circuit, which it shares read-only.
+func NewForView(v *netlist.View) *Simulator {
+	n := len(v.Nodes)
+	return &Simulator{
+		v:        v,
+		words:    make([]uint64, len(v.Inputs)),
+		good:     make([]uint64, n),
+		sens:     make([]uint64, n),
+		block:    1,
+		machines: []*machine{newMachine(n)},
 	}
-	s.machines = []*machine{newMachine(c, s.isOut)}
-	return s, nil
+}
+
+func newMachine(n int) *machine {
+	return &machine{val: make([]uint64, n), pending: make([]uint64, (n+63)/64)}
 }
 
 // ensureMachines grows the private faulty-machine pool to n entries.
 func (s *Simulator) ensureMachines(n int) {
 	for len(s.machines) < n {
-		s.machines = append(s.machines, newMachine(s.c, s.isOut))
+		s.machines = append(s.machines, newMachine(len(s.v.Nodes)))
 	}
 }
 
@@ -183,257 +250,272 @@ func (s *Simulator) ensureMachines(n int) {
 // value; see the package documentation.
 func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Options) (*Result, error) {
 	workers := parallel.Degree(opts.Parallelism)
+	t := NewTargets(s.v, faults)
 	res := &Result{
 		Detected:     make([]bool, len(faults)),
 		FirstPattern: make([]int, len(faults)),
 	}
+	live := make([]bool, len(faults))
 	for i := range res.FirstPattern {
 		res.FirstPattern[i] = -1
+		live[i] = true
 	}
-	live := make([]int, len(faults))
-	for i := range faults {
-		live[i] = i
+	nLive := len(faults)
+	if cap(s.maskBuf) < len(faults) {
+		s.maskBuf = make([]uint64, len(faults))
 	}
+	masks := s.maskBuf[:len(faults)]
 
+	var stems, blocks int64
 	for base := 0; base < len(patterns); base += 64 {
 		if err := ctxutil.Err(opts.Context); err != nil {
 			return nil, fmt.Errorf("fsim: %w", err)
 		}
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		block := patterns[base:end]
-		blockMask := ^uint64(0)
-		if len(block) < 64 {
-			blockMask = (uint64(1) << uint(len(block))) - 1
-		}
-		words, err := logicsim.PackPatterns(s.c, block)
+		block := patterns[base:min(base+64, len(patterns))]
+		e, err := s.detect(t, block, live, masks, workers)
 		if err != nil {
 			return nil, fmt.Errorf("fsim: %w", err)
 		}
-		if _, err := s.good.Run(words); err != nil {
-			return nil, fmt.Errorf("fsim: %w", err)
-		}
 		res.PatternsApplied += len(block)
-		goodVals := s.good.Values()
-
-		// Degrade toward serial when the surviving live list is too short
-		// to amortize goroutine handoffs (common once fault dropping has
-		// thinned the list). Scheduling only; results are unaffected.
-		blockWorkers := workers
-		if lim := len(live) / minFaultsPerWorker; blockWorkers > lim {
-			blockWorkers = lim
-		}
-		if blockWorkers < 1 {
-			blockWorkers = 1
-		}
-
-		if blockWorkers == 1 {
-			m := s.machines[0]
-			n := 0
-			for _, fi := range live {
-				detMask := m.simulateFault(faults[fi], goodVals, blockMask, &res.GateEvals)
-				if keep := res.fold(fi, detMask, base, opts); keep {
-					live[n] = fi
-					n++
-				}
+		res.GateEvals += e.GateEvals
+		stems += e.Stems
+		blocks++
+		for fi, m := range masks {
+			if !live[fi] || m == 0 {
+				continue
 			}
-			live = live[:n]
-		} else {
-			s.ensureMachines(blockWorkers)
-			masks := s.masks(len(live))
-			evals := s.evals(blockWorkers)
-			parallel.ForEachChunk(blockWorkers, len(live), faultChunk,
-				func(worker, lo, hi int) {
-					// Accumulate into a local counter and publish once per
-					// chunk: per-gate increments on adjacent evals slots
-					// would false-share one cache line across workers.
-					m := s.machines[worker]
-					var chunkEvals int64
-					for k := lo; k < hi; k++ {
-						masks[k] = m.simulateFault(faults[live[k]], goodVals, blockMask, &chunkEvals)
-					}
-					evals[worker] += chunkEvals
-				})
-			for _, e := range evals {
-				res.GateEvals += e
+			if !res.Detected[fi] {
+				res.Detected[fi] = true
+				res.NumDetected++
+				res.FirstPattern[fi] = base + bits.TrailingZeros64(m)
 			}
-			// Fold the per-fault masks serially, in fault-list order — the
-			// exact order the serial path uses.
-			n := 0
-			for k, fi := range live {
-				if keep := res.fold(fi, masks[k], base, opts); keep {
-					live[n] = fi
-					n++
-				}
+			if opts.DropDetected {
+				live[fi] = false
+				nLive--
 			}
-			live = live[:n]
 		}
-
 		if opts.StopWhenAllDetected && res.NumDetected == len(faults) {
 			break
 		}
-		if opts.DropDetected && len(live) == 0 {
+		if opts.DropDetected && nLive == 0 {
 			break
 		}
 	}
 	// Fold effort counters onto the enclosing trace span (if any): many
-	// Run calls — dmatrix simulates one row per call — accumulate into a
-	// single span, and AddInt commutes, so the totals are
-	// schedule-independent. No per-run span is created: that would cost a
-	// span per matrix row.
+	// Run calls accumulate into a single span, and AddInt commutes, so the
+	// totals are schedule-independent. No per-run span is created.
 	if sp := obs.CurrentSpan(opts.Context); sp != nil {
 		sp.AddInt("gate_evals", res.GateEvals)
 		sp.AddInt("patterns_applied", int64(res.PatternsApplied))
 		sp.AddInt("runs", 1)
+		sp.AddInt("stems", stems)
+		sp.AddInt("blocks", blocks)
 	}
 	return res, nil
 }
 
-// fold merges one fault's block detection mask into the result and reports
-// whether the fault stays on the live list.
-func (r *Result) fold(fi int, detMask uint64, base int, opts Options) bool {
-	if detMask == 0 {
-		return true
+// Detect simulates one block of at most 64 patterns on the calling
+// goroutine. For every fault i of t with live[i] set, masks[i] receives
+// the patterns of the block (bit k for block[k]) that detect it; the
+// other entries are zeroed.
+func (s *Simulator) Detect(t *Targets, block []bitvec.Vector, live []bool, masks []uint64) (Effort, error) {
+	e, err := s.detect(t, block, live, masks, 1)
+	if err != nil {
+		return Effort{}, fmt.Errorf("fsim: %w", err)
 	}
-	if !r.Detected[fi] {
-		r.Detected[fi] = true
-		r.NumDetected++
-		r.FirstPattern[fi] = base + bits.TrailingZeros64(detMask)
-	}
-	return !opts.DropDetected
+	return e, nil
 }
 
-// masks returns the per-live-fault detection mask buffer, resized to n.
-func (s *Simulator) masks(n int) []uint64 {
-	if cap(s.maskBuf) < n {
-		s.maskBuf = make([]uint64, n)
+// detect is Detect with the region roots fanned out across up to workers
+// goroutines.
+func (s *Simulator) detect(t *Targets, block []bitvec.Vector, live []bool, masks []uint64, workers int) (Effort, error) {
+	if err := s.simulateGood(block); err != nil {
+		return Effort{}, err
 	}
-	return s.maskBuf[:n]
+	blockMask := ^uint64(0)
+	if len(block) < 64 {
+		blockMask = uint64(1)<<uint(len(block)) - 1
+	}
+	s.active = s.active[:0]
+	for ri := range t.roots {
+		any := false
+		for _, fi := range t.order[t.start[ri]:t.start[ri+1]] {
+			masks[fi] = 0
+			any = any || live[fi]
+		}
+		if any {
+			s.active = append(s.active, int32(ri))
+		}
+	}
+	s.traceSensitivity()
+
+	// Degrade toward serial when the active roots are too few to amortize
+	// goroutine handoffs. Scheduling only; results are unaffected.
+	workers = max(1, min(workers, len(s.active)/minRootsPerWorker))
+	if workers == 1 {
+		var e Effort
+		for _, ri := range s.active {
+			s.root(s.machines[0], t, ri, live, masks, blockMask, &e)
+		}
+		return e, nil
+	}
+	s.ensureMachines(workers)
+	if cap(s.effort) < workers {
+		s.effort = make([]Effort, workers)
+	}
+	effort := s.effort[:workers]
+	clear(effort)
+	parallel.ForEachChunk(workers, len(s.active), rootChunk, func(worker, lo, hi int) {
+		// Accumulate locally and publish once per chunk: per-root
+		// increments on adjacent effort slots would false-share one cache
+		// line across workers.
+		var e Effort
+		for _, ri := range s.active[lo:hi] {
+			s.root(s.machines[worker], t, ri, live, masks, blockMask, &e)
+		}
+		effort[worker].GateEvals += e.GateEvals
+		effort[worker].Stems += e.Stems
+	})
+	var e Effort
+	for _, w := range effort {
+		e.GateEvals += w.GateEvals
+		e.Stems += w.Stems
+	}
+	return e, nil
 }
 
-// evals returns the per-worker gate-evaluation counters, zeroed.
-func (s *Simulator) evals(n int) []int64 {
-	if cap(s.evalsBuf) < n {
-		s.evalsBuf = make([]int64, n)
+// simulateGood packs the block into primary-input words (bit k holds
+// pattern k) and evaluates the good machine.
+func (s *Simulator) simulateGood(block []bitvec.Vector) error {
+	if len(block) > 64 {
+		return fmt.Errorf("block of %d patterns exceeds 64", len(block))
 	}
-	e := s.evalsBuf[:n]
-	for i := range e {
-		e[i] = 0
-	}
-	return e
-}
-
-// simulateFault injects one fault against the shared good values and returns
-// the mask of pattern bits in which any primary output diverges. It touches
-// only this machine's private state, so distinct machines may run
-// concurrently against the same good values.
-func (m *machine) simulateFault(f fault.Fault, good []uint64, blockMask uint64, evals *int64) uint64 {
-	site := m.c.Gates[f.Gate]
-	var faultyWord uint64
-	if f.StuckAt1 {
-		faultyWord = ^uint64(0)
-	}
-
-	siteGate := f.Gate
-	if f.Pin != fault.OutputPin {
-		// Input-pin fault: recompute the gate with the pin forced. The
-		// fault effect first appears at this gate's output.
-		in := m.faninBuf[:0]
-		for pin, fi := range site.Fanin {
-			v := good[fi]
-			if pin == f.Pin {
-				v = faultyWord
+	clear(s.words)
+	for k, p := range block {
+		if p.Width() != len(s.words) {
+			return fmt.Errorf("pattern %d has width %d, circuit has %d inputs", k, p.Width(), len(s.words))
+		}
+		for i := range s.words {
+			if p.Bit(i) {
+				s.words[i] |= 1 << uint(k)
 			}
-			in = append(in, v)
 		}
-		m.faninBuf = in
-		faultyWord = netlist.Eval(site.Type, in)
-		*evals++
 	}
-
-	diff := (faultyWord ^ good[siteGate]) & blockMask
-	if diff == 0 {
-		return 0 // fault not activated by any pattern in this block
+	v := s.v
+	for i, l := range v.Inputs {
+		s.good[l] = s.words[i]
 	}
-
-	m.epoch++
-	if m.epoch == 0 { // int32 wrap: clear tags and restart
-		for i := range m.fepoch {
-			m.fepoch[i] = -1
-			m.sched[i] = -1
+	for l := range v.Nodes {
+		if v.Nodes[l].Type != netlist.Input {
+			s.good[l] = v.Eval(int32(l), s.good)
 		}
-		m.epoch = 1
 	}
-	m.fval[siteGate] = faultyWord & blockMask
-	m.fepoch[siteGate] = m.epoch
+	s.block++
+	return nil
+}
 
-	var detected uint64
-	if m.isOut[siteGate] {
-		detected |= diff
-	}
-
-	// Level-ordered event propagation from the site. Because every fanout
-	// sits at a strictly higher level than its driver, processing levels in
-	// ascending order guarantees all of a gate's faulty fanin values are
-	// settled before the gate is evaluated; a gate is evaluated at most once
-	// per fault.
-	m.minLevel = len(m.buckets)
-	m.maxTouched = -1
-	m.scheduleFanouts(siteGate)
-	for lvl := m.minLevel; lvl <= m.maxTouched; lvl++ {
-		queue := m.buckets[lvl]
-		if len(queue) == 0 {
-			continue
+// traceSensitivity computes every line's path sensitivity to its region
+// root, in one backward pass: a root is sensitive in every pattern, and a
+// line inside a region in the patterns where its single fanout is
+// sensitive and passes a flip of the line.
+func (s *Simulator) traceSensitivity() {
+	v := s.v
+	for g := int32(len(v.Nodes)) - 1; g >= 0; g-- {
+		if v.Root[g] == g {
+			s.sens[g] = ^uint64(0)
 		}
-		for qi := 0; qi < len(queue); qi++ {
-			id := queue[qi]
-			g := m.c.Gates[id]
-			in := m.faninBuf[:0]
-			for _, fi := range g.Fanin {
-				if m.fepoch[fi] == m.epoch {
-					in = append(in, m.fval[fi])
+		sg := s.sens[g]
+		for pin, f := range v.FaninOf(g) {
+			if v.Root[f] != f {
+				if sg != 0 {
+					s.sens[f] = sg & v.Sensitivity(g, pin, s.good)
 				} else {
-					in = append(in, good[fi])
+					s.sens[f] = 0
 				}
 			}
-			m.faninBuf = in
-			nv := netlist.Eval(g.Type, in) & blockMask
-			*evals++
-			if nv == good[id]&blockMask {
-				continue
-			}
-			m.fval[id] = nv
-			m.fepoch[id] = m.epoch
-			if m.isOut[id] {
-				detected |= nv ^ (good[id] & blockMask)
-			}
-			m.scheduleFanouts(id)
 		}
-		m.buckets[lvl] = queue[:0]
 	}
-	return detected
 }
 
-// scheduleFanouts enqueues the combinational fanouts of gate id into their
-// level buckets, once per fault.
-func (m *machine) scheduleFanouts(id int) {
-	for _, fo := range m.c.Gates[id].Fanout {
-		g := m.c.Gates[fo]
-		if g.Type == netlist.DFF {
+// root simulates the live faults of region root t.roots[ri] on machine m:
+// each one's effect at the root, then one propagation of their union from
+// the root to the primary outputs.
+func (s *Simulator) root(m *machine, t *Targets, ri int32, live []bool, masks []uint64, blockMask uint64, e *Effort) {
+	v, good := s.v, s.good
+	faults := t.order[t.start[ri]:t.start[ri+1]]
+	var reach uint64
+	for _, fi := range faults {
+		if !live[fi] {
 			continue
 		}
-		if m.sched[fo] == m.epoch {
-			continue
+		tg := &t.faults[fi]
+		x := (good[tg.act] ^ tg.stuck) & blockMask & s.sens[tg.site]
+		if tg.pin != fault.OutputPin && x != 0 {
+			x &= v.Sensitivity(tg.site, tg.pin, good)
 		}
-		m.sched[fo] = m.epoch
-		m.buckets[g.Level] = append(m.buckets[g.Level], fo)
-		if g.Level < m.minLevel {
-			m.minLevel = g.Level
-		}
-		if g.Level > m.maxTouched {
-			m.maxTouched = g.Level
+		masks[fi] = x
+		reach |= x
+	}
+	if reach == 0 {
+		return
+	}
+	observed := m.propagate(s, t.roots[ri], reach, e)
+	for _, fi := range faults {
+		masks[fi] &= observed
+	}
+}
+
+// propagate flips line r in the patterns flip, propagates the change
+// event-driven in level order, and returns the patterns in which a primary
+// output changed. It restores the machine to the good values afterwards.
+func (m *machine) propagate(s *Simulator, r int32, flip uint64, e *Effort) uint64 {
+	v, good, val := s.v, s.good, m.val
+	if m.block != s.block {
+		copy(val, good)
+		m.block = s.block
+	}
+	e.Stems++
+	var observed uint64
+	if v.IsOut[r] {
+		observed = flip
+	}
+	val[r] = good[r] ^ flip
+	m.changed = append(m.changed[:0], r)
+	if out := v.FanoutOf(r); len(out) > 0 {
+		last := m.schedule(out)
+		for w := out[0] >> 6; w <= last>>6; w++ {
+			for m.pending[w] != 0 {
+				l := w<<6 | int32(bits.TrailingZeros64(m.pending[w]))
+				m.pending[w] &= m.pending[w] - 1
+				x := v.Eval(l, val)
+				e.GateEvals++
+				d := x ^ good[l]
+				if d == 0 {
+					continue
+				}
+				val[l] = x
+				m.changed = append(m.changed, l)
+				if v.IsOut[l] {
+					observed |= d
+				}
+				last = max(last, m.schedule(v.FanoutOf(l)))
+			}
 		}
 	}
+	for _, l := range m.changed {
+		val[l] = good[l]
+	}
+	return observed
+}
+
+// schedule marks a changed line's fanout (ascending) pending and returns
+// the highest line it marked, or -1.
+func (m *machine) schedule(out []int32) int32 {
+	for _, fo := range out {
+		m.pending[fo>>6] |= 1 << (fo & 63)
+	}
+	if len(out) == 0 {
+		return -1
+	}
+	return out[len(out)-1]
 }

@@ -1,9 +1,11 @@
 package fsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -360,8 +362,57 @@ func TestEmptyPatternList(t *testing.T) {
 	}
 }
 
-func BenchmarkFaultSimC17(b *testing.B) {
-	c := mustParse(b, "c17", c17Bench)
+// TestSequentialRejected checks that New refuses a circuit with
+// flip-flops: fault simulation runs on the full-scan view.
+func TestSequentialRejected(t *testing.T) {
+	c := mustParse(t, "seq", `
+INPUT(a)
+OUTPUT(z)
+z = AND(a, q)
+q = DFF(z)
+`)
+	if _, err := New(c); err == nil {
+		t.Fatal("expected error for sequential circuit")
+	}
+}
+
+// TestDetectRejectsBadBlocks checks that a block of more than 64 patterns
+// and a pattern whose width is not the circuit's input count are refused.
+func TestDetectRejectsBadBlocks(t *testing.T) {
+	c := mustParse(t, "c17", c17Bench)
+	faults, _, err := fault.List(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := NewTargets(sim.v, faults)
+	live := make([]bool, len(faults))
+	masks := make([]uint64, len(faults))
+	wide := make([]bitvec.Vector, 65)
+	for i := range wide {
+		wide[i] = bitvec.New(5)
+	}
+	if _, err := sim.Detect(tg, wide, live, masks); err == nil {
+		t.Error("expected error for a 65-pattern block")
+	}
+	if _, err := sim.Detect(tg, []bitvec.Vector{bitvec.New(3)}, live, masks); err == nil {
+		t.Error("expected error for a 3-bit pattern on 5 inputs")
+	}
+	if _, err := sim.Run(faults, []bitvec.Vector{bitvec.New(3)}, Options{}); err == nil {
+		t.Error("Run accepted a 3-bit pattern on 5 inputs")
+	}
+}
+
+// BenchmarkFaultSim grades 256 random patterns against every collapsed
+// fault of s1238 with fault dropping, serially and on two workers.
+func BenchmarkFaultSim(b *testing.B) {
+	c, err := bench.ScanView("s1238")
+	if err != nil {
+		b.Fatal(err)
+	}
 	faults, _, err := fault.List(c)
 	if err != nil {
 		b.Fatal(err)
@@ -370,15 +421,19 @@ func BenchmarkFaultSimC17(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	patterns := make([]bitvec.Vector, 64)
+	patterns := make([]bitvec.Vector, 256)
 	rng := rand.New(rand.NewSource(1))
 	for i := range patterns {
-		patterns[i] = bitvec.Random(5, rng)
+		patterns[i] = bitvec.Random(len(c.Inputs), rng)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(faults, patterns, Options{DropDetected: true}); err != nil {
-			b.Fatal(err)
-		}
+	for _, j := range []int{1, 2} {
+		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(faults, patterns, Options{DropDetected: true, Parallelism: j}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

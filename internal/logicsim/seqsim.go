@@ -1,3 +1,11 @@
+// Package logicsim implements a 64-way bit-parallel logic simulator for
+// gate-level circuits with flip-flops.
+//
+// Each gate value is a 64-bit word; bit k of every word belongs to stream k.
+// One pass over the levelized netlist therefore advances up to 64
+// independent input/state streams by one clock cycle. Combinational good-
+// and faulty-machine simulation for the reseeding flow runs in package
+// fsim, on the flat netlist.View.
 package logicsim
 
 import (
@@ -10,8 +18,8 @@ import (
 // SeqSimulator evaluates sequential circuits cycle by cycle: each Step
 // computes the combinational logic from the current primary inputs and
 // flip-flop states, samples the primary outputs, and then clocks every DFF
-// (Q ← D). Like Simulator it is 64-way bit-parallel, simulating the same
-// circuit under up to 64 independent input/state streams at once; the
+// (Q ← D). It is 64-way bit-parallel, simulating the same circuit under
+// up to 64 independent input/state streams at once; the
 // single-stream helpers (SetState/StepOne) cover the common verification
 // use.
 //

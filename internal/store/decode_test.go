@@ -2,6 +2,8 @@ package store
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -114,6 +116,125 @@ func TestDecodeMatrixRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: decoded to %+v, want an error", name, m)
 		}
 	}
+
+	// The first-detection table of a genuine record, edited.
+	good := sampleMatrix(t, smallFlow(t), "k")
+	if _, err := DecodeMatrix("k", good); err != nil {
+		t.Fatalf("genuine record: %v", err)
+	}
+	edited := map[string][]byte{
+		"rows without first detection": withoutFirstDetection(t, good),
+		"first detection past cycles":  poisonFirstDetection(t, good),
+		"first detection below -1": editFirstDetection(t, good, func(fd []int32) {
+			fd[slices.Index(fd, -1)] = -2
+		}),
+		"first detection without row bit": editFirstDetection(t, good, func(fd []int32) {
+			fd[slices.Index(fd, -1)] = 0
+		}),
+		"row bit without first detection": editFirstDetection(t, good, func(fd []int32) {
+			fd[slices.IndexFunc(fd, func(x int32) bool { return x >= 0 })] = -1
+		}),
+		"zero cycles": editRecord(t, good, func(rec map[string]any) {
+			rec["triplets"].([]any)[0].(map[string]any)["cycles"] = 0
+		}),
+	}
+	for name, rec := range edited {
+		if m, err := DecodeMatrix("k", rec); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, m)
+		}
+	}
+}
+
+// withoutFirstDetection drops a matrix record's first-detection table.
+// Such a record used to decode, and a test-length solve on it then
+// panicked assembling the cover.
+func withoutFirstDetection(t testing.TB, data []byte) []byte {
+	return editRecord(t, data, func(rec map[string]any) { delete(rec, "first_detection") })
+}
+
+// poisonFirstDetection moves every first detection of a matrix record to
+// 2^20. Such a record used to decode, and a test-length solve on it
+// answered a test length of millions of cycles as optimal.
+func poisonFirstDetection(t testing.TB, data []byte) []byte {
+	return editFirstDetection(t, data, func(fd []int32) {
+		for i, x := range fd {
+			if x >= 0 {
+				fd[i] = 1 << 20
+			}
+		}
+	})
+}
+
+// editFirstDetection lets edit change the row-major first-detection table
+// of a matrix record.
+func editFirstDetection(t testing.TB, data []byte, edit func([]int32)) []byte {
+	t.Helper()
+	return editRecord(t, data, func(rec map[string]any) {
+		buf, err := base64.StdEncoding.DecodeString(rec["first_detection"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := make([]int32, len(buf)/4)
+		for i := range fd {
+			fd[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		edit(fd)
+		buf = buf[:0]
+		for _, x := range fd {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+		}
+		rec["first_detection"] = base64.StdEncoding.EncodeToString(buf)
+	})
+}
+
+// A matrix record with a missing or poisoned first-detection table costs
+// one counted store error and a rebuild, and the test-length solve answers
+// what it answers without the store.
+func TestPoisonedFirstDetectionIsCountedAndRebuilt(t *testing.T) {
+	req := engine.Request{Circuit: "s420", TPG: "adder", Cycles: 48, Seed: 2, Objective: "testlength"}
+	want, err := engine.New(engine.Options{}).Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, poison := range map[string]func(testing.TB, []byte) []byte{
+		"missing":  withoutFirstDetection,
+		"poisoned": poisonFirstDetection,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.New(engine.Options{Store: s}).Solve(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(fmt.Sprintf("%s/%s", dir, KindMatrices))
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("matrix records: %v, %v", entries, err)
+			}
+			p := fmt.Sprintf("%s/%s/%s", dir, KindMatrices, entries[0].Name())
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, poison(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			eng := engine.New(engine.Options{Store: s})
+			got, err := eng.Solve(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Solution.TestLength != want.Solution.TestLength || got.Solution.Optimal != want.Solution.Optimal {
+				t.Errorf("test length %d (optimal %v), want %d (optimal %v)",
+					got.Solution.TestLength, got.Solution.Optimal, want.Solution.TestLength, want.Solution.Optimal)
+			}
+			if st := eng.Stats(); st.StoreReadErrors != 1 || st.MatrixBuilds != 1 {
+				t.Errorf("want one store read error and one matrix build: %+v", st)
+			}
+		})
+	}
 }
 
 func TestDecodeFlowRejectsMalformed(t *testing.T) {
@@ -219,6 +340,8 @@ func FuzzDecodeMatrix(f *testing.F) {
 	f.Add(sampleMatrix(f, smallFlow(f), "k"))
 	f.Add([]byte(matrixCrash))
 	f.Add([]byte(strings.Replace(matrixCrash, "1099511627776", "-1", 1)))
+	f.Add(withoutFirstDetection(f, sampleMatrix(f, smallFlow(f), "k")))
+	f.Add(poisonFirstDetection(f, sampleMatrix(f, smallFlow(f), "k")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMatrix("k", data)
 		if err != nil || m == nil {

@@ -453,9 +453,13 @@ func encodeFirstDetection(fd [][]int32) string {
 	return base64.StdEncoding.EncodeToString(buf)
 }
 
-// decodeFirstDetection unpacks the blob into rows × cols int32s.
+// decodeFirstDetection unpacks the blob into rows × cols int32s. A
+// matrix with rows needs the table: test-length trimming reads it.
 func decodeFirstDetection(blob string, rows, cols int) ([][]int32, error) {
-	if blob == "" {
+	if blob == "" && rows > 0 && cols > 0 {
+		return nil, fmt.Errorf("%d rows without a first-detection table", rows)
+	}
+	if blob == "" && rows == 0 {
 		return nil, nil
 	}
 	buf, err := base64.StdEncoding.DecodeString(blob)
@@ -555,6 +559,9 @@ func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 	}
 	seedDigits, rowDigits := (rec.Width+3)/4, (rec.NumFaults+3)/4
 	for i, tj := range rec.Triplets {
+		if tj.Cycles < 1 {
+			return nil, fmt.Errorf("store: matrix %s: triplet %d has %d cycles", key, i, tj.Cycles)
+		}
 		if len(tj.Delta) != seedDigits || len(tj.Theta) != seedDigits {
 			return nil, fmt.Errorf("store: matrix %s: triplet %d seeds have %d and %d hex digits, want %d for width %d",
 				key, i, len(tj.Delta), len(tj.Theta), seedDigits, rec.Width)
@@ -594,6 +601,17 @@ func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 			return nil, fmt.Errorf("store: matrix %s: row %d: %w", key, i, err)
 		}
 		m.Rows = append(m.Rows, row)
+	}
+	// A first detection names a pattern of the triplet's test set exactly
+	// where its row detects the fault, and is -1 elsewhere.
+	for i, row := range fd {
+		cycles := m.Triplets[i].Cycles
+		for j, x := range row {
+			if x < -1 || int(x) >= cycles || (x >= 0) != m.Rows[i].Contains(j) {
+				return nil, fmt.Errorf("store: matrix %s: first detection (%d, %d) = %d for %d cycles and row bit %v",
+					key, i, j, x, cycles, m.Rows[i].Contains(j))
+			}
+		}
 	}
 	return m, nil
 }
