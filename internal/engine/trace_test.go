@@ -103,27 +103,8 @@ func TestTraceSpanTreeShape(t *testing.T) {
 // Parallelism, and no search is wasted when there are no workers to run
 // ahead.
 func TestATPGSpanCountsPodemEffort(t *testing.T) {
-	attrs := func(j int) map[string]int64 {
-		t.Helper()
-		req := Request{Circuit: "s838", TPG: "adder", Cycles: 32, Seed: 1, Parallelism: j}
-		ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("test"))
-		resp, err := New(Options{}).Solve(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sp := range resp.Timing.Spans {
-			if sp.Name == "atpg" {
-				m := make(map[string]int64)
-				for _, a := range sp.Attrs {
-					m[a.Key] = a.Int
-				}
-				return m
-			}
-		}
-		t.Fatal("no atpg span")
-		return nil
-	}
-	serial, fanned := attrs(1), attrs(4)
+	req := Request{Circuit: "s838", TPG: "adder", Cycles: 32, Seed: 1}
+	serial, fanned := spanAttrs(t, req, 1, "atpg"), spanAttrs(t, req, 4, "atpg")
 	for _, key := range []string{"podem_searches", "podem_backtracks"} {
 		if serial[key] == 0 || serial[key] != fanned[key] {
 			t.Errorf("%s = %d at Parallelism 1, %d at 4; want equal and non-zero", key, serial[key], fanned[key])
@@ -132,6 +113,46 @@ func TestATPGSpanCountsPodemEffort(t *testing.T) {
 	if w := serial["podem_wasted"]; w != 0 {
 		t.Errorf("podem_wasted = %d at Parallelism 1, want 0", w)
 	}
+}
+
+// The fsim span explains the matrix build's duration with the stem
+// kernel's effort: region-root propagations, 64-pattern blocks and gate
+// evaluations are the same at every Parallelism, and at T = 8 eight
+// triplets share each block.
+func TestFsimSpanCountsStems(t *testing.T) {
+	req := Request{Circuit: "s838", TPG: "adder", Cycles: 8, Seed: 1}
+	serial, fanned := spanAttrs(t, req, 1, "fsim"), spanAttrs(t, req, 4, "fsim")
+	for _, key := range []string{"rows", "stems", "blocks", "gate_evals", "patterns_applied"} {
+		if serial[key] == 0 || serial[key] != fanned[key] {
+			t.Errorf("%s = %d at Parallelism 1, %d at 4; want equal and non-zero", key, serial[key], fanned[key])
+		}
+	}
+	if rows, blocks := serial["rows"], serial["blocks"]; blocks != (rows+7)/8 {
+		t.Errorf("%d blocks for %d rows at T = 8, want %d", blocks, rows, (rows+7)/8)
+	}
+}
+
+// spanAttrs solves req at Parallelism j on a fresh Engine with tracing on
+// and returns the integer attributes of its span called name.
+func spanAttrs(t *testing.T, req Request, j int, name string) map[string]int64 {
+	t.Helper()
+	req.Parallelism = j
+	ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("test"))
+	resp, err := New(Options{}).Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range resp.Timing.Spans {
+		if sp.Name == name {
+			m := make(map[string]int64)
+			for _, a := range sp.Attrs {
+				m[a.Key] = a.Int
+			}
+			return m
+		}
+	}
+	t.Fatalf("no %s span", name)
+	return nil
 }
 
 // A testlength solve takes the same reduce → residual path as a triplets
