@@ -30,13 +30,13 @@
 //
 // # Parallelism and determinism
 //
-// Run fans the region roots of each block out across Options.Parallelism
-// worker goroutines. The good-machine values and path sensitivities are
-// shared state, computed once per block before the fan-out; each worker
-// owns a private faulty machine, so workers never write shared state while
-// propagating. A root's faults are that root's alone, so each worker
-// writes only its own faults' mask slots, and the masks are folded into
-// the Result serially, in fault-list order.
+// Run fans the region-root propagations of each block out across
+// Options.Parallelism worker goroutines. The good-machine values, path
+// sensitivities and fault effects are computed once per block before the
+// fan-out and only read during it; each worker owns a private faulty
+// machine and writes only the observability slots of the roots it
+// propagates. The masks are then combined and folded into the Result
+// serially, in fault-list order.
 //
 // Determinism guarantee: for any Parallelism value (including 1, the serial
 // path), Run returns a bit-identical Result — Detected, FirstPattern,
@@ -195,9 +195,11 @@ type Simulator struct {
 	block int      // blocks simulated; a machine synced to this holds good
 
 	machines []*machine // machines[0] serves the serial path; grown on demand
-	active   []int32    // region roots with a live fault in the current block
+	active   []int32    // roots some live fault reaches in the current block
+	reach    []uint64   // by active root, the patterns to flip it in
+	observed []uint64   // by active root, the patterns an output changed in
 	maskBuf  []uint64   // per-fault detection masks for one block
-	effort   []Effort   // per-worker effort counters
+	evals    []int64    // per-worker gate-evaluation counters
 }
 
 // machine is one worker's private faulty machine: the good values of the
@@ -326,60 +328,79 @@ func (s *Simulator) Detect(t *Targets, block []bitvec.Vector, live []bool, masks
 	return e, nil
 }
 
-// detect is Detect with the region roots fanned out across up to workers
-// goroutines.
+// detect is Detect with the region-root propagations fanned out across up
+// to workers goroutines.
 func (s *Simulator) detect(t *Targets, block []bitvec.Vector, live []bool, masks []uint64, workers int) (Effort, error) {
 	if err := s.simulateGood(block); err != nil {
 		return Effort{}, err
 	}
+	s.traceSensitivity()
 	blockMask := ^uint64(0)
 	if len(block) < 64 {
 		blockMask = uint64(1)<<uint(len(block)) - 1
 	}
-	s.active = s.active[:0]
+	// Each live fault's effect at its root; a root that some effect
+	// reaches is propagated once, flipped in the union of its effects.
+	v, good := s.v, s.good
+	s.active, s.reach = s.active[:0], s.reach[:0]
 	for ri := range t.roots {
-		any := false
+		var reach uint64
 		for _, fi := range t.order[t.start[ri]:t.start[ri+1]] {
 			masks[fi] = 0
-			any = any || live[fi]
+			if !live[fi] {
+				continue
+			}
+			tg := &t.faults[fi]
+			x := (good[tg.act] ^ tg.stuck) & blockMask & s.sens[tg.site]
+			if tg.pin != fault.OutputPin && x != 0 {
+				x &= v.Sensitivity(tg.site, tg.pin, good)
+			}
+			masks[fi] = x
+			reach |= x
 		}
-		if any {
+		if reach != 0 {
 			s.active = append(s.active, int32(ri))
+			s.reach = append(s.reach, reach)
 		}
 	}
-	s.traceSensitivity()
+	e := Effort{Stems: int64(len(s.active))}
+	if cap(s.observed) < len(s.active) {
+		s.observed = make([]uint64, len(s.active))
+	}
+	observed := s.observed[:len(s.active)]
 
 	// Degrade toward serial when the active roots are too few to amortize
 	// goroutine handoffs. Scheduling only; results are unaffected.
 	workers = max(1, min(workers, len(s.active)/minRootsPerWorker))
 	if workers == 1 {
-		var e Effort
-		for _, ri := range s.active {
-			s.root(s.machines[0], t, ri, live, masks, blockMask, &e)
+		m := s.machines[0]
+		for k, ri := range s.active {
+			observed[k] = m.propagate(s, t.roots[ri], s.reach[k], &e.GateEvals)
 		}
-		return e, nil
-	}
-	s.ensureMachines(workers)
-	if cap(s.effort) < workers {
-		s.effort = make([]Effort, workers)
-	}
-	effort := s.effort[:workers]
-	clear(effort)
-	parallel.ForEachChunk(workers, len(s.active), rootChunk, func(worker, lo, hi int) {
-		// Accumulate locally and publish once per chunk: per-root
-		// increments on adjacent effort slots would false-share one cache
-		// line across workers.
-		var e Effort
-		for _, ri := range s.active[lo:hi] {
-			s.root(s.machines[worker], t, ri, live, masks, blockMask, &e)
+	} else {
+		s.ensureMachines(workers)
+		if cap(s.evals) < workers {
+			s.evals = make([]int64, workers)
 		}
-		effort[worker].GateEvals += e.GateEvals
-		effort[worker].Stems += e.Stems
-	})
-	var e Effort
-	for _, w := range effort {
-		e.GateEvals += w.GateEvals
-		e.Stems += w.Stems
+		evals := s.evals[:workers]
+		clear(evals)
+		parallel.ForEachChunk(workers, len(s.active), rootChunk, func(worker, lo, hi int) {
+			// Count locally and publish once per chunk: per-root increments
+			// on adjacent counters would false-share one cache line.
+			m, n := s.machines[worker], int64(0)
+			for k := lo; k < hi; k++ {
+				observed[k] = m.propagate(s, t.roots[s.active[k]], s.reach[k], &n)
+			}
+			evals[worker] += n
+		})
+		for _, n := range evals {
+			e.GateEvals += n
+		}
+	}
+	for k, ri := range s.active {
+		for _, fi := range t.order[t.start[ri]:t.start[ri+1]] {
+			masks[fi] &= observed[k]
+		}
 	}
 	return e, nil
 }
@@ -437,44 +458,15 @@ func (s *Simulator) traceSensitivity() {
 	}
 }
 
-// root simulates the live faults of region root t.roots[ri] on machine m:
-// each one's effect at the root, then one propagation of their union from
-// the root to the primary outputs.
-func (s *Simulator) root(m *machine, t *Targets, ri int32, live []bool, masks []uint64, blockMask uint64, e *Effort) {
-	v, good := s.v, s.good
-	faults := t.order[t.start[ri]:t.start[ri+1]]
-	var reach uint64
-	for _, fi := range faults {
-		if !live[fi] {
-			continue
-		}
-		tg := &t.faults[fi]
-		x := (good[tg.act] ^ tg.stuck) & blockMask & s.sens[tg.site]
-		if tg.pin != fault.OutputPin && x != 0 {
-			x &= v.Sensitivity(tg.site, tg.pin, good)
-		}
-		masks[fi] = x
-		reach |= x
-	}
-	if reach == 0 {
-		return
-	}
-	observed := m.propagate(s, t.roots[ri], reach, e)
-	for _, fi := range faults {
-		masks[fi] &= observed
-	}
-}
-
 // propagate flips line r in the patterns flip, propagates the change
 // event-driven in level order, and returns the patterns in which a primary
 // output changed. It restores the machine to the good values afterwards.
-func (m *machine) propagate(s *Simulator, r int32, flip uint64, e *Effort) uint64 {
+func (m *machine) propagate(s *Simulator, r int32, flip uint64, evals *int64) uint64 {
 	v, good, val := s.v, s.good, m.val
 	if m.block != s.block {
 		copy(val, good)
 		m.block = s.block
 	}
-	e.Stems++
 	var observed uint64
 	if v.IsOut[r] {
 		observed = flip
@@ -488,7 +480,7 @@ func (m *machine) propagate(s *Simulator, r int32, flip uint64, e *Effort) uint6
 				l := w<<6 | int32(bits.TrailingZeros64(m.pending[w]))
 				m.pending[w] &= m.pending[w] - 1
 				x := v.Eval(l, val)
-				e.GateEvals++
+				*evals++
 				d := x ^ good[l]
 				if d == 0 {
 					continue
