@@ -448,11 +448,7 @@ func (s *Simulator) traceSensitivity() {
 		sg := s.sens[g]
 		for pin, f := range v.FaninOf(g) {
 			if v.Root[f] != f {
-				if sg != 0 {
-					s.sens[f] = sg & v.Sensitivity(g, pin, s.good)
-				} else {
-					s.sens[f] = 0
-				}
+				s.sens[f] = sg & v.Sensitivity(g, pin, s.good)
 			}
 		}
 	}
