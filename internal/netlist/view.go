@@ -39,14 +39,33 @@ type Node struct {
 	In, InEnd   int32
 	Out, OutEnd int32
 	Type        GateType
-
-	// The gate function in one of two shapes, so Eval branches once per
-	// gate rather than on its type: the XOR of the fanin words, or the AND
-	// of the fanin words each XORed with neg (De Morgan turns the OR
-	// family into ANDs of inverted inputs); then XORed with inv.
-	xor      bool
-	neg, inv uint64
 }
+
+// gateOps gives each gate type's function in one of two shapes, so Eval
+// branches once per gate rather than on its type: the XOR of the fanin
+// words (opXor), or the AND of the fanin words, each inverted for opNeg
+// (De Morgan turns the OR family into ANDs of inverted inputs); then the
+// result inverted for opInv. An input's word is assigned, not computed.
+var gateOps = [...]uint8{
+	Input:  opInv,
+	And:    0,
+	Nand:   opInv,
+	Or:     opNeg | opInv,
+	Nor:    opNeg,
+	Xor:    opXor,
+	Xnor:   opXor | opInv,
+	Not:    opInv,
+	Buf:    0,
+	DFF:    0,
+	Const0: opInv,
+	Const1: 0,
+}
+
+const (
+	opXor = 1 << iota
+	opNeg
+	opInv
+)
 
 // NewView flattens the finalized circuit c.
 func NewView(c *Circuit) *View {
@@ -82,16 +101,6 @@ func NewView(c *Circuit) *View {
 		}
 		nd.OutEnd = int32(len(v.Fanout))
 		slices.Sort(v.Fanout[nd.Out:nd.OutEnd])
-		switch g.Type {
-		case Xor, Xnor:
-			nd.xor = true
-		case Or, Nor:
-			nd.neg = ^uint64(0)
-		}
-		switch g.Type {
-		case Nand, Or, Xnor, Not, Const0, Input:
-			nd.inv = ^uint64(0)
-		}
 	}
 	for _, id := range c.Inputs {
 		v.Inputs = append(v.Inputs, v.Line[id])
@@ -128,18 +137,20 @@ func (v *View) FanoutOf(l int32) []int32 {
 func (v *View) Eval(l int32, val []uint64) uint64 {
 	nd := &v.Nodes[l]
 	in := v.Fanin[nd.In:nd.InEnd]
-	if nd.xor {
-		x := nd.inv
+	op := gateOps[nd.Type]
+	inv := -uint64(op >> 2 & 1)
+	if op&opXor != 0 {
+		x := inv
 		for _, f := range in {
 			x ^= val[f]
 		}
 		return x
 	}
-	x, neg := ^uint64(0), nd.neg
+	x, neg := ^uint64(0), -uint64(op>>1&1)
 	for _, f := range in {
 		x &= val[f] ^ neg
 	}
-	return x ^ nd.inv
+	return x ^ inv
 }
 
 // Sensitivity returns the patterns, over the words val holds, in which
@@ -148,13 +159,14 @@ func (v *View) Eval(l int32, val []uint64) uint64 {
 // passes an XOR-family gate, an inverter or a buffer.
 func (v *View) Sensitivity(l int32, pin int, val []uint64) uint64 {
 	nd := &v.Nodes[l]
-	s := ^uint64(0)
-	if nd.xor {
+	s, op := ^uint64(0), gateOps[nd.Type]
+	if op&opXor != 0 {
 		return s
 	}
+	neg := -uint64(op >> 1 & 1)
 	for q, f := range v.Fanin[nd.In:nd.InEnd] {
 		if q != pin {
-			s &= val[f] ^ nd.neg
+			s &= val[f] ^ neg
 		}
 	}
 	return s
