@@ -146,15 +146,15 @@ func TestDecodeMatrixRejectsMalformed(t *testing.T) {
 }
 
 // withoutFirstDetection drops a matrix record's first-detection table.
-// Such a record used to decode, and a test-length solve on it then
-// panicked assembling the cover.
+// Unchecked, such a record decodes, and a test-length solve on it panics
+// assembling the cover.
 func withoutFirstDetection(t testing.TB, data []byte) []byte {
 	return editRecord(t, data, func(rec map[string]any) { delete(rec, "first_detection") })
 }
 
 // poisonFirstDetection moves every first detection of a matrix record to
-// 2^20. Such a record used to decode, and a test-length solve on it
-// answered a test length of millions of cycles as optimal.
+// 2^20. Unchecked, such a record decodes, and a test-length solve on it
+// answers a test length of millions of cycles as optimal.
 func poisonFirstDetection(t testing.TB, data []byte) []byte {
 	return editFirstDetection(t, data, func(fd []int32) {
 		for i, x := range fd {
