@@ -119,26 +119,11 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 
 	for fi, f := range faults {
-		wantDetected := false
-		wantFirst := -1
-		for pi, p := range patterns {
-			good := refGoodEval(c, p)
-			bad := refFaultyEval(c, f, p)
-			for o := range good {
-				if good[o] != bad[o] {
-					wantDetected = true
-					break
-				}
-			}
-			if wantDetected {
-				wantFirst = pi
-				break
-			}
-		}
-		if res.Detected[fi] != wantDetected {
+		wantFirst := refFirstDetection(c, f, patterns)
+		if wantDetected := wantFirst >= 0; res.Detected[fi] != wantDetected {
 			t.Errorf("fault %s: detected=%v, want %v", f.String(c), res.Detected[fi], wantDetected)
 		}
-		if wantDetected && res.FirstPattern[fi] != wantFirst {
+		if res.FirstPattern[fi] != wantFirst {
 			t.Errorf("fault %s: first pattern %d, want %d", f.String(c), res.FirstPattern[fi], wantFirst)
 		}
 	}
