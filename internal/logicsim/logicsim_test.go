@@ -44,20 +44,6 @@ func refC17(in [5]bool) (g22, g23 bool) {
 	return nand(n10, n16), nand(n16, n19)
 }
 
-// pack returns one word per input of c, with bit k holding pattern k's
-// value for that input.
-func pack(c *netlist.Circuit, patterns []bitvec.Vector) []uint64 {
-	words := make([]uint64, len(c.Inputs))
-	for k, p := range patterns {
-		for i := range words {
-			if p.Bit(i) {
-				words[i] |= 1 << uint(k)
-			}
-		}
-	}
-	return words
-}
-
 func TestC17Exhaustive(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	sim, err := NewSequential(c)
@@ -69,7 +55,11 @@ func TestC17Exhaustive(t *testing.T) {
 	for v := 0; v < 32; v++ {
 		patterns[v] = bitvec.FromUint64(5, uint64(v))
 	}
-	out, err := sim.Step(pack(c, patterns))
+	words, err := PackPatterns(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sim.Step(words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +117,40 @@ o_nor  = NOR(a, b)
 	}
 }
 
+func TestInputCountMismatch(t *testing.T) {
+	c := mustParse(t, "c17", c17Bench)
+	sim, _ := NewSequential(c)
+	if _, err := sim.Step(make([]uint64, 3)); err == nil {
+		t.Fatal("expected error for wrong input word count")
+	}
+}
+
+func TestPackPatternsErrors(t *testing.T) {
+	c := mustParse(t, "c17", c17Bench)
+	if _, err := PackPatterns(c, make([]bitvec.Vector, 65)); err == nil {
+		t.Fatal("expected error for 65-pattern block")
+	}
+	if _, err := PackPatterns(c, []bitvec.Vector{bitvec.New(3)}); err == nil {
+		t.Fatal("expected error for wrong pattern width")
+	}
+}
+
+func TestPackPatternsLayout(t *testing.T) {
+	c := mustParse(t, "c17", c17Bench)
+	p0 := bitvec.FromUint64(5, 0b00001) // only input 0 set
+	p1 := bitvec.FromUint64(5, 0b10000) // only input 4 set
+	words, err := PackPatterns(c, []bitvec.Vector{p0, p1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if words[0] != 0b01 {
+		t.Errorf("input 0 word = %b, want 01", words[0])
+	}
+	if words[4] != 0b10 {
+		t.Errorf("input 4 word = %b, want 10", words[4])
+	}
+}
+
 // Blockwise simulation must agree with pattern-at-a-time simulation.
 func TestBlockMatchesSingle(t *testing.T) {
 	src := `
@@ -153,7 +177,8 @@ z  = NOR(t1, t4)
 	for i := range patterns {
 		patterns[i] = bitvec.Random(4, rng)
 	}
-	blockOut, err := sim.Step(pack(c, patterns))
+	words, _ := PackPatterns(c, patterns)
+	blockOut, err := sim.Step(words)
 	if err != nil {
 		t.Fatal(err)
 	}

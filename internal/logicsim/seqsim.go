@@ -133,18 +133,36 @@ func (s *SeqSimulator) Step(inputWords []uint64) ([]uint64, error) {
 	return s.outBuf, nil
 }
 
+// PackPatterns packs up to 64 patterns into per-input words for Step: the
+// returned slice has one word per circuit input, with bit k holding pattern
+// k's value for that input. Pattern bit i corresponds to circuit input i
+// (pattern width must equal the circuit's input count).
+func PackPatterns(c *netlist.Circuit, patterns []bitvec.Vector) ([]uint64, error) {
+	if len(patterns) > 64 {
+		return nil, fmt.Errorf("logicsim: block of %d patterns exceeds 64", len(patterns))
+	}
+	n := len(c.Inputs)
+	words := make([]uint64, n)
+	for k, p := range patterns {
+		if p.Width() != n {
+			return nil, fmt.Errorf("logicsim: pattern %d has width %d, circuit has %d inputs",
+				k, p.Width(), n)
+		}
+		for i := 0; i < n; i++ {
+			if p.Bit(i) {
+				words[i] |= 1 << uint(k)
+			}
+		}
+	}
+	return words, nil
+}
+
 // StepOne runs one cycle of stream 0 with a single input pattern (bit i =
 // input i) and returns the primary outputs as a vector.
 func (s *SeqSimulator) StepOne(inputs bitvec.Vector) (bitvec.Vector, error) {
-	if inputs.Width() != len(s.c.Inputs) {
-		return bitvec.Vector{}, fmt.Errorf("logicsim: input width %d, circuit has %d inputs",
-			inputs.Width(), len(s.c.Inputs))
-	}
-	words := make([]uint64, len(s.c.Inputs))
-	for i := range words {
-		if inputs.Bit(i) {
-			words[i] = 1
-		}
+	words, err := PackPatterns(s.c, []bitvec.Vector{inputs})
+	if err != nil {
+		return bitvec.Vector{}, err
 	}
 	outWords, err := s.Step(words)
 	if err != nil {
