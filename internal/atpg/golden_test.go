@@ -4,18 +4,19 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/fault"
 )
 
-// answerDigest hashes the answer a Result carries: the patterns in order,
-// the detection record, the untestable and aborted lists in the order the
-// run classified them, and every statistic except GateEvals. GateEvals
-// measures the fault simulator's effort, not the answer, and is pinned on
-// its own.
-func answerDigest(res *Result) string {
+// testSetDigest hashes the test set a Result carries: the patterns in
+// order, the detection record, and every statistic except GateEvals,
+// PodemUntestable and PodemAborted. It is what the reseeding flow
+// consumes (ATPGTS and F), and it does not move when a fault PODEM gave
+// up on is proven untestable instead.
+func testSetDigest(res *Result) string {
 	h := sha256.New()
 	for _, p := range res.Patterns {
 		fmt.Fprintf(h, "p %s\n", p.Hex())
@@ -26,32 +27,46 @@ func answerDigest(res *Result) string {
 		}
 	}
 	st := res.Stats
-	st.GateEvals = 0
-	fmt.Fprintf(h, "u %v\na %v\ns %+v\n", res.Untestable, res.Aborted, st)
+	st.GateEvals, st.PodemUntestable, st.PodemAborted = 0, 0, 0
+	fmt.Fprintf(h, "s %+v\n", st)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// unionDigest hashes the faults the run classified without a test,
+// untestable and aborted together, in index order.
+func unionDigest(res *Result) string {
+	union := slices.Concat(res.Untestable, res.Aborted)
+	slices.Sort(union)
+	h := sha256.Sum256(fmt.Appendf(nil, "%v", union))
+	return hex.EncodeToString(h[:])
+}
+
 // TestGoldenResults pins the ATPG result on bundled circuits at every
-// degree of parallelism, as two pins per case. The answer digest was
-// recorded from the serial, unpacked PODEM that preceded the packed kernel
-// and its outcome fan-out, so any change to which patterns are generated,
-// in which order, or how a fault is classified fails here. The GateEvals
-// pin is the fault simulator's effort on the same run; it moves only when
-// the simulation kernel does less or more work for the same answer.
+// degree of parallelism, as four pins per case. The test-set digest, the
+// digest of the untestable and aborted faults taken together, and the
+// bound on the aborted count were recorded on the serial PODEM alone, so
+// a change to which patterns are generated, in which order, or which
+// faults are left without a test fails here; a fault may move from
+// aborted to untestable, never the other way or to detected. The
+// GateEvals pin is the fault simulator's effort on the same run; it moves
+// only when the simulation kernel does less or more work for the same
+// answer.
 func TestGoldenResults(t *testing.T) {
 	cases := []struct {
-		circuit   string
-		seed      int64
-		answer    string
-		gateEvals int64
+		circuit    string
+		seed       int64
+		testSet    string
+		union      string
+		maxAborted int
+		gateEvals  int64
 	}{
-		{"c432", 1, "0c333506f9021ebdc8aac50d528ebeee10115876a52cad9a7f29d64479eb4dad", 6915},
-		{"s420", 1, "6a5862854e928a4d20681f15e9e695e13646316ee0c8b63d01216c5496008cda", 10870},
-		{"s820", 1, "7328205b4c5818d1bf3f5cd123600e96c8bb0fa96caeacbf93e007b48007daaa", 16275},
-		{"s838", 1, "8662a215b11c1cc754a1532db0b0930a4e67618331bc468861a26058e172fb09", 31737},
-		{"s1238", 1, "cb991a369f3403c66e346f271ff3ed2224ac7d92ff673eae8ff8b038e99667e9", 38635},
-		{"c432", 2, "bca97fdc2ca0e75e432a718a914f28857409a15b6b5758f36b56c46462c33266", 7006},
-		{"s420", 2, "0e97794ed415f86705ff5db5caad804e2470457c103e6d7bf77d21f26be5c027", 11149},
+		{"c432", 1, "7365c96d1fbf3ed1c0007dcef99a90cd109f650674ca373955a8b498e7fec82e", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, 6915},
+		{"s420", 1, "538ebf23a56377978b9f5b36c1e3fa670b04c7fa22100f1f4a81e3a42f8963ef", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, 10870},
+		{"s820", 1, "1043d925bdfbdffd7561f35dde57c442e3873a9489351eb01c30846d4e08d06a", "93c5735576f90868610d5b70c5627f96d2b12fdc9141a4b86a2347a5295687fb", 0, 16275},
+		{"s838", 1, "cfb82ca30cda2ef6a232d8b485fa95a47ffdc46c0ec3b4249c8a85f57a18f580", "e6e0ec62dba80309d0008035a40235f24c8cc07fce31620bdf476e78ffdabd07", 25, 31737},
+		{"s1238", 1, "d5c7becefb69cf45681f6179dd44ab07fa2965724a8397c37a162b44a13f8b27", "236c0d4407d42c1a74799dcf6d5eb4db17d0fe8abb20affa703049c68adc9afd", 22, 38635},
+		{"c432", 2, "f479a3038d4544cc9a45e07830770e7f6b25623548557dc20e3497d4474bc66c", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, 7006},
+		{"s420", 2, "b79350007d15be3ddf344bfa3f82e69d02cf6c1cdd406f8e3e859df4f369546d", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, 11149},
 	}
 	for _, tc := range cases {
 		c, err := bench.ScanView(tc.circuit)
@@ -68,9 +83,16 @@ func TestGoldenResults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := answerDigest(res); got != tc.answer {
-					t.Errorf("answer digest %s, want %s (%d patterns, stats %+v)",
-						got, tc.answer, len(res.Patterns), res.Stats)
+				if got := testSetDigest(res); got != tc.testSet {
+					t.Errorf("test-set digest %s, want %s (%d patterns, stats %+v)",
+						got, tc.testSet, len(res.Patterns), res.Stats)
+				}
+				if got := unionDigest(res); got != tc.union {
+					t.Errorf("untestable ∪ aborted digest %s, want %s (%d untestable, %d aborted)",
+						got, tc.union, len(res.Untestable), len(res.Aborted))
+				}
+				if len(res.Aborted) > tc.maxAborted {
+					t.Errorf("%d aborted faults, want at most %d", len(res.Aborted), tc.maxAborted)
 				}
 				if res.Stats.GateEvals != tc.gateEvals {
 					t.Errorf("GateEvals %d, want %d", res.Stats.GateEvals, tc.gateEvals)
