@@ -14,6 +14,9 @@ package reseedvet
 var DeterminismScope = []string{
 	"internal/setcover",
 	"internal/setcover/corpus",
+	// The test generator: its test set and fault classification, the
+	// prover's conflict-budgeted verdicts included, feed every matrix.
+	"internal/atpg",
 	"internal/fsim",
 	"internal/dmatrix",
 	"internal/core",

@@ -159,49 +159,9 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	v := newView(c)
 	sim := fsim.NewForView(&v.View)
 	res := &Result{Detected: make([]bool, len(faults))}
-	width := len(c.Inputs)
-
-	// Phase 1: random patterns with fault dropping. Patterns that detect
-	// nothing new are discarded block by block.
-	var patterns []bitvec.Vector
-	undetected := make([]int, len(faults))
-	for i := range faults {
-		undetected[i] = i
-	}
-	stall := 0
-	for len(patterns) < opts.MaxRandomPatterns && len(undetected) > 0 && stall < opts.RandomStallBlocks {
-		block := make([]bitvec.Vector, 64)
-		for i := range block {
-			block[i] = bitvec.Random(width, rng)
-		}
-		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, block, fsim.Options{DropDetected: true, Parallelism: opts.Parallelism, Context: opts.Context})
-		if err != nil {
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		res.Stats.GateEvals += fres.GateEvals
-		res.Stats.RandomPatterns += len(block)
-		if fres.NumDetected == 0 {
-			stall++
-			continue
-		}
-		stall = 0
-		// Keep only patterns that first-detect something.
-		keep := make([]bool, len(block))
-		for si, fp := range fres.FirstPattern {
-			if fp >= 0 {
-				keep[fp] = true
-				fi := undetected[si]
-				res.Detected[fi] = true
-				res.Stats.RandomDetected++
-			}
-		}
-		for pi, k := range keep {
-			if k {
-				patterns = append(patterns, block[pi])
-			}
-		}
-		undetected = filterUndetected(undetected, res.Detected)
+	patterns, undetected, err := randomPhase(sim, len(c.Inputs), faults, opts, rng, res)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: PODEM on the remaining faults. Patterns are produced in
@@ -215,7 +175,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	for len(undetected) > 0 {
 		var batch []bitvec.Vector
 		var targets []int
-		err := pool.round(undetected, func(fi int, out *outcome) bool {
+		err = pool.round(undetected, func(fi int, out *outcome) bool {
 			switch out.status {
 			case statusUntestable:
 				res.Untestable = append(res.Untestable, fi)
@@ -273,6 +233,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		sp.AddInt("podem_searches", pool.consumed)
 		sp.AddInt("podem_backtracks", pool.backtracks)
 		sp.AddInt("podem_wasted", pool.ran-pool.consumed)
+		sp.AddInt("prover_untestable", pool.proved)
+		sp.AddInt("prover_conflicts", pool.conflicts)
 	}
 
 	// Phase 3: reverse-order compaction. Simulating the sequence backwards
@@ -307,6 +269,54 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	}
 	res.Patterns = patterns
 	return res, nil
+}
+
+// randomPhase is phase 1 of Run: random patterns of width inputs with
+// fault dropping. Patterns that detect nothing new are discarded block by
+// block. It records the detections in res and returns the patterns kept
+// and the faults left undetected, in fault-list order.
+func randomPhase(sim *fsim.Simulator, width int, faults []fault.Fault, opts Options, rng *rand.Rand, res *Result) ([]bitvec.Vector, []int, error) {
+	var patterns []bitvec.Vector
+	undetected := make([]int, len(faults))
+	for i := range faults {
+		undetected[i] = i
+	}
+	stall := 0
+	for len(patterns) < opts.MaxRandomPatterns && len(undetected) > 0 && stall < opts.RandomStallBlocks {
+		block := make([]bitvec.Vector, 64)
+		for i := range block {
+			block[i] = bitvec.Random(width, rng)
+		}
+		sub := subset(faults, undetected)
+		fres, err := sim.Run(sub, block, fsim.Options{DropDetected: true, Parallelism: opts.Parallelism, Context: opts.Context})
+		if err != nil {
+			return nil, nil, fmt.Errorf("atpg: %w", err)
+		}
+		res.Stats.GateEvals += fres.GateEvals
+		res.Stats.RandomPatterns += len(block)
+		if fres.NumDetected == 0 {
+			stall++
+			continue
+		}
+		stall = 0
+		// Keep only patterns that first-detect something.
+		keep := make([]bool, len(block))
+		for si, fp := range fres.FirstPattern {
+			if fp >= 0 {
+				keep[fp] = true
+				fi := undetected[si]
+				res.Detected[fi] = true
+				res.Stats.RandomDetected++
+			}
+		}
+		for pi, k := range keep {
+			if k {
+				patterns = append(patterns, block[pi])
+			}
+		}
+		undetected = filterUndetected(undetected, res.Detected)
+	}
+	return patterns, undetected, nil
 }
 
 // fill turns a test cube into a pattern, drawing each unassigned input

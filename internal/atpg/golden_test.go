@@ -41,16 +41,24 @@ func unionDigest(res *Result) string {
 	return hex.EncodeToString(h[:])
 }
 
+// classesDigest hashes the untestable and aborted lists in the order the
+// run classified them.
+func classesDigest(res *Result) string {
+	h := sha256.Sum256(fmt.Appendf(nil, "u %v\na %v\n", res.Untestable, res.Aborted))
+	return hex.EncodeToString(h[:])
+}
+
 // TestGoldenResults pins the ATPG result on bundled circuits at every
-// degree of parallelism, as four pins per case. The test-set digest, the
+// degree of parallelism, as five pins per case. The test-set digest, the
 // digest of the untestable and aborted faults taken together, and the
 // bound on the aborted count were recorded on the serial PODEM alone, so
 // a change to which patterns are generated, in which order, or which
 // faults are left without a test fails here; a fault may move from
-// aborted to untestable, never the other way or to detected. The
-// GateEvals pin is the fault simulator's effort on the same run; it moves
-// only when the simulation kernel does less or more work for the same
-// answer.
+// aborted to untestable, never the other way or to detected. The classes
+// digest pins which of them the prover settles, recorded with the prover
+// in front of PODEM. The GateEvals pin is the fault simulator's effort on
+// the same run; it moves only when the simulation kernel does less or
+// more work for the same answer.
 func TestGoldenResults(t *testing.T) {
 	cases := []struct {
 		circuit    string
@@ -58,15 +66,16 @@ func TestGoldenResults(t *testing.T) {
 		testSet    string
 		union      string
 		maxAborted int
+		classes    string
 		gateEvals  int64
 	}{
-		{"c432", 1, "7365c96d1fbf3ed1c0007dcef99a90cd109f650674ca373955a8b498e7fec82e", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, 6915},
-		{"s420", 1, "538ebf23a56377978b9f5b36c1e3fa670b04c7fa22100f1f4a81e3a42f8963ef", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, 10870},
-		{"s820", 1, "1043d925bdfbdffd7561f35dde57c442e3873a9489351eb01c30846d4e08d06a", "93c5735576f90868610d5b70c5627f96d2b12fdc9141a4b86a2347a5295687fb", 0, 16275},
-		{"s838", 1, "cfb82ca30cda2ef6a232d8b485fa95a47ffdc46c0ec3b4249c8a85f57a18f580", "e6e0ec62dba80309d0008035a40235f24c8cc07fce31620bdf476e78ffdabd07", 25, 31737},
-		{"s1238", 1, "d5c7becefb69cf45681f6179dd44ab07fa2965724a8397c37a162b44a13f8b27", "236c0d4407d42c1a74799dcf6d5eb4db17d0fe8abb20affa703049c68adc9afd", 22, 38635},
-		{"c432", 2, "f479a3038d4544cc9a45e07830770e7f6b25623548557dc20e3497d4474bc66c", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, 7006},
-		{"s420", 2, "b79350007d15be3ddf344bfa3f82e69d02cf6c1cdd406f8e3e859df4f369546d", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, 11149},
+		{"c432", 1, "7365c96d1fbf3ed1c0007dcef99a90cd109f650674ca373955a8b498e7fec82e", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, "c262ad6915d4b4b5eae466fa26fbdfaccec818c126fc9efcf7dfd478ac34589d", 6915},
+		{"s420", 1, "538ebf23a56377978b9f5b36c1e3fa670b04c7fa22100f1f4a81e3a42f8963ef", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, "8f7df6ac9a87a8c53d2a3b7322d1282a176e05ad0815466ed9873c779c587917", 10870},
+		{"s820", 1, "1043d925bdfbdffd7561f35dde57c442e3873a9489351eb01c30846d4e08d06a", "93c5735576f90868610d5b70c5627f96d2b12fdc9141a4b86a2347a5295687fb", 0, "2e08b02c152ac2686f7fcebd1ec05df412d8d6d1672776272ab3962a698d27b2", 16275},
+		{"s838", 1, "cfb82ca30cda2ef6a232d8b485fa95a47ffdc46c0ec3b4249c8a85f57a18f580", "e6e0ec62dba80309d0008035a40235f24c8cc07fce31620bdf476e78ffdabd07", 25, "6382d8ab735b527f713a56744e8bc23d74b71573360fed70a5c61cd964f7e3d5", 31737},
+		{"s1238", 1, "d5c7becefb69cf45681f6179dd44ab07fa2965724a8397c37a162b44a13f8b27", "236c0d4407d42c1a74799dcf6d5eb4db17d0fe8abb20affa703049c68adc9afd", 22, "201d399bcdb4716edd85e2e3469fb9f98f25af1c3743da493d6b71dc7a328a73", 38635},
+		{"c432", 2, "f479a3038d4544cc9a45e07830770e7f6b25623548557dc20e3497d4474bc66c", "34432cb790da824a2d600fd04e521042ce7c58a30c4f312d2ac9e6874c88f7ae", 0, "c262ad6915d4b4b5eae466fa26fbdfaccec818c126fc9efcf7dfd478ac34589d", 7006},
+		{"s420", 2, "b79350007d15be3ddf344bfa3f82e69d02cf6c1cdd406f8e3e859df4f369546d", "791653a54492bb4ca30d849b9cd60d19a541dc4b43a74f37f2144b493075b062", 2, "8f7df6ac9a87a8c53d2a3b7322d1282a176e05ad0815466ed9873c779c587917", 11149},
 	}
 	for _, tc := range cases {
 		c, err := bench.ScanView(tc.circuit)
@@ -93,6 +102,10 @@ func TestGoldenResults(t *testing.T) {
 				}
 				if len(res.Aborted) > tc.maxAborted {
 					t.Errorf("%d aborted faults, want at most %d", len(res.Aborted), tc.maxAborted)
+				}
+				if got := classesDigest(res); got != tc.classes {
+					t.Errorf("classes digest %s, want %s (%d untestable, %d aborted)",
+						got, tc.classes, len(res.Untestable), len(res.Aborted))
 				}
 				if res.Stats.GateEvals != tc.gateEvals {
 					t.Errorf("GateEvals %d, want %d", res.Stats.GateEvals, tc.gateEvals)

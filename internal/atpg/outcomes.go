@@ -17,6 +17,8 @@ type outcome struct {
 	status     status
 	cube       []byte // per primary input v0, v1 or vX; detected only, dropped once consumed
 	backtracks int
+	proved     bool // untestable by the prover, without a search
+	conflicts  int  // the prover's conflicts
 }
 
 // outcomes computes PODEM outcomes for Run's consumer, which takes them
@@ -35,6 +37,8 @@ type outcomes struct {
 	ran        int64 // searches run, wasted ones included
 	consumed   int64 // outcomes the consumer used
 	backtracks int64 // summed over the consumed outcomes
+	proved     int64 // consumed outcomes the prover settled
+	conflicts  int64 // the prover's conflicts, summed over the consumed outcomes
 }
 
 func newOutcomes(v *view, faults []fault.Fault, opts Options) *outcomes {
@@ -145,6 +149,10 @@ func (o *outcomes) use(fi int, consume func(fi int, out *outcome) bool) bool {
 	out := o.done[fi]
 	o.consumed++
 	o.backtracks += int64(out.backtracks)
+	o.conflicts += int64(out.conflicts)
+	if out.proved {
+		o.proved++
+	}
 	more := consume(fi, out)
 	out.cube = nil
 	return more

@@ -297,11 +297,13 @@ func inverts(t netlist.GateType) bool {
 // podem is one worker's test generator for single stuck-at faults, using
 // the PODEM algorithm: decisions are made only on primary inputs, with
 // three-valued event-driven implication of the good and faulty machines
-// (packed, one evaluation for both) and trail-based backtracking. It owns
-// all of its mutable state, so workers share nothing but the view.
+// (packed, one evaluation for both) and trail-based backtracking. Before
+// it searches a fault, its prover tries to show the fault untestable. It
+// owns all of its mutable state, so workers share nothing but the view.
 type podem struct {
 	v     *view
 	limit int // backtrack limit
+	pr    *prover
 
 	val []byte // packed good/faulty value per line
 
@@ -320,14 +322,16 @@ type podem struct {
 	markers []int
 
 	// Current fault.
+	gate      int // gate ID of the site
 	site      int32
 	pin       int  // fault.OutputPin or the faulted fanin pin
 	stuck     byte // v0 or v1
 	stuckRail byte // faulty0 or faulty1
 	siteIn    []byte
 	// cone is the fanout cone of the site, in gate ID order: the only
-	// region where the D-frontier can live. Cached per site because the
-	// output fault and all pin faults of a gate share it.
+	// region where the D-frontier can live. Built when a search needs it
+	// and cached per site, because the output fault and all pin faults of
+	// a gate share it.
 	cone     []int32
 	coneGate int32
 }
@@ -348,6 +352,7 @@ func newPodem(v *view, limit int) *podem {
 	return &podem{
 		v:          v,
 		limit:      limit,
+		pr:         newProver(v),
 		val:        make([]byte, n),
 		xpathMemo:  make([]byte, n),
 		xpathEpoch: make([]int32, n),
@@ -357,10 +362,29 @@ func newPodem(v *view, limit int) *podem {
 	}
 }
 
-// generate runs PODEM for one fault. The outcome depends only on the
-// view, the fault and the backtrack limit.
+// generate classifies one fault: untestable if the prover shows it, else
+// by a PODEM search. The outcome depends only on the view, the fault and
+// the backtrack limit.
 func (p *podem) generate(f fault.Fault) *outcome {
 	p.setFault(f)
+	vd, conflicts := p.pr.prove(p.site, p.pin, p.stuck, proverBudget)
+	if vd == unsatisfiable {
+		return &outcome{status: statusUntestable, proved: true, conflicts: conflicts}
+	}
+	out := p.search()
+	out.conflicts = conflicts
+	return out
+}
+
+// search runs PODEM for the fault setFault installed.
+func (p *podem) search() *outcome {
+	if p.coneGate != p.site {
+		p.cone = p.cone[:0]
+		for _, id := range p.v.Circuit.FanoutCone(p.gate) {
+			p.cone = append(p.cone, p.v.Line[id])
+		}
+		p.coneGate = p.site
+	}
 	p.reset()
 
 	var stack []decision
@@ -407,18 +431,11 @@ func (p *podem) generate(f fault.Fault) *outcome {
 }
 
 func (p *podem) setFault(f fault.Fault) {
-	p.site = p.v.Line[f.Gate]
+	p.gate, p.site = f.Gate, p.v.Line[f.Gate]
 	p.pin = f.Pin
 	p.stuck, p.stuckRail = v0, faulty0
 	if f.StuckAt1 {
 		p.stuck, p.stuckRail = v1, faulty1
-	}
-	if p.coneGate != p.site {
-		p.cone = p.cone[:0]
-		for _, id := range p.v.Circuit.FanoutCone(f.Gate) {
-			p.cone = append(p.cone, p.v.Line[id])
-		}
-		p.coneGate = p.site
 	}
 }
 

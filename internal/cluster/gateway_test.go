@@ -37,9 +37,16 @@ func mustPost(t *testing.T, url string, body []byte) *http.Response {
 	return resp
 }
 
+// mustDecode decodes resp's JSON body into v and reads the body to its
+// end: a server finishes a response only after its handler returns, so a
+// test that asks next for something the handler records on the way out
+// (the gateway's trace) does not race it.
 func mustDecode(t *testing.T, resp *http.Response, v any) {
 	t.Helper()
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -98,14 +98,14 @@ func TestTraceSpanTreeShape(t *testing.T) {
 	}
 }
 
-// The atpg span explains its duration with PODEM's effort: the searches
-// and backtracks behind the outcomes the run used are the same at every
-// Parallelism, and no search is wasted when there are no workers to run
-// ahead.
+// The atpg span explains its duration with PODEM's and the prover's
+// effort: the searches, backtracks, proofs and conflicts behind the
+// outcomes the run used are the same at every Parallelism, and no search
+// is wasted when there are no workers to run ahead.
 func TestATPGSpanCountsPodemEffort(t *testing.T) {
 	req := Request{Circuit: "s838", TPG: "adder", Cycles: 32, Seed: 1}
 	serial, fanned := spanAttrs(t, req, 1, "atpg"), spanAttrs(t, req, 4, "atpg")
-	for _, key := range []string{"podem_searches", "podem_backtracks"} {
+	for _, key := range []string{"podem_searches", "podem_backtracks", "prover_untestable", "prover_conflicts"} {
 		if serial[key] == 0 || serial[key] != fanned[key] {
 			t.Errorf("%s = %d at Parallelism 1, %d at 4; want equal and non-zero", key, serial[key], fanned[key])
 		}

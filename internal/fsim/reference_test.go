@@ -16,13 +16,19 @@ import (
 // fault and one pattern at a time, on small generated full-scan circuits
 // with reconvergent fanout and random-pattern-resistant cones. Every
 // fault's Detected and FirstPattern must match at Parallelism 1 and 2 on a
-// pattern list that crosses a 64-pattern block, and every fault ATPG
-// reports as detected must be detected by its patterns.
+// pattern list that crosses a 64-pattern block. Every fault ATPG reports
+// as detected must be detected by its patterns, and no fault it reports
+// untestable may be detected by any of the 2^n input vectors (the
+// circuits have at most 12 scan inputs).
 func FuzzFaultSimMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(1), uint8(20), uint8(1), uint8(70))
 	f.Add(int64(2), uint8(6), uint8(3), uint8(2), uint8(30), uint8(0), uint8(100))
 	f.Add(int64(3), uint8(4), uint8(1), uint8(4), uint8(12), uint8(1), uint8(65))
 	f.Add(int64(4), uint8(8), uint8(4), uint8(0), uint8(32), uint8(1), uint8(128))
+	// A testable fault whose effect also reaches a line where it is masked:
+	// a prover that required every differing line to propagate would call
+	// it untestable.
+	f.Add(int64(154), uint8(95), uint8(1), uint8(33), uint8(26), uint8(1), uint8(169))
 	f.Fuzz(func(t *testing.T, seed int64, inputs, outputs, ffs, gates, hardCones, npat uint8) {
 		p := bench.Profile{
 			Name:      "fuzz",
@@ -82,6 +88,26 @@ func FuzzFaultSimMatchesReference(f *testing.F) {
 			if d && fsim.RefFirstDetection(c, faults[fi], res.Patterns) < 0 {
 				t.Fatalf("ATPG reports %s detected; the reference finds no detecting pattern",
 					faults[fi].String(c))
+			}
+		}
+		if len(res.Untestable) == 0 {
+			return
+		}
+		n := len(c.Inputs)
+		if n > 12 {
+			t.Fatalf("%d scan inputs; the exhaustive check takes at most 12", n)
+		}
+		all := make([]bitvec.Vector, 1<<n)
+		for m := range all {
+			all[m] = bitvec.New(n)
+			for i := range n {
+				all[m].SetBit(i, m>>i&1 == 1)
+			}
+		}
+		for _, fi := range res.Untestable {
+			if p := fsim.RefFirstDetection(c, faults[fi], all); p >= 0 {
+				t.Fatalf("ATPG reports %s untestable; the reference detects it with %s",
+					faults[fi].String(c), all[p])
 			}
 		}
 	})
