@@ -5,16 +5,28 @@
 // that supplies the reseeding flow with its inputs: the target fault list F
 // and the deterministic test set ATPGTS that covers F completely. The flow
 // is classical: a random-pattern phase with fault dropping, a deterministic
-// PODEM phase for the random-resistant faults, and reverse-order fault
+// phase for the random-resistant faults, and reverse-order fault
 // simulation to compact the final pattern sequence.
 //
-// PODEM dominates the run. Its search evaluates the good and the faulty
-// machine together: each line holds both values as dual rails in one byte,
-// over a flat, level-ordered view of the circuit built once per Run.
-// A fault's search outcome (status, test cube, backtracks) depends only on
-// the circuit, the fault and the backtrack limit, so with Parallelism > 1
-// workers search ahead along the undetected-fault list while a single
-// consumer walks it in order: it classifies each outcome, X-fills each
+// The deterministic phase classifies each fault in two steps, over a flat,
+// level-ordered view of the circuit built once per Run. First a SAT-based
+// prover (Larrabee 1992) encodes the fault's miter in CNF and solves it
+// within a budget of conflicts; UNSAT proves the fault untestable with no
+// search. Many of the faults the random phase leaves are redundant, which
+// PODEM can only show by exhausting its search; the prover settles nearly
+// all of them by unit propagation and a handful of conflicts. Every other
+// fault goes to PODEM, which evaluates the good and the faulty machine
+// together (each line holds both values as dual rails in one byte) and
+// returns a test cube, untestable, or aborted at the backtrack limit. The
+// prover never supplies a test: a detected fault's cube is always PODEM's,
+// so the only classification the prover changes is that of a fault PODEM
+// would abort, which becomes untestable.
+//
+// A fault's outcome (status, test cube, backtracks, the prover's
+// conflicts) depends only on the circuit, the fault and the backtrack
+// limit, so with Parallelism > 1 workers, each with its own search state
+// and solver, classify ahead along the undetected-fault list while a
+// single consumer walks it in order: it takes each outcome, X-fills each
 // test cube from the run's random source, and closes a batch at 64
 // patterns. The consumer sees the outcomes in the serial order and the
 // random source draws the same bits, so the Result is bit-identical for
@@ -86,7 +98,7 @@ type Stats struct {
 	RandomPatterns           int // patterns tried in the random phase
 	RandomDetected           int // faults detected by the random phase
 	PodemDetected            int // faults detected by PODEM patterns
-	PodemUntestable          int // faults proven untestable
+	PodemUntestable          int // faults proven untestable, by the prover or by PODEM
 	PodemAborted             int // faults abandoned at the backtrack limit
 	PatternsBeforeCompaction int
 	GateEvals                int64 // fault-simulation effort
@@ -99,7 +111,8 @@ type Result struct {
 	Patterns []bitvec.Vector
 	// Detected[i] reports whether faults[i] is detected by Patterns.
 	Detected []bool
-	// Untestable lists indices of faults proven redundant.
+	// Untestable lists indices of faults proven redundant, by the prover
+	// or by PODEM.
 	Untestable []int
 	// Aborted lists indices of faults abandoned at the backtrack limit.
 	Aborted []int

@@ -9,10 +9,11 @@ import (
 	"repro/internal/parallel"
 )
 
-// outcome is the result of one PODEM search. It depends only on the
-// circuit, the fault and the backtrack limit — not on which worker ran the
-// search, when, or on the run's random source — so it may be computed
-// ahead of the point where Run consumes it.
+// outcome is the classification of one fault: the prover's verdict, then
+// a PODEM search unless the prover proved the fault untestable. It
+// depends only on the circuit, the fault and the backtrack limit — not on
+// which worker classified the fault, when, or on the run's random source —
+// so it may be computed ahead of the point where Run consumes it.
 type outcome struct {
 	status     status
 	cube       []byte // per primary input v0, v1 or vX; detected only, dropped once consumed
@@ -21,20 +22,20 @@ type outcome struct {
 	conflicts  int  // the prover's conflicts
 }
 
-// outcomes computes PODEM outcomes for Run's consumer, which takes them
-// one fault at a time in undetected-list order. With one worker every
-// search runs on the consumer's goroutine, in that order. With more,
-// workers claim faults along the list in order and search them ahead of
+// outcomes computes outcomes for Run's consumer, which takes them one
+// fault at a time in undetected-list order. With one worker every fault
+// is classified on the consumer's goroutine, in that order. With more,
+// workers claim faults along the list in order and classify them ahead of
 // the consumer; an outcome computed past the point where a round stops is
 // kept and reused if its fault is still undetected in a later round, and
 // is wasted if the fault was dropped first.
 type outcomes struct {
 	ctx    context.Context
 	faults []fault.Fault
-	gens   []*podem   // one search state per worker
+	gens   []*podem   // one search state and prover per worker
 	done   []*outcome // by fault index, kept until the run ends
 
-	ran        int64 // searches run, wasted ones included
+	ran        int64 // outcomes computed, wasted ones included
 	consumed   int64 // outcomes the consumer used
 	backtracks int64 // summed over the consumed outcomes
 	proved     int64 // consumed outcomes the prover settled

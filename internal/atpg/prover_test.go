@@ -19,7 +19,7 @@ func model(pr *prover) bitvec.Vector {
 	}
 	out := bitvec.New(len(pr.v.Inputs))
 	for i, l := range pr.v.Inputs {
-		if inMiter[l] && pr.s.value(pr.good[l]) == 1 {
+		if inMiter[l] && pr.s.val[pr.good[l]] == 1 {
 			out.SetBit(i, true)
 		}
 	}

@@ -95,9 +95,6 @@ func (s *sat) reset() {
 	s.conflicts = 0
 }
 
-// numVars returns the number of variables made since the last reset.
-func (s *sat) numVars() int { return len(s.level) }
-
 // newVar makes a variable and returns its positive literal.
 func (s *sat) newVar() lit {
 	v := int32(len(s.level))
@@ -123,12 +120,9 @@ func (s *sat) addClause(lits ...lit) {
 	s.arena = append(s.arena, lits...)
 }
 
-// value returns the value of l under the current assignment: 1, −1 or 0.
-func (s *sat) value(l lit) int8 { return s.val[l] }
-
 // solve decides the clauses added since the last reset, giving up with
-// unknown at the first conflict past budget. After satisfiable, value
-// reports a model.
+// unknown at the first conflict past budget. After satisfiable, val holds
+// a model: 1 for each true literal.
 func (s *sat) solve(budget int) verdict {
 	end := int32(len(s.arena))
 	for c := int32(0); c < end; c += int32(s.arena[c]) + 1 {

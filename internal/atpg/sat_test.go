@@ -45,8 +45,9 @@ func satisfies(clauses [][]lit, truth func(lit) bool) bool {
 // checkAgainstBruteForce solves clauses with a budget no instance of at
 // most 12 variables exhausts, and with a budget of budget conflicts. The
 // first must agree with brute force, with a model that satisfies every
-// clause when satisfiable; the second may only give up.
-func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, budget int) {
+// clause when satisfiable; the second may only give up. It returns brute
+// force's answer.
+func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, budget int) bool {
 	t.Helper()
 	want := bruteForce(nvars, clauses)
 	switch got := solveCNF(s, nvars, clauses, 1<<30); {
@@ -54,7 +55,7 @@ func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, bu
 		t.Fatalf("unknown on %d variables, %v", nvars, clauses)
 	case (got == satisfiable) != want:
 		t.Fatalf("verdict %d, brute force satisfiable=%v on %d variables, %v", got, want, nvars, clauses)
-	case got == satisfiable && !satisfies(clauses, func(l lit) bool { return s.value(l) == 1 }):
+	case got == satisfiable && !satisfies(clauses, func(l lit) bool { return s.val[l] == 1 }):
 		t.Fatalf("model does not satisfy %v", clauses)
 	}
 	switch got := solveCNF(s, nvars, clauses, budget); {
@@ -65,6 +66,7 @@ func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, bu
 	case (got == satisfiable) != want:
 		t.Fatalf("budget %d: verdict %d, brute force satisfiable=%v on %v", budget, got, want, clauses)
 	}
+	return want
 }
 
 // randomCNF draws clauses of one to four literals over nvars variables.
@@ -86,19 +88,18 @@ func randomCNF(rng *rand.Rand, nvars, nclauses int) [][]lit {
 func TestSolverMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s sat
-	sat, unsat := 0, 0
+	nsat, nunsat := 0, 0
 	for range 3000 {
 		nvars := 1 + rng.Intn(12)
 		clauses := randomCNF(rng, nvars, rng.Intn(6*nvars+2))
-		checkAgainstBruteForce(t, &s, nvars, clauses, rng.Intn(4))
-		if bruteForce(nvars, clauses) {
-			sat++
+		if checkAgainstBruteForce(t, &s, nvars, clauses, rng.Intn(4)) {
+			nsat++
 		} else {
-			unsat++
+			nunsat++
 		}
 	}
-	if sat < 300 || unsat < 300 {
-		t.Errorf("%d satisfiable and %d unsatisfiable instances; want both well represented", sat, unsat)
+	if nsat < 300 || nunsat < 300 {
+		t.Errorf("%d satisfiable and %d unsatisfiable instances; want both well represented", nsat, nunsat)
 	}
 }
 
