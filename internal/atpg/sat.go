@@ -51,12 +51,13 @@ type sat struct {
 	arena   []lit
 	watches [][]watch // by literal: the clauses watching it
 
-	val      []int8 // by literal: 1 true, −1 false, 0 unassigned
-	level    []int32
-	reason   []int32 // clause header offset, or noReason
+	// By literal: 1 true, −1 false, 0 unassigned. The rest by variable.
+	val      []int8
+	level    []int32 // decision level of the assignment
+	reason   []int32 // header of the clause that implied it, or noReason
 	activity []float64
 	phase    []bool // saved polarity: true assigns the negative literal
-	seen     []bool
+	seen     []bool // analyze's marks
 
 	// Decision order. Until the first conflict every activity is 0, so the
 	// next decision is the unassigned variable of least index: next scans
