@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -381,6 +382,50 @@ func TestCommittedBenchCurrent(t *testing.T) {
 	}
 	if bench.Summary.HardNodeReduction < 5 {
 		t.Errorf("committed bench records %.2fx hard-tier reduction, below the 5x floor", bench.Summary.HardNodeReduction)
+	}
+}
+
+// TestCorpusMatchesCommittedBench re-runs the bounds harness serially and
+// requires everything deterministic in the committed BENCH_bounds.json to
+// match: per-instance nodes, cost, optimality, root LB and tightness under
+// both bounds, and the summary. Only generated_at and wall_ms may differ.
+// A change that moves the search tree fails here, not only in CI's
+// regenerate-and-diff step.
+func TestCorpusMatchesCommittedBench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus double solve skipped in -short")
+	}
+	f, err := os.Open("../../../BENCH_bounds.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	committed, err := ParseBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := RunBounds(BenchOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Bench{committed, fresh} {
+		b.GeneratedAt = ""
+		for i := range b.Instances {
+			b.Instances[i].Counting.WallMS = 0
+			b.Instances[i].Lagrangian.WallMS = 0
+		}
+	}
+	if len(fresh.Instances) != len(committed.Instances) {
+		t.Fatalf("fresh run has %d instances, committed %d", len(fresh.Instances), len(committed.Instances))
+	}
+	for i := range fresh.Instances {
+		if got, want := fresh.Instances[i], committed.Instances[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fresh %+v\ncommitted %+v", got.ID, got, want)
+		}
+	}
+	fresh.Instances, committed.Instances = nil, nil
+	if !reflect.DeepEqual(fresh, committed) {
+		t.Errorf("fresh header and summary %+v\ncommitted %+v", fresh, committed)
 	}
 }
 

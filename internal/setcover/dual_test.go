@@ -1,11 +1,13 @@
 package setcover
 
 // Unit tests of the Lagrangian dual bound: validity, determinism, the
-// option conventions, and the RootLB report. The corpus-level properties
+// option conventions, the RootLB report, and dualEval's pricing against
+// the row-major reference it must match bit for bit. The corpus-level properties
 // (golden costs, node reduction, cross-mode identity at scale) live in
 // internal/setcover/corpus.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -209,4 +211,126 @@ func TestLagrangianTighterRoot(t *testing.T) {
 	if lagrangian.Cost != counting.Cost {
 		t.Fatalf("bound modes disagree on optimal cost: %d vs %d", lagrangian.Cost, counting.Cost)
 	}
+}
+
+// dualEvalRowMajor is the row-major pricing the engine used before it priced
+// column by column: every available row's reduced cost is one chain of
+// subtractions over the row's uncovered columns. It is kept as the
+// reference dualEval must match bit for bit.
+func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
+	if grad != nil {
+		uncovered.ForEach(func(j int) { grad[j] = 1 })
+	}
+	uncovered.ForEach(func(j int) { val += u[j] })
+	for r, row := range pl.p.rows {
+		if banned.Contains(r) {
+			continue
+		}
+		rc := float64(pl.rowCost(r))
+		row.ForEachIn(uncovered, func(j int) { rc -= u[j] })
+		if rc < 0 {
+			val += rc
+			if grad != nil {
+				row.ForEachIn(uncovered, func(j int) { grad[j]-- })
+			}
+		}
+	}
+	if grad != nil {
+		uncovered.ForEach(func(j int) { gnorm2 += grad[j] * grad[j] })
+	}
+	return val, gnorm2
+}
+
+// randomDualCase draws one dualEval input: 1–130 rows and columns (so sets
+// span up to three words) at density 0.05–0.6, unit or weighted costs with
+// zero weights, random uncovered and banned sets, and non-negative
+// multipliers of mixed magnitude with some exact zeros.
+func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, banned *bitvec.Set) {
+	nRows, nCols := 1+rng.Intn(130), 1+rng.Intn(130)
+	density := 0.05 + 0.55*rng.Float64()
+	p := NewProblem(nCols)
+	for i := 0; i < nRows; i++ {
+		s := bitvec.NewSet(nCols)
+		for j := 0; j < nCols; j++ {
+			if rng.Float64() < density {
+				s.Add(j)
+			}
+		}
+		p.AddRow(s)
+	}
+	var weights []int
+	if rng.Intn(2) == 0 {
+		weights = make([]int, nRows)
+		for i := range weights {
+			weights[i] = rng.Intn(8) // zero weights common
+		}
+	}
+	pl = newPlan(p, weights)
+	uncovered = bitvec.NewSet(nCols)
+	keep := rng.Float64()
+	for j := 0; j < nCols; j++ {
+		if rng.Float64() < keep {
+			uncovered.Add(j)
+		}
+	}
+	banned = bitvec.NewSet(nRows)
+	ban := 0.5 * rng.Float64()
+	for r := 0; r < nRows; r++ {
+		if rng.Float64() < ban {
+			banned.Add(r)
+		}
+	}
+	u = make([]float64, nCols)
+	for j := range u {
+		if rng.Intn(5) > 0 { // one in five stays an exact zero
+			u[j] = rng.Float64() * math.Pow(10, float64(rng.Intn(4)-2))
+		}
+	}
+	return pl, u, uncovered, banned
+}
+
+// checkDualEvalMatchesRowMajor evaluates one case both ways, with and
+// without a subgradient, and requires val, gnorm2 and every grad entry to
+// be the same float bits. Both gradient buffers start from the same
+// sentinel, so an entry outside the uncovered set must be left alone.
+func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, uncovered, banned *bitvec.Set) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, withGrad := range []bool{false, true} {
+		var got, want []float64
+		if withGrad {
+			got, want = make([]float64, len(u)), make([]float64, len(u))
+			for j := range got {
+				got[j], want[j] = -7.25, -7.25
+			}
+		}
+		val, gnorm2 := pl.dualEval(u, uncovered, banned, got)
+		wval, wgnorm2 := pl.dualEvalRowMajor(u, uncovered, banned, want)
+		if !same(val, wval) || !same(gnorm2, wgnorm2) {
+			t.Fatalf("grad=%v: dualEval (%v, %v), row-major (%v, %v)", withGrad, val, gnorm2, wval, wgnorm2)
+		}
+		for j := range got {
+			if !same(got[j], want[j]) {
+				t.Fatalf("grad[%d] = %v, row-major %v", j, got[j], want[j])
+			}
+		}
+	}
+}
+
+func TestDualEvalMatchesRowMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 400; trial++ {
+		pl, u, uncovered, banned := randomDualCase(rng)
+		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned)
+	}
+}
+
+func FuzzDualEvalMatchesRowMajor(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(18))
+	f.Add(int64(-3))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		pl, u, uncovered, banned := randomDualCase(rand.New(rand.NewSource(seed)))
+		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned)
+	})
 }
