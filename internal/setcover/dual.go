@@ -29,6 +29,24 @@ package setcover
 // refinements start from the shared root multipliers and depend only on the
 // node's (uncovered, banned) state and the task-local incumbent — never on
 // another worker's timing.
+//
+// # Pricing column by column
+//
+// dualEval prices the residual column by column. Each row's reduced cost
+// starts from the row's cost, and every uncovered column j, in ascending
+// order, subtracts u_j from each row of its static list colRows[j]; banned
+// rows are priced too and skipped when the value is folded. Float
+// subtraction is not associative, so the order matters: a row-major sweep,
+// one chain per row over the row's uncovered columns in ascending order,
+// applies to every row exactly these subtractions in exactly this order,
+// so each reduced cost is the same float either way. The value then folds
+// the multipliers in ascending column order and the negative reduced costs
+// in ascending row order, as the row-major sweep did, and the subgradient
+// is a small integer count, exact however it is taken. So every value,
+// multiplier, prune and node count is what the row-major sweep gives
+// (TestDualEvalMatchesRowMajor keeps that sweep as the reference), while
+// independent rows no longer wait on one another's chains and no closure
+// runs per matrix element.
 
 import (
 	"fmt"
@@ -96,43 +114,57 @@ func dualRound(l float64) int {
 }
 
 // dualScratch is the reusable workspace of one dual evaluation site (the
-// root ascent, or one bbTask): multipliers and subgradient, both sized to
-// the column universe.
+// root ascent, or one bbTask): multipliers, subgradient and the ascent's
+// best multipliers sized to the column universe, and one evaluation's
+// reduced costs and negative rows sized to the rows.
 type dualScratch struct {
-	u []float64 // per-column multipliers
-	g []float64 // subgradient workspace
+	u    []float64   // per-column multipliers
+	g    []float64   // subgradient workspace
+	best []float64   // multipliers of the ascent's best value so far
+	rc   []float64   // per-row reduced costs
+	neg  *bitvec.Set // available rows of negative reduced cost
 }
 
-func newDualScratch(numCols int) *dualScratch {
-	return &dualScratch{u: make([]float64, numCols), g: make([]float64, numCols)}
+func (pl *ExactPlan) newDualScratch() *dualScratch {
+	n := pl.p.numCols
+	return &dualScratch{
+		u:    make([]float64, n),
+		g:    make([]float64, n),
+		best: make([]float64, n),
+		rc:   make([]float64, len(pl.p.rows)),
+		neg:  bitvec.NewSet(len(pl.p.rows)),
+	}
 }
 
 // dualEval computes the Lagrangian value of the residual (uncovered,
-// banned) at multipliers u. When grad is non-nil it also fills the
-// projected subgradient — g_j = 1 − (negative-reduced-cost rows covering j)
-// for uncovered j — and returns its squared norm. Rows and columns are
-// visited in ascending order, so the result is a pure deterministic
-// function of its inputs.
-func (pl *ExactPlan) dualEval(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
-	if grad != nil {
-		uncovered.ForEach(func(j int) { grad[j] = 1 })
-	}
-	uncovered.ForEach(func(j int) { val += u[j] })
-	for r, row := range pl.p.rows {
-		if banned.Contains(r) {
-			continue
+// banned) at the multipliers s.u, priced column by column in s's row
+// scratch (see the file comment). When grad is non-nil it also fills the
+// projected subgradient — g_j = 1 − (negative-reduced-cost available rows
+// covering j) for uncovered j, one word-level intersection per column —
+// and returns its squared norm; grad entries of covered columns are left
+// alone. The result is a pure deterministic function of its inputs.
+func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
+	u, rc, neg := s.u, s.rc, s.neg
+	copy(rc, pl.costs)
+	uncovered.ForEach(func(j int) {
+		uj := u[j]
+		val += uj
+		for _, r := range pl.colRows[j] {
+			rc[r] -= uj
 		}
-		rc := float64(pl.rowCost(r))
-		row.ForEachIn(uncovered, func(j int) { rc -= u[j] })
-		if rc < 0 {
-			val += rc
-			if grad != nil {
-				row.ForEachIn(uncovered, func(j int) { grad[j]-- })
-			}
+	})
+	neg.Clear()
+	for r, c := range rc {
+		if c < 0 && !banned.Contains(r) {
+			val += c
+			neg.Add(r)
 		}
 	}
 	if grad != nil {
-		uncovered.ForEach(func(j int) { gnorm2 += grad[j] * grad[j] })
+		uncovered.ForEach(func(j int) {
+			grad[j] = float64(1 - pl.colSets[j].IntersectionLen(neg))
+			gnorm2 += grad[j] * grad[j]
+		})
 	}
 	return val, gnorm2
 }
@@ -157,22 +189,25 @@ func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 }
 
 // dualAscend runs projected subgradient ascent from the multipliers in
-// s.u, mutating them in place, and returns the best Lagrangian value seen.
+// s.u, mutating them in place, and returns the best Lagrangian value seen
+// and the number of dualEval calls it made.
 // target is the upper bound the Held–Karp step size aims at (the residual's
 // incumbent cost); agility is the initial step scale, decayed by 5% per
 // iteration. The ascent stops early when the subgradient vanishes (u is
 // dual-optimal) or the value reaches target (the caller will prune on it
 // anyway). s.u holds the multipliers of the best value when it returns.
-func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) float64 {
-	best := math.Inf(-1)
-	var bestU []float64 // lazily cloned only when an iteration improves
+func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) (best float64, evals int) {
+	best = math.Inf(-1)
+	saved := false // s.best holds the multipliers of best
 	f := agility
 	for it := 0; it <= iters; it++ {
-		val, gnorm2 := pl.dualEval(s.u, uncovered, banned, s.g)
+		evals++
+		val, gnorm2 := pl.dualEval(s, uncovered, banned, s.g)
 		if val > best {
 			best = val
 			if iters > 0 {
-				bestU = append(bestU[:0], s.u...)
+				copy(s.best, s.u)
+				saved = true
 			}
 		}
 		if it == iters || gnorm2 == 0 || best >= target {
@@ -191,10 +226,10 @@ func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, t
 		})
 		f *= 0.95
 	}
-	if bestU != nil {
-		copy(s.u, bestU)
+	if saved {
+		copy(s.u, s.best)
 	}
-	return best
+	return best, evals
 }
 
 // DualBound computes a provable lower bound on the optimal cover cost by
@@ -226,9 +261,9 @@ func (p *Problem) DualBound(weights []int, iters int) (int, error) {
 	uncovered := bitvec.NewSet(p.numCols)
 	uncovered.Fill()
 	banned := bitvec.NewSet(p.NumRows())
-	s := newDualScratch(p.numCols)
+	s := pl.newDualScratch()
 	pl.dualInit(s.u, uncovered, banned)
-	best := pl.dualAscend(s, uncovered, banned, float64(greedy.Cost), iters, rootAgility)
+	best, _ := pl.dualAscend(s, uncovered, banned, float64(greedy.Cost), iters, rootAgility)
 	b := dualRound(best)
 	if b > greedy.Cost {
 		// Cannot happen (the ascent stops at target), but never report a

@@ -304,7 +304,9 @@ func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, unco
 				got[j], want[j] = -7.25, -7.25
 			}
 		}
-		val, gnorm2 := pl.dualEval(u, uncovered, banned, got)
+		ds := pl.newDualScratch()
+		copy(ds.u, u)
+		val, gnorm2 := pl.dualEval(ds, uncovered, banned, got)
 		wval, wgnorm2 := pl.dualEvalRowMajor(u, uncovered, banned, want)
 		if !same(val, wval) || !same(gnorm2, wgnorm2) {
 			t.Fatalf("grad=%v: dualEval (%v, %v), row-major (%v, %v)", withGrad, val, gnorm2, wval, wgnorm2)

@@ -64,8 +64,10 @@ package setcover
 // always a valid cover — is returned with Optimal = false and a nil error.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,8 +237,9 @@ func better(cost, branch, bestCost, bestBranch int) bool {
 // SolveSubtree calls.
 type ExactPlan struct {
 	p       *Problem
-	weights []int   // nil ⇒ every row costs 1
-	colRows [][]int // static column view: colRows[j] = rows covering j
+	weights []int     // nil ⇒ every row costs 1
+	costs   []float64 // every row's cost as the dual prices it
+	colRows [][]int   // static column view: colRows[j] = rows covering j
 	colSets []*bitvec.Set
 	exclude bool // sibling-row exclusion enabled
 	dual    bool // Lagrangian bound enabled
@@ -264,6 +267,10 @@ func newPlan(p *Problem, weights []int) *ExactPlan {
 	pl := &ExactPlan{p: p, weights: weights, colRows: make([][]int, p.numCols)}
 	for i, r := range p.rows {
 		r.ForEach(func(j int) { pl.colRows[j] = append(pl.colRows[j], i) })
+	}
+	pl.costs = make([]float64, len(p.rows))
+	for r := range pl.costs {
+		pl.costs[r] = float64(pl.rowCost(r))
 	}
 	pl.colSets = make([]*bitvec.Set, p.numCols)
 	for j, rows := range pl.colRows {
@@ -312,14 +319,14 @@ func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *sea
 		pl.terminal = &Solution{Rows: chosen, Cost: cost, Optimal: true, Nodes: 1, RootLB: cost}
 		return pl
 	}
-	rootBound := pl.lowerBound(infos, banned)
+	rootBound := pl.lowerBound(infos, banned, bitvec.NewSet(p.NumRows()))
 	if pl.dual {
 		// Root multiplier ascent: warm-start from the cheapest-row shares,
 		// climb toward the greedy upper bound, and publish the multipliers
 		// for every branch to re-price its residuals with.
-		ds := newDualScratch(p.numCols)
+		ds := pl.newDualScratch()
 		pl.dualInit(ds.u, uncovered, banned)
-		best := pl.dualAscend(ds, uncovered, banned, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
+		best, _ := pl.dualAscend(ds, uncovered, banned, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
 		pl.rootMult = ds.u
 		if d := dualRound(best); d > rootBound {
 			rootBound = d
@@ -423,18 +430,19 @@ func (pl *ExactPlan) propagate(chosen []int, cost int, uncovered, banned *bitvec
 // lowerBound consumes the stable residual's availability counts computed by
 // the final propagation scan (no recount) and sorts a scratch copy rare
 // columns first. The cheapest available row of a picked column is computed
-// lazily — and is the constant 1 for unit weights.
-func (pl *ExactPlan) lowerBound(infos []colAvail, banned *bitvec.Set) int {
-	sort.Slice(infos, func(a, b int) bool {
-		if infos[a].avail != infos[b].avail {
-			return infos[a].avail < infos[b].avail
+// lazily — and is the constant 1 for unit weights. usedRows is the
+// caller's scratch set over the rows; its contents are overwritten.
+func (pl *ExactPlan) lowerBound(infos []colAvail, banned, usedRows *bitvec.Set) int {
+	slices.SortFunc(infos, func(a, b colAvail) int {
+		if c := cmp.Compare(a.avail, b.avail); c != 0 {
+			return c
 		}
-		return infos[a].col < infos[b].col
+		return cmp.Compare(a.col, b.col)
 	})
 	// usedRows accumulates the available rows of picked columns, so it
 	// never contains a banned row and one Intersects call per column is an
 	// exact available-row disjointness test.
-	usedRows := bitvec.NewSet(pl.p.NumRows())
+	usedRows.Clear()
 	lb := 0
 	for _, ci := range infos {
 		if usedRows.Intersects(pl.colSets[ci.col]) {
@@ -472,13 +480,11 @@ func (pl *ExactPlan) branchCandidates(col int, uncovered, banned *bitvec.Set) []
 			cands = append(cands, cand{r, pl.p.rows[r].IntersectionLen(uncovered)})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		l := pl.rowCost(cands[a].row) * cands[b].gain
-		r := pl.rowCost(cands[b].row) * cands[a].gain
-		if l != r {
-			return l < r
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(pl.rowCost(a.row)*b.gain, pl.rowCost(b.row)*a.gain); c != 0 {
+			return c
 		}
-		return cands[a].row < cands[b].row
+		return cmp.Compare(a.row, b.row)
 	})
 	rows := make([]int, len(cands))
 	for i, c := range cands {
@@ -626,7 +632,7 @@ func lowerCost(v *atomic.Int64, x int64) {
 // fan-out and a subtree lease, so both walk bit-identical trees.
 func (s *search) runBranch(i int) SubtreeResult {
 	pl := s.pl
-	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost}
+	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost, usedRows: bitvec.NewSet(pl.p.NumRows())}
 	banned := bitvec.NewSet(pl.p.NumRows())
 	if pl.exclude {
 		for _, row := range pl.branchRows[:i] {
@@ -662,6 +668,8 @@ type bbTask struct {
 	// infos is the column-scan scratch, reused across the task's DFS: a
 	// node is done with it before its children run.
 	infos []colAvail
+	// usedRows is the counting bound's scratch row set.
+	usedRows *bitvec.Set
 	// ds is the task's dual workspace (Lagrangian modes only, allocated on
 	// first use): a private multiplier copy refined per node.
 	ds *dualScratch
@@ -674,10 +682,10 @@ type bbTask struct {
 func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 	pl := t.s.pl
 	if t.ds == nil {
-		t.ds = newDualScratch(pl.p.numCols)
+		t.ds = pl.newDualScratch()
 	}
 	copy(t.ds.u, pl.rootMult)
-	best := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
+	best, _ := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
 	return dualRound(best)
 }
 
@@ -724,7 +732,7 @@ func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
 	}
 	// The counting bound is cheap; the dual bound is evaluated only when
 	// counting fails to prune, and the stronger of the two rules the node.
-	lb := pl.lowerBound(t.infos, banned)
+	lb := pl.lowerBound(t.infos, banned, t.usedRows)
 	if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
 		return
 	}
