@@ -143,7 +143,8 @@ func (pl *ExactPlan) SolveSubtree(branch int, sub SubtreeOptions) (SubtreeResult
 	// once by Merge, not once per lease.
 	s := newSearch(pl.greedy.Cost, ExactOptions{MaxNodes: sub.MaxNodes, Context: sub.Context, OnIncumbent: sub.OnImprove})
 	s.pl, s.bound = pl, sub.Bound
-	return s.runBranch(branch), nil
+	res, _ := s.runBranch(branch)
+	return res, nil
 }
 
 // Merge folds subtree results into the final Solution with the engine's

@@ -628,9 +628,10 @@ func lowerCost(v *atomic.Int64, x int64) {
 
 // runBranch explores top-level branch i serially on s, pruning against the
 // greedy cost as its task-local bound, and reports the branch's first
-// optimum in DFS order. It is the unit of work of both the in-process
-// fan-out and a subtree lease, so both walk bit-identical trees.
-func (s *search) runBranch(i int) SubtreeResult {
+// optimum in DFS order with the branch's search counters. It is the unit
+// of work of both the in-process fan-out and a subtree lease, so both walk
+// bit-identical trees.
+func (s *search) runBranch(i int) (SubtreeResult, bbCounts) {
 	pl := s.pl
 	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost, usedRows: bitvec.NewSet(pl.p.NumRows())}
 	banned := bitvec.NewSet(pl.p.NumRows())
@@ -651,7 +652,16 @@ func (s *search) runBranch(i int) SubtreeResult {
 		res.Found, res.Cost, res.Rows = true, t.localBound, t.rows
 		sort.Ints(res.Rows)
 	}
-	return res
+	return res, t.counts
+}
+
+// bbCounts are the counters that explain a search's time, summed over its
+// branches into the bb span: the Lagrangian evaluations made at its nodes,
+// the nodes the counting bound pruned, and the nodes the dual bound pruned
+// after counting did not. Like nodes, they repeat exactly at Parallelism 1
+// and depend on pruning races above it.
+type bbCounts struct {
+	dualEvals, prunedCounting, prunedDual int64
 }
 
 // bbTask is one top-level branch explored serially by one worker.
@@ -664,7 +674,8 @@ type bbTask struct {
 	// workers. rows is that witness (nil until the branch finds a cover).
 	localBound int
 	rows       []int
-	nodes      int64 // this branch's share of s.nodes
+	nodes      int64    // this branch's share of s.nodes
+	counts     bbCounts // this branch's search counters
 	// infos is the column-scan scratch, reused across the task's DFS: a
 	// node is done with it before its children run.
 	infos []colAvail
@@ -685,7 +696,8 @@ func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 		t.ds = pl.newDualScratch()
 	}
 	copy(t.ds.u, pl.rootMult)
-	best, _ := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
+	best, evals := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
+	t.counts.dualEvals += int64(evals)
 	return dualRound(best)
 }
 
@@ -734,12 +746,14 @@ func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
 	// counting fails to prune, and the stronger of the two rules the node.
 	lb := pl.lowerBound(t.infos, banned, t.usedRows)
 	if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
+		t.counts.prunedCounting++
 		return
 	}
 	if pl.dual {
 		if dlb := t.dualBound(cost, uncovered, banned); dlb > lb {
 			lb = dlb
 			if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
+				t.counts.prunedDual++
 				return
 			}
 		}
@@ -797,13 +811,23 @@ func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	}
 	_, bsp := obs.StartSpan(opts.Context, "bb")
 	results := make([]SubtreeResult, s.pl.NumBranches())
+	counts := make([]bbCounts, len(results))
 	bsp.SetInt("branches", int64(len(results)))
 	_ = parallel.ForEach(parallel.Degree(opts.Parallelism), len(results), func(_, i int) error { // infallible: the worker fn below always returns nil
-		results[i] = s.runBranch(i)
+		results[i], counts[i] = s.runBranch(i)
 		return nil
 	})
 	sol := s.pl.Merge(results)
+	var total bbCounts
+	for _, c := range counts {
+		total.dualEvals += c.dualEvals
+		total.prunedCounting += c.prunedCounting
+		total.prunedDual += c.prunedDual
+	}
 	bsp.SetInt("nodes", sol.Nodes)
+	bsp.SetInt("dual_evals", total.dualEvals)
+	bsp.SetInt("pruned_counting", total.prunedCounting)
+	bsp.SetInt("pruned_dual", total.prunedDual)
 	bsp.SetInt("cost", int64(sol.Cost))
 	bsp.SetInt("optimal", b2i(sol.Optimal))
 	bsp.End()
