@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/setcover"
 	"repro/internal/setcover/corpus"
@@ -294,5 +296,65 @@ func TestExecuteSubtreeExchangesIncumbents(t *testing.T) {
 	}
 	if resp.Result.Found && board.Best("xchg") > resp.Result.Cost {
 		t.Fatalf("board best %d above the lease's reported cost %d", board.Best("xchg"), resp.Result.Cost)
+	}
+}
+
+// A peer that answers its lease with a forged cover is treated as lost:
+// the coordinator rejects the result (rejected=1 on the lease span),
+// requeues the branch onto its local workers and retires the peer, and
+// the answer is still the local solver's, proven optimal.
+func TestCoordinatorRejectsForgedLease(t *testing.T) {
+	inst, err := corpus.Load("medium-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := inst.Problem.SolveExact(setcover.ExactOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req cluster.SubtreeRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		leases.Add(1)
+		json.NewEncoder(w).Encode(cluster.SubtreeResponse{
+			SolveID: req.SolveID,
+			Result:  setcover.SubtreeResult{Branch: req.Branch, Found: true, Cost: 1, Rows: []int{0}},
+		})
+	}))
+	defer liar.Close()
+
+	tr := obs.NewTrace("test")
+	coord := &cluster.Coordinator{Peers: []string{liar.URL}, Board: cluster.NewBoard(), Parallelism: 1}
+	got, err := coord.Solve(obs.ContextWithTrace(context.Background(), tr), inst.Problem, nil, setcover.ExactOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost || !got.Optimal || !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("with a lying peer: cost %d optimal %v rows %v, want cost %d optimal true rows %v",
+			got.Cost, got.Optimal, got.Rows, want.Cost, want.Rows)
+	}
+	if n := leases.Load(); n > 1 {
+		t.Fatalf("the lying peer served %d leases; it should be retired after its first", n)
+	}
+	if leases.Load() == 0 {
+		t.Skip("the local worker drained every lease before the peer took one")
+	}
+	rejected := 0
+	for _, sd := range tr.Snapshot() {
+		if sd.Name != "lease" {
+			continue
+		}
+		for _, a := range sd.Attrs {
+			if a.Key == "rejected" && a.Int == 1 {
+				rejected++
+			}
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("%d lease spans carry rejected=1, want 1", rejected)
 	}
 }

@@ -4,8 +4,9 @@ package cluster
 // top-level subtrees to executors — in-process workers and remote peers
 // alike, drained by one dispatch loop — and merge.
 //
-// Fault model: a peer that fails a lease (transport error, 5xx) gets its
-// branch requeued and is retired from the solve; local workers always
+// Fault model: a peer that fails a lease (transport error, 5xx, or a
+// result the plan does not accept) gets its branch requeued and is
+// retired from the solve; local workers always
 // participate, so every branch eventually runs somewhere as long as this
 // process lives. Context cancellation stops dispatch and merges whatever
 // completed — the anytime answer.
@@ -108,7 +109,7 @@ func (c *Coordinator) Solve(ctx context.Context, p *setcover.Problem, weights []
 		execs = append(execs, c.local(dctx, pl, solveID))
 	}
 	for _, peer := range c.Peers {
-		execs = append(execs, c.remote(dctx, peer, SubtreeRequest{
+		execs = append(execs, c.remote(dctx, pl, peer, SubtreeRequest{
 			SolveID:     solveID,
 			Problem:     pw,
 			Opts:        ow,
@@ -183,8 +184,9 @@ func (c *Coordinator) local(ctx context.Context, pl *setcover.ExactPlan, solveID
 // remote streams leases to one peer, each under a "lease" span whose
 // position travels with the lease: the worker's subtree span parents to
 // it, so the spans it ships back (folded in by leaseToPeer) stitch under
-// it.
-func (c *Coordinator) remote(ctx context.Context, peer string, lease SubtreeRequest) executor {
+// it. A result the plan does not accept counts as a lost lease
+// (rejected=1 on the span) and never reaches the incumbent board.
+func (c *Coordinator) remote(ctx context.Context, pl *setcover.ExactPlan, peer string, lease SubtreeRequest) executor {
 	return func(b int) (setcover.SubtreeResult, bool) {
 		lctx, lsp := obs.StartSpan(ctx, "lease")
 		defer lsp.End()
@@ -194,10 +196,18 @@ func (c *Coordinator) remote(ctx context.Context, peer string, lease SubtreeRequ
 		lease.Incumbent = c.Board.Best(lease.SolveID)
 		lease.Traceparent = obs.Traceparent(lctx)
 		res, ok := c.leaseToPeer(lctx, peer, lease)
+		if ok && !pl.Accepts(res) {
+			lsp.SetInt("rejected", 1)
+			ok = false
+		}
 		if !ok {
 			lsp.SetInt("requeued", 1)
+			return res, false
 		}
-		return res, ok
+		if res.Found {
+			c.Board.Exchange(lease.SolveID, res.Cost)
+		}
+		return res, true
 	}
 }
 
@@ -235,11 +245,5 @@ func (c *Coordinator) leaseToPeer(ctx context.Context, peer string, lease Subtre
 	if tr := obs.FromContext(ctx); tr != nil {
 		tr.AddSpans(sr.Spans)
 	}
-	c.Board.Exchange(lease.SolveID, func() int {
-		if sr.Result.Found {
-			return sr.Result.Cost
-		}
-		return 0
-	}())
 	return sr.Result, true
 }

@@ -147,14 +147,38 @@ func (pl *ExactPlan) SolveSubtree(branch int, sub SubtreeOptions) (SubtreeResult
 	return res, nil
 }
 
+// Accepts reports whether a subtree result may be merged: its branch is
+// one of the plan's and, when it claims a cover, the cover is real. Its
+// rows must be ascending, distinct and in range, cover every column
+// (Problem.Verify), and cost exactly the claimed Cost under the plan's
+// weights. A result from another process is only as good as this check:
+// a claimed cost below the optimum would otherwise win the merge and
+// prove a wrong "optimum".
+func (pl *ExactPlan) Accepts(r SubtreeResult) bool {
+	if r.Branch < 0 || r.Branch >= len(pl.branchRows) {
+		return false
+	}
+	if !r.Found {
+		return true
+	}
+	for i := 1; i < len(r.Rows); i++ {
+		if r.Rows[i] <= r.Rows[i-1] {
+			return false
+		}
+	}
+	return pl.p.Verify(r.Rows) && coverCost(pl.weights, r.Rows) == r.Cost
+}
+
 // Merge folds subtree results into the final Solution with the engine's
 // one answer-picking rule (better): lower cost wins, ties resolve toward
 // the lower branch index, and the greedy seed stands when nothing
-// improved on it. Duplicate results for one branch are tolerated
-// (completed leases are deterministic, so duplicates agree; for a
-// truncated duplicate the completed one is preferred). Optimal is
-// proven only when every branch has a completed result. Nodes is the
-// root node plus every distinct branch's maximal observed effort.
+// improved on it. A result the plan does not accept (Accepts) is dropped,
+// so its branch stays uncompleted unless a valid result for it arrived.
+// Duplicate results for one branch are tolerated (completed leases are
+// deterministic, so duplicates agree; for a truncated duplicate the
+// completed one is preferred). Optimal is proven only when every branch
+// has a completed result. Nodes is the root node plus every distinct
+// branch's maximal observed effort.
 func (pl *ExactPlan) Merge(results []SubtreeResult) Solution {
 	if pl.terminal != nil {
 		return *pl.Terminal()
@@ -164,7 +188,7 @@ func (pl *ExactPlan) Merge(results []SubtreeResult) Solution {
 	nodes := make(map[int]int64, len(results))
 	completed := make(map[int]bool, len(results))
 	for _, r := range results {
-		if r.Branch < 0 || r.Branch >= len(pl.branchRows) {
+		if !pl.Accepts(r) {
 			continue
 		}
 		if n := nodes[r.Branch]; r.Nodes > n {

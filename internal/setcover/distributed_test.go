@@ -263,3 +263,88 @@ func TestPlanSubtreeErrors(t *testing.T) {
 		t.Errorf("terminal merge: %+v", got)
 	}
 }
+
+// A forged lease result must not win the merge. On medium-1 (optimum 5),
+// branch 0's result replaced by a one-row "cover" of cost 1 used to merge
+// to cost 1 with Optimal=true. Merge now drops it: branch 0 is then not
+// completed, so the answer is a verified cover without an optimality
+// claim, unless the genuine result for branch 0 arrives as well.
+func TestMergeRejectsForgedResult(t *testing.T) {
+	inst, err := corpus.Load("medium-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := inst.Problem
+	pl, err := p.PlanExact(nil, setcover.ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []setcover.SubtreeResult
+	for b := 0; b < pl.NumBranches(); b++ {
+		res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pl.Accepts(res) {
+			t.Fatalf("branch %d: genuine result %+v not accepted", b, res)
+		}
+		results = append(results, res)
+	}
+	want := pl.Merge(results)
+	if !want.Optimal || want.Cost != 5 {
+		t.Fatalf("honest merge: cost %d optimal %v, want 5 true", want.Cost, want.Optimal)
+	}
+
+	forged := setcover.SubtreeResult{Branch: 0, Found: true, Cost: 1, Rows: []int{0}}
+	if pl.Accepts(forged) {
+		t.Fatal("forged result accepted")
+	}
+	got := pl.Merge(append([]setcover.SubtreeResult{forged}, results[1:]...))
+	if got.Optimal || !p.Verify(got.Rows) || got.Cost < want.Cost {
+		t.Fatalf("forged merge: cost %d optimal %v rows %v", got.Cost, got.Optimal, got.Rows)
+	}
+	// The genuine branch-0 result beside the forged one completes the
+	// branch again.
+	got = pl.Merge(append([]setcover.SubtreeResult{forged}, results...))
+	if !got.Optimal || got.Cost != want.Cost || !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("forged plus genuine: cost %d optimal %v, want %d true", got.Cost, got.Optimal, want.Cost)
+	}
+
+	// Every way a claimed cover can be wrong is refused. An optimal unit
+	// cover is irredundant, so dropping any of its rows uncovers a column.
+	var found setcover.SubtreeResult
+	for _, r := range results {
+		if r.Found && r.Cost == want.Cost {
+			found = r
+			break
+		}
+	}
+	if !found.Found || len(found.Rows) < 2 {
+		t.Fatal("no branch of medium-1 reported the optimum")
+	}
+	edit := func(f func(r *setcover.SubtreeResult)) setcover.SubtreeResult {
+		r := found
+		r.Rows = slices.Clone(found.Rows)
+		f(&r)
+		return r
+	}
+	bad := map[string]setcover.SubtreeResult{
+		"branch below range": edit(func(r *setcover.SubtreeResult) { r.Branch = -1 }),
+		"branch above range": edit(func(r *setcover.SubtreeResult) { r.Branch = pl.NumBranches() }),
+		"cost understated":   edit(func(r *setcover.SubtreeResult) { r.Cost-- }),
+		"cost overstated":    edit(func(r *setcover.SubtreeResult) { r.Cost++ }),
+		"row out of range":   edit(func(r *setcover.SubtreeResult) { r.Rows[len(r.Rows)-1] = p.NumRows() }),
+		"negative row":       edit(func(r *setcover.SubtreeResult) { r.Rows[0] = -1 }),
+		"row dropped":        edit(func(r *setcover.SubtreeResult) { r.Rows = r.Rows[1:]; r.Cost-- }),
+		"row repeated":       edit(func(r *setcover.SubtreeResult) { r.Rows = append(r.Rows, r.Rows[len(r.Rows)-1]); r.Cost++ }),
+		"rows unsorted":      edit(func(r *setcover.SubtreeResult) { r.Rows[0], r.Rows[1] = r.Rows[1], r.Rows[0] }),
+	}
+	for name, r := range bad {
+		if pl.Accepts(r) {
+			t.Errorf("%s: %+v accepted", name, r)
+		}
+	}
+	if !pl.Accepts(setcover.SubtreeResult{Branch: 0, Truncated: true}) {
+		t.Error("a lease that found nothing was refused")
+	}
+}
