@@ -194,8 +194,13 @@ func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 // target is the upper bound the Held–Karp step size aims at (the residual's
 // incumbent cost); agility is the initial step scale, decayed by 5% per
 // iteration. The ascent stops early when the subgradient vanishes (u is
-// dual-optimal) or the value reaches target (the caller will prune on it
-// anyway). s.u holds the multipliers of the best value when it returns.
+// dual-optimal) or the rounded value dualRound(best) reaches target. The
+// caller prunes on the rounded value, so from there on further steps
+// cannot change its decision: a node is pruned either way, and at the
+// root, where target is the greedy seed's cost and no valid bound exceeds
+// it, the rounded bound is target either way. Stopping there moves no
+// prune, bound or node count, and saves the evaluations. s.u holds the
+// multipliers of the best value when it returns.
 func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) (best float64, evals int) {
 	best = math.Inf(-1)
 	saved := false // s.best holds the multipliers of best
@@ -210,7 +215,7 @@ func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, t
 				saved = true
 			}
 		}
-		if it == iters || gnorm2 == 0 || best >= target {
+		if it == iters || gnorm2 == 0 || float64(dualRound(best)) >= target {
 			break
 		}
 		step := f * (target - val) / gnorm2
