@@ -2,9 +2,9 @@ package setcover
 
 // Unit tests of the Lagrangian dual bound: validity, determinism, the
 // option conventions, the RootLB report, and dualEval's pricing against
-// the row-major reference it must match bit for bit. The corpus-level properties
-// (golden costs, node reduction, cross-mode identity at scale) live in
-// internal/setcover/corpus.
+// the row-major reference it must match bit for bit. The corpus-level
+// properties (golden costs, node reduction, cross-mode identity at scale)
+// live in internal/setcover/corpus.
 
 import (
 	"math"
