@@ -256,7 +256,8 @@ func TestParallelBuildIdentical(t *testing.T) {
 // set expanded on its own and fault simulated alone. The evolution lengths
 // cross every packing boundary: several triplets per 64-pattern block with
 // and without unused high bits (T = 1, 3, 5, 21, 32), one triplet per block
-// (33, 64), and one triplet over several blocks (65).
+// (33, 64), and one triplet over several blocks, ending on a block boundary
+// or one pattern past it (65, 128, 129, 256, 257).
 func TestLanesMatchPerTripletRows(t *testing.T) {
 	c, err := bench.ScanView("s420")
 	if err != nil {
@@ -279,7 +280,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65} {
+	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65, 128, 129, 256, 257} {
 		for _, j := range []int{1, 2} {
 			m, err := Build(c, faults, res.Patterns, gen,
 				Options{Cycles: cycles, Seed: 9, RecordFirstDetection: true, Parallelism: j})

@@ -16,20 +16,26 @@ import (
 // fault and one pattern at a time, on small generated full-scan circuits
 // with reconvergent fanout and random-pattern-resistant cones. Every
 // fault's Detected and FirstPattern must match at Parallelism 1 and 2 on a
-// pattern list that crosses a 64-pattern block. Every fault ATPG reports
+// list of 1 to 600 patterns, which crosses the 64-, 256- and 512-pattern
+// boundaries. Every fault ATPG reports
 // as detected must be detected by its patterns, and no fault it reports
 // untestable may be detected by any of the 2^n input vectors (the
 // circuits have at most 12 scan inputs).
 func FuzzFaultSimMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), uint8(1), uint8(20), uint8(1), uint8(70))
-	f.Add(int64(2), uint8(6), uint8(3), uint8(2), uint8(30), uint8(0), uint8(100))
-	f.Add(int64(3), uint8(4), uint8(1), uint8(4), uint8(12), uint8(1), uint8(65))
-	f.Add(int64(4), uint8(8), uint8(4), uint8(0), uint8(32), uint8(1), uint8(128))
+	f.Add(int64(1), uint8(3), uint8(2), uint8(1), uint8(20), uint8(1), uint16(70))
+	f.Add(int64(2), uint8(6), uint8(3), uint8(2), uint8(30), uint8(0), uint16(100))
+	f.Add(int64(3), uint8(4), uint8(1), uint8(4), uint8(12), uint8(1), uint16(65))
+	f.Add(int64(4), uint8(8), uint8(4), uint8(0), uint8(32), uint8(1), uint16(64))
 	// A testable fault whose effect also reaches a line where it is masked:
 	// a prover that required every differing line to propagate would call
 	// it untestable.
-	f.Add(int64(154), uint8(95), uint8(1), uint8(33), uint8(26), uint8(1), uint8(169))
-	f.Fuzz(func(t *testing.T, seed int64, inputs, outputs, ffs, gates, hardCones, npat uint8) {
+	f.Add(int64(154), uint8(95), uint8(1), uint8(33), uint8(26), uint8(1), uint16(105))
+	// 256, 257 and 513 patterns: a full 256-pattern block, one pattern
+	// past it, and one past two of them.
+	f.Add(int64(5), uint8(5), uint8(2), uint8(3), uint8(28), uint8(1), uint16(255))
+	f.Add(int64(6), uint8(7), uint8(3), uint8(2), uint8(24), uint8(0), uint16(256))
+	f.Add(int64(7), uint8(2), uint8(1), uint8(4), uint8(31), uint8(1), uint16(512))
+	f.Fuzz(func(t *testing.T, seed int64, inputs, outputs, ffs, gates, hardCones uint8, npat uint16) {
 		p := bench.Profile{
 			Name:      "fuzz",
 			Inputs:    1 + int(inputs%8),
@@ -55,7 +61,7 @@ func FuzzFaultSimMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		patterns := make([]bitvec.Vector, 65+int(npat%64))
+		patterns := make([]bitvec.Vector, 1+int(npat%600))
 		for i := range patterns {
 			patterns[i] = bitvec.Random(len(c.Inputs), rng)
 		}
