@@ -280,26 +280,19 @@ func BenchmarkParallelMatrixBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelFaultSim measures one large fault-simulation run (the
-// full collapsed fault list against the ATPG test set, no fault dropping so
-// the live list stays wide) across worker-pool sizes.
-func BenchmarkParallelFaultSim(b *testing.B) {
-	for _, circuit := range []string{"s1238"} {
-		for _, d := range parallelDegrees {
-			b.Run(fmt.Sprintf("%s/%s", circuit, d.name), func(b *testing.B) {
-				flow := flowFor(b, circuit)
-				sim, err := fsim.New(flow.Circuit)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.Run(flow.AllFaults, flow.Patterns,
-						fsim.Options{Parallelism: d.j}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+// BenchmarkFaultSimNoDrop measures one large fault-simulation run: the
+// full collapsed fault list against the ATPG test set, without fault
+// dropping, so every fault stays live in every pass.
+func BenchmarkFaultSimNoDrop(b *testing.B) {
+	flow := flowFor(b, "s1238")
+	sim, err := fsim.New(flow.Circuit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sim.Run(flow.AllFaults, flow.Patterns, fsim.Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

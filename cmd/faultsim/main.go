@@ -8,11 +8,9 @@
 // Usage:
 //
 //	faultsim -circuit c880 -patterns patterns.txt
-//	faultsim -circuit c880 -patterns patterns.txt -j 4
 //
-// The fault list is graded on a worker pool sized by -j (default: one worker
-// per processor); the detection report is bit-identical for every -j value.
-// SIGINT/SIGTERM cancel a long grading run.
+// The simulator grades 256 patterns per pass, with fault dropping between
+// passes. SIGINT/SIGTERM cancel a long grading run.
 package main
 
 import (
@@ -37,8 +35,6 @@ func main() {
 		file     = flag.String("file", "", ".bench netlist file (overrides -circuit)")
 		patterns = flag.String("patterns", "", "pattern file (required)")
 		verbose  = flag.Bool("v", false, "list undetected faults")
-		jobs     = flag.Int("j", 0,
-			"worker goroutines for fault simulation (0 = all processors)")
 	)
 	flag.Parse()
 	if *patterns == "" {
@@ -64,7 +60,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	res, err := sim.Run(faults, pats, fsim.Options{DropDetected: true, Parallelism: *jobs, Context: ctx})
+	res, err := sim.Run(faults, pats, fsim.Options{DropDetected: true, Context: ctx})
 	if err != nil {
 		fail(err)
 	}

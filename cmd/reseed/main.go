@@ -19,7 +19,7 @@
 // the anytime contract) instead of dying mid-solve, while an interrupt
 // before any solution exists exits with an error.
 //
-// Fault simulation, Detection Matrix construction and the exact covering
+// PODEM search, Detection Matrix construction and the exact covering
 // solve run on a worker pool sized by -j (default: one worker per
 // processor). The computed solution is bit-identical for every -j value as
 // long as the solve completes. -solve-budget caps the wall-clock time of
@@ -57,7 +57,7 @@ func main() {
 			"also write the full Engine Response (solution, circuit/ATPG summaries, cache and interrupt flags) as JSON to this file")
 		verbose = flag.Bool("v", false, "print every selected triplet")
 		jobs    = flag.Int("j", 0,
-			"worker goroutines for fault simulation, matrix construction and the covering solve (0 = all processors)")
+			"worker goroutines for PODEM search, matrix construction and the covering solve (0 = all processors)")
 		solveBudget = flag.Duration("solve-budget", 0,
 			"wall-clock budget for the exact covering solve; truncated solves return the best cover found (0 = none)")
 		bound = flag.String("bound", "",

@@ -45,7 +45,7 @@ func main() {
 		cycles   = flag.Int("cycles", 64, "candidate evolution length T")
 		seed     = flag.Int64("seed", 1, "random seed")
 		noGatsby = flag.Bool("nogatsby", false, "skip the GA baseline columns")
-		jobs     = flag.Int("j", 0, "worker goroutines for fault simulation, matrix construction and the covering solve (0 = all processors)")
+		jobs     = flag.Int("j", 0, "worker goroutines for PODEM search, matrix construction and the covering solve (0 = all processors)")
 		budget   = flag.Duration("solve-budget", 0, "wall-clock budget per exact covering solve; truncated solves keep the best cover found (0 = none)")
 	)
 	flag.Parse()

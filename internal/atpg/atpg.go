@@ -59,14 +59,13 @@ type Options struct {
 	BacktrackLimit int
 	// SkipCompaction keeps the raw pattern list (useful for ablation).
 	SkipCompaction bool
-	// Parallelism bounds the PODEM search workers and the fault-simulation
-	// worker pool of the random, PODEM-grading and compaction phases. 1
-	// forces serial: every search runs on the calling goroutine and no
-	// goroutine is started for PODEM. 0 (and any negative value) means one
-	// worker per available processor. The Result is bit-identical for any
-	// value: PODEM outcomes are consumed in undetected-list order (see the
-	// package doc), and fault simulation keeps the fsim determinism
-	// guarantee.
+	// Parallelism bounds the PODEM search workers; the fault simulation of
+	// the random, PODEM-grading and compaction phases runs on the calling
+	// goroutine. 1 forces serial: every search runs on the calling
+	// goroutine and no goroutine is started for PODEM. 0 (and any negative
+	// value) means one worker per available processor. The Result is
+	// bit-identical for any value: PODEM outcomes are consumed in
+	// undetected-list order (see the package doc).
 	Parallelism int
 	// Context, when non-nil, cancels the run: it is checked between
 	// fault-simulation blocks (through fsim), before every PODEM search and
@@ -219,7 +218,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 			break // every remaining fault in range was classified
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, batch, fsim.Options{DropDetected: true, Parallelism: opts.Parallelism, Context: opts.Context})
+		fres, err := sim.Run(sub, batch, fsim.Options{DropDetected: true, Context: opts.Context})
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -261,7 +260,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		for i, p := range patterns {
 			reversed[len(patterns)-1-i] = p
 		}
-		fres, err := sim.Run(sub, reversed, fsim.Options{DropDetected: true, Parallelism: opts.Parallelism, Context: opts.Context})
+		fres, err := sim.Run(sub, reversed, fsim.Options{DropDetected: true, Context: opts.Context})
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -301,7 +300,7 @@ func randomPhase(sim *fsim.Simulator, width int, faults []fault.Fault, opts Opti
 			block[i] = bitvec.Random(width, rng)
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, block, fsim.Options{DropDetected: true, Parallelism: opts.Parallelism, Context: opts.Context})
+		fres, err := sim.Run(sub, block, fsim.Options{DropDetected: true, Context: opts.Context})
 		if err != nil {
 			return nil, nil, fmt.Errorf("atpg: %w", err)
 		}

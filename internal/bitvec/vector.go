@@ -129,6 +129,10 @@ func (v Vector) Bit(i int) bool {
 	return v.limbs[i/wordBits]>>(uint(i)%wordBits)&1 == 1
 }
 
+// Limb returns bits 64j to 64j+63 as one word, bit 64j least significant,
+// without copying. It panics if j is not below ⌈Width/64⌉.
+func (v Vector) Limb(j int) uint64 { return v.limbs[j] }
+
 // SetBit sets bit i to b. It panics if i is out of range.
 func (v *Vector) SetBit(i int, b bool) {
 	if i < 0 || i >= v.width {

@@ -83,6 +83,19 @@ func TestSetBitGetBit(t *testing.T) {
 	}
 }
 
+// TestLimbMatchesBit checks that Limb(j) holds bits 64j to 64j+63 of a
+// vector wider than two limbs, and nothing past its width.
+func TestLimbMatchesBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := Random(130, rng)
+	for i := 0; i < 3*wordBits; i++ {
+		got := v.Limb(i/wordBits)>>(i%wordBits)&1 == 1
+		if want := i < v.Width() && v.Bit(i); got != want {
+			t.Errorf("bit %d: Limb has %v, Bit %v", i, got, want)
+		}
+	}
+}
+
 func TestBitOutOfRangePanics(t *testing.T) {
 	v := New(8)
 	for _, i := range []int{-1, 8, 100} {

@@ -10,26 +10,33 @@
 //
 // # Packing
 //
-// The fault simulator works on 64-pattern blocks. Build puts
-// max(1, ⌊64/T⌋) triplets in each block: triplet j of a pack owns the
-// T-bit lane starting at bit j·T, so one simulation of the block fills
-// several rows, and each fault's detection mask splits into the lanes'
-// rows and first-detection indices. A triplet with T > 64 spans several
-// blocks on its own, and a fault it has detected is dropped from its later
-// blocks. Packing changes how much is simulated, not what: each lane sees
-// exactly its own triplet's test set.
+// The fault simulator simulates four 64-pattern lanes per pass, one per
+// word of a line's value, and Build fills each lane with exactly the
+// 64-pattern block of a one-word simulator:
+//
+//   - For T ≤ 64 a lane is a pack of max(1, ⌊64/T⌋) triplets: triplet j of
+//     the pack owns the T-bit field starting at bit j·T, so one pass fills
+//     the rows of four packs.
+//   - For T > 64 the four lanes hold the same 64-pattern segment of four
+//     consecutive triplets, and the build steps through the segments. Each
+//     lane drops the faults its own triplet has detected, and is simulated,
+//     and its patterns counted, only while its triplet has a live fault.
+//
+// Each fault's detection mask splits into the lanes' rows and
+// first-detection indices. Packing changes how much is simulated, not
+// what: each lane sees exactly its own triplets' test sets.
 //
 // # Parallelism and determinism
 //
-// Build fault-simulates the packs concurrently: packs are handed out to
-// Options.Parallelism workers by the internal/parallel pool, and every
-// worker owns a private fsim.Simulator and buffers on one circuit view and
-// fault list shared by the whole build. Triplet expansion and θ selection
-// stay sequential (a single rand stream), and each worker writes only its
-// own packs' row slots, so the finished Matrix — Triplets, Rows,
-// FirstDetection, GateEvals, PatternsSimulated — is bit-identical for every
-// Parallelism value, including the serial value 1. The dmatrix tests assert
-// this equivalence on benchmark circuits.
+// Build fault-simulates the groups of four lanes concurrently: groups are
+// handed out to Options.Parallelism workers by the internal/parallel pool,
+// and every worker owns a private fsim.Simulator and buffers on one
+// circuit view and fault list shared by the whole build. Triplet expansion
+// and θ selection stay sequential (a single rand stream), and each worker
+// writes only its own groups' row slots, so the finished Matrix —
+// Triplets, Rows, FirstDetection, GateEvals, PatternsSimulated — is
+// bit-identical for every Parallelism value, including the serial value 1.
+// The dmatrix tests assert this equivalence on benchmark circuits.
 package dmatrix
 
 import (
@@ -59,13 +66,13 @@ type Options struct {
 	// index of the earliest detecting pattern; needed for the paper's
 	// test-length trimming. Costs 4 bytes per matrix cell.
 	RecordFirstDetection bool
-	// Parallelism is the number of goroutines fault-simulating packs of
+	// Parallelism is the number of goroutines fault-simulating groups of
 	// triplets concurrently. 1 forces the serial path; 0 (and any negative value)
 	// means one worker per available processor. The matrix is bit-identical
 	// for any value — see the package documentation.
 	Parallelism int
 	// Context, when non-nil, cancels the build: it is checked per triplet
-	// during expansion and per pack during the parallel fill. A cancelled build returns
+	// during expansion and per group during the parallel fill. A cancelled build returns
 	// the context's error — there is no partial matrix.
 	Context context.Context
 }
@@ -128,12 +135,13 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		testSets[i] = ts
 	}
 
-	// Phase 2 (parallel): fault-simulate the packs. Each pack's rows and
+	// Phase 2 (parallel): fault-simulate the groups. Each group's rows and
 	// effort land at its own indices and are folded serially afterwards,
 	// so the matrix and its statistics are independent of scheduling.
-	per := max(1, 64/opts.Cycles)
-	packs := (len(patterns) + per - 1) / per
-	workers := parallel.Clamp(parallel.Degree(opts.Parallelism), packs)
+	per := max(1, 64/opts.Cycles) // triplets per lane
+	span := fsim.Lanes * per      // triplets per group
+	groups := (len(patterns) + span - 1) / span
+	workers := parallel.Clamp(parallel.Degree(opts.Parallelism), groups)
 	v := netlist.NewView(c)
 	targets := fsim.NewTargets(v, faults)
 	m.Rows = make([]*bitvec.Set, len(patterns))
@@ -145,8 +153,8 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 	defer fsp.End()
 	fsp.SetInt("rows", int64(len(patterns)))
 	packers := make([]*packer, workers)
-	stats := make([]packStats, packs)
-	err := parallel.ForEach(workers, packs, func(worker, k int) error {
+	stats := make([]packStats, groups)
+	err := parallel.ForEach(workers, groups, func(worker, k int) error {
 		if err := ctxutil.Err(fctx); err != nil {
 			return fmt.Errorf("dmatrix: %w", err)
 		}
@@ -154,14 +162,14 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		if w == nil {
 			w = &packer{
 				sim:   fsim.NewForView(v),
-				live:  make([]bool, len(faults)),
-				masks: make([]uint64, len(faults)),
+				live:  make([]uint8, len(faults)),
+				masks: make([][4]uint64, len(faults)),
 			}
 			packers[worker] = w
 		}
-		lo, hi := k*per, min((k+1)*per, len(patterns))
+		lo, hi := k*span, min((k+1)*span, len(patterns))
 		var err error
-		if stats[k], err = w.fill(m, targets, testSets, lo, hi, opts.Cycles); err != nil {
+		if stats[k], err = w.fill(m, targets, testSets, lo, hi, per, opts.Cycles); err != nil {
 			return fmt.Errorf("dmatrix: triplets %d-%d: %w", lo, hi-1, err)
 		}
 		return nil
@@ -187,21 +195,21 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 // packer is one worker's simulator and buffers.
 type packer struct {
 	sim   *fsim.Simulator
-	block []bitvec.Vector
-	live  []bool
-	masks []uint64
+	lanes [fsim.Lanes][]bitvec.Vector
+	live  []uint8 // per fault, the lanes whose triplets have not detected it
+	masks [][4]uint64
 }
 
-// packStats is the work one pack took.
+// packStats is the work one group took.
 type packStats struct {
 	fsim.Effort
-	blocks   int // 64-pattern blocks simulated
-	patterns int // summed over the pack's triplets
+	blocks   int // 64-pattern lanes simulated
+	patterns int // summed over the group's triplets
 }
 
-// fill simulates the pack of triplets lo..hi-1 and writes their rows and
-// first detections into m.
-func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, cycles int) (packStats, error) {
+// fill simulates the group of triplets lo..hi-1, per of them to a lane,
+// and writes their rows and first detections into m.
+func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, per, cycles int) (packStats, error) {
 	for i := lo; i < hi; i++ {
 		m.Rows[i] = bitvec.NewSet(len(w.live))
 		if m.FirstDetection != nil {
@@ -212,50 +220,56 @@ func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo
 			m.FirstDetection[i] = fd
 		}
 	}
+	open := uint8(1)<<((hi-lo+per-1)/per) - 1 // lanes in use
 	for fi := range w.live {
-		w.live[fi] = true
+		w.live[fi] = open
 	}
 	var st packStats
-	// Each lane holds width patterns of its triplet per block: all T of
-	// them when T <= 64, so a pack of several triplets is one block.
-	for base := 0; base < cycles; base += 64 {
+	// Each lane holds width patterns of its triplets per pass: all T of
+	// them when T <= 64, so the group is one pass.
+	for base := 0; base < cycles && open != 0; base += 64 {
 		width := min(64, cycles-base)
-		w.block = w.block[:0]
-		for i := lo; i < hi; i++ {
-			w.block = append(w.block, testSets[i][base:base+width]...)
+		for l := range w.lanes {
+			w.lanes[l] = w.lanes[l][:0]
+			if open>>l&1 == 0 {
+				continue
+			}
+			for i := lo + l*per; i < min(lo+(l+1)*per, hi); i++ {
+				w.lanes[l] = append(w.lanes[l], testSets[i][base:base+width]...)
+			}
+			st.blocks++
+			st.patterns += len(w.lanes[l])
 		}
-		e, err := w.sim.Detect(t, w.block, w.live, w.masks)
+		e, err := w.sim.Detect(t, w.lanes[:], w.live, w.masks)
 		if err != nil {
 			return packStats{}, err
 		}
 		st.GateEvals += e.GateEvals
 		st.Stems += e.Stems
-		st.blocks++
-		st.patterns += len(w.block)
-		lane := ^uint64(0) >> (64 - width)
-		live := 0
-		for fi, mask := range w.masks {
-			if !w.live[fi] {
-				continue
-			}
-			if mask == 0 {
-				live++
-				continue
-			}
-			// Detected in this block: a later block, which only a pack of
-			// one triplet has, no longer needs the fault.
-			w.live[fi] = false
-			for mask != 0 {
-				j := bits.TrailingZeros64(mask) / width
-				m.Rows[lo+j].Add(fi)
-				if m.FirstDetection != nil {
-					m.FirstDetection[lo+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
+		field := ^uint64(0) >> (64 - width)
+		open = 0
+		for fi := range w.masks {
+			for l, mask := range w.masks[fi] {
+				if w.live[fi]>>l&1 == 0 {
+					continue
 				}
-				mask &^= lane << (j * width)
+				if mask == 0 {
+					open |= 1 << l
+					continue
+				}
+				// Detected in this pass: the lane's later segments, which
+				// only a lane of one triplet has, no longer need the fault.
+				w.live[fi] &^= 1 << l
+				first := lo + l*per
+				for mask != 0 {
+					j := bits.TrailingZeros64(mask) / width
+					m.Rows[first+j].Add(fi)
+					if m.FirstDetection != nil {
+						m.FirstDetection[first+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
+					}
+					mask &^= field << (j * width)
+				}
 			}
-		}
-		if live == 0 {
-			break
 		}
 	}
 	return st, nil

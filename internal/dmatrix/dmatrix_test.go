@@ -292,7 +292,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := sim.Run(faults, ts, fsim.Options{DropDetected: true, Parallelism: 1})
+				ref, err := sim.Run(faults, ts, fsim.Options{DropDetected: true})
 				if err != nil {
 					t.Fatal(err)
 				}

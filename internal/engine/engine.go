@@ -117,7 +117,7 @@ type ArtifactStore interface {
 // Options configures a new Engine.
 type Options struct {
 	// Parallelism is the default worker-pool degree for every phase of
-	// every request served by this Engine: ATPG fault simulation, matrix
+	// every request served by this Engine: ATPG's PODEM search, matrix
 	// construction and the exact covering solve. 1 forces serial; 0 (and
 	// any negative value) means one worker per available processor.
 	// Requests may override it per call.

@@ -49,12 +49,11 @@ type Config struct {
 	// ATPG tunes the shared test generation step.
 	ATPG atpg.Options
 	// Parallelism bounds the worker pool used per solve for Detection
-	// Matrix construction, the ATPG's fault-simulation phases, the exact
-	// covering solver's branch-and-bound fan-out, and the GATSBY baseline's
-	// fitness grading. 1 forces serial; 0 means one worker per available
-	// processor. A zero Parallelism inside ATPG or Gatsby inherits this
-	// value; set those sub-options to a nonzero degree to control a stage
-	// independently.
+	// Matrix construction, the ATPG's PODEM search and the exact covering
+	// solver's branch-and-bound fan-out. 1 forces serial; 0 means one
+	// worker per available processor. A zero Parallelism inside ATPG
+	// inherits this value; set it to a nonzero degree to control that
+	// stage independently.
 	Parallelism int
 	// SolveBudget, when positive, bounds the wall-clock time of each exact
 	// covering solve (the anytime contract): a truncated solve keeps the
@@ -174,9 +173,6 @@ func RunCircuit(name string, cfg Config) (*CircuitResult, error) {
 			gcfg := cfg.Gatsby
 			gcfg.Seed = cfg.Seed + 3
 			gcfg.Context = ctx
-			if gcfg.Parallelism == 0 {
-				gcfg.Parallelism = cfg.Parallelism
-			}
 			if gcfg.Cycles == 0 {
 				// Match the covering flow's evolution length so the
 				// #Triplets comparison is apples to apples (Figure 2 shows

@@ -1,10 +1,15 @@
 // Package fsim implements a parallel-pattern stuck-at fault simulator with
 // stem analysis.
 //
-// Patterns are processed in blocks of 64, one bit per pattern, on the
-// circuit's level-ordered netlist.View. For each block the good machine is
-// simulated once. The faults are then handled by the fanout-free region
-// they sit in (netlist.View.Root), not one at a time:
+// Every line of the circuit's level-ordered netlist.View holds four 64-bit
+// words, so one pass of the kernel simulates up to 256 patterns, one bit
+// each. Detect takes up to four lanes of at most 64 patterns, lane w in
+// word w, and a 4-bit live mask per fault saying in which lanes the fault
+// is still wanted: Run puts 256 consecutive patterns in the four lanes,
+// and the Detection Matrix puts four triplets' test sets (or four packs of
+// short ones) side by side. For each pass the good machine is simulated
+// once. The faults are then handled by the fanout-free region they sit in
+// (netlist.View.Root), not one at a time:
 //
 //   - One backward critical-path-tracing pass gives every line its path
 //     sensitivity: the patterns in which flipping the line flips its
@@ -22,34 +27,35 @@
 // observability. This is exact for single stuck-at faults (critical path
 // tracing, Abramovici, Menon & Miller 1984; PPSFP with stem analysis, Lee
 // & Ha 1991): a fault inside a region changes nothing outside it except
-// through the root, and the patterns of a block are independent bits.
+// through the root, and the patterns of a pass are independent bits.
+//
+// Four words per line, rather than one, pay because a region root's event
+// set is already nearly the whole circuit at 64 patterns: halving a block
+// to 32 patterns multiplies gate evaluations by only 1.79-1.85 on the
+// bundled circuits, so the same evaluations over four words cover about
+// four times the patterns.
 //
 // This simulator plays the role of the TestGen fault simulator in the paper:
 // it grades the ATPG test set and fills the Detection Matrix (which triplet
 // detects which fault, and at which pattern index).
 //
-// # Parallelism and determinism
+// # Concurrency
 //
-// Run fans the region-root propagations of each block out across
-// Options.Parallelism worker goroutines. The good-machine values, path
-// sensitivities and fault effects are computed once per block before the
-// fan-out and only read during it; each worker owns a private faulty
-// machine and writes only the observability slots of the roots it
-// propagates. The masks are then combined and folded into the Result
-// serially, in fault-list order.
-//
-// Determinism guarantee: for any Parallelism value (including 1, the serial
-// path), Run returns a bit-identical Result — Detected, FirstPattern,
-// NumDetected, PatternsApplied and GateEvals all match exactly. A root's
-// propagation is the same whichever worker runs it, and GateEvals is a sum
-// of per-root counts, which is order-independent. The fsim and dmatrix test
-// suites assert this equivalence on the benchmark circuits.
+// A Simulator propagates its region roots serially, on the calling
+// goroutine. An earlier version fanned each block's roots out across
+// worker goroutines; one root's propagation is only tens of gate
+// evaluations, the packing, good machine and fault effects ran serially
+// before the fan-out, and on the bundled circuits it saved nothing
+// measurable. Callers that want parallelism run one Simulator per
+// goroutine on a shared view and Targets, as the Detection Matrix build
+// does. A Run's Result depends only on the circuit, the faults, the
+// patterns and the options.
 //
 // # Cancellation
 //
 // Options.Context makes a run cancellable: the context is checked once per
-// 64-pattern block — the grain at which the simulator commits work — and a
-// cancelled run returns the context's error wrapped, with no partial
+// 256-pattern block — the grain at which the simulator commits work — and
+// a cancelled run returns the context's error wrapped, with no partial
 // Result.
 package fsim
 
@@ -63,8 +69,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
+
+// Lanes is the number of 64-pattern lanes one pass simulates, one per
+// word of a line's value.
+const Lanes = 4
 
 // Options controls a fault simulation run.
 type Options struct {
@@ -75,14 +84,8 @@ type Options struct {
 	DropDetected bool
 	// StopWhenAllDetected ends the run early once every fault is detected.
 	StopWhenAllDetected bool
-	// Parallelism is the number of worker goroutines the region roots of
-	// each pattern block are fanned out across. 1 forces the serial path;
-	// 0 (and any negative value) means one worker per available processor.
-	// The Result is bit-identical for every value — see the package
-	// documentation for the determinism guarantee.
-	Parallelism int
 	// Context, when non-nil, cancels the run: Run checks it between
-	// 64-pattern blocks and returns the context's error. A run that
+	// 256-pattern blocks and returns the context's error. A run that
 	// completes before cancellation is unaffected.
 	Context context.Context
 }
@@ -100,9 +103,9 @@ type Result struct {
 	// any early stop.
 	PatternsApplied int
 	// GateEvals counts faulty-machine evaluations during stem
-	// propagation, a proxy for fault simulation effort (the paper's
-	// argument that the set covering flow needs far fewer fault
-	// simulations than GATSBY).
+	// propagation, each over four words, a proxy for fault simulation
+	// effort (the paper's argument that the set covering flow needs far
+	// fewer fault simulations than GATSBY).
 	GateEvals int64
 }
 
@@ -114,21 +117,11 @@ func (r *Result) Coverage() float64 {
 	return float64(r.NumDetected) / float64(len(r.Detected))
 }
 
-// Effort counts the work of simulating blocks.
+// Effort counts the work of simulating passes.
 type Effort struct {
-	GateEvals int64 // faulty-machine evaluations during stem propagation
+	GateEvals int64 // four-word faulty-machine evaluations during stem propagation
 	Stems     int64 // region-root propagations run
 }
-
-// minRootsPerWorker is the smallest per-worker share of a block's active
-// region roots worth a goroutine handoff; below it the block degrades
-// toward the serial path. Purely a scheduling threshold — it cannot affect
-// results.
-const minRootsPerWorker = 8
-
-// rootChunk is the number of region roots a worker claims per atomic
-// operation on the shared cursor.
-const rootChunk = 16
 
 // Targets is a fault list prepared for one view: every fault's site and
 // activation line, grouped by region root. It is read-only once built, so
@@ -182,33 +175,27 @@ func NewTargets(v *netlist.View, faults []fault.Fault) *Targets {
 	return t
 }
 
-// Simulator holds the per-circuit state for fault simulation: the shared
-// good machine plus one private faulty machine per worker. A Simulator is
-// not safe for concurrent use by multiple goroutines — Run manages its own
-// internal worker pool instead; create one Simulator per concurrent caller.
-// Simulators on one view may run concurrently.
+// Simulator holds the per-circuit state for fault simulation: the good
+// machine, each line's path sensitivity and one faulty machine, four words
+// per line. A Simulator is not safe for concurrent use by multiple
+// goroutines; create one per concurrent caller. Simulators on one view
+// may run concurrently.
 type Simulator struct {
 	v     *netlist.View
-	words []uint64 // packed primary-input words of the current block
-	good  []uint64 // good-machine value per line
-	sens  []uint64 // per line, the patterns in which flipping it flips its root
-	block int      // blocks simulated; a machine synced to this holds good
+	words []uint64    // one lane's primary-input words, by input
+	good  [][4]uint64 // good-machine value per line
+	sens  [][4]uint64 // per line, the patterns in which flipping it flips its root
 
-	machines []*machine // machines[0] serves the serial path; grown on demand
-	active   []int32    // roots some live fault reaches in the current block
-	reach    []uint64   // by active root, the patterns to flip it in
-	observed []uint64   // by active root, the patterns an output changed in
-	maskBuf  []uint64   // per-fault detection masks for one block
-	evals    []int64    // per-worker gate-evaluation counters
-}
+	// The faulty machine: good values, except on the lines the current
+	// propagation changed.
+	val     [][4]uint64
+	changed []int32  // lines whose val differs from good
+	pending []uint64 // bitmap of lines waiting to be evaluated
 
-// machine is one worker's private faulty machine: the good values of the
-// current block, except on the lines the current propagation changed.
-type machine struct {
-	val     []uint64
-	block   int     // the Simulator block val holds the good values of
-	changed []int32 // lines whose val differs from good
-	pending []uint64
+	active []int32     // roots some live fault reaches in the current pass
+	reach  [][4]uint64 // by active root, the patterns to flip it in
+	live   []uint8     // Run's live masks
+	masks  [][4]uint64 // Run's per-fault detection masks
 }
 
 // New returns a fault simulator for the finalized combinational circuit.
@@ -227,72 +214,69 @@ func New(c *netlist.Circuit) (*Simulator, error) {
 func NewForView(v *netlist.View) *Simulator {
 	n := len(v.Nodes)
 	return &Simulator{
-		v:        v,
-		words:    make([]uint64, len(v.Inputs)),
-		good:     make([]uint64, n),
-		sens:     make([]uint64, n),
-		block:    1,
-		machines: []*machine{newMachine(n)},
+		v:       v,
+		words:   make([]uint64, len(v.Inputs)),
+		good:    make([][4]uint64, n),
+		sens:    make([][4]uint64, n),
+		val:     make([][4]uint64, n),
+		pending: make([]uint64, (n+63)/64),
 	}
 }
 
-func newMachine(n int) *machine {
-	return &machine{val: make([]uint64, n), pending: make([]uint64, (n+63)/64)}
-}
-
-// ensureMachines grows the private faulty-machine pool to n entries.
-func (s *Simulator) ensureMachines(n int) {
-	for len(s.machines) < n {
-		s.machines = append(s.machines, newMachine(len(s.v.Nodes)))
-	}
-}
-
-// Run simulates the fault list against the pattern sequence and returns the
-// detection record. The Result is bit-identical for every Options.Parallelism
-// value; see the package documentation.
+// Run simulates the fault list against the pattern sequence, 256
+// consecutive patterns per pass, and returns the detection record. With
+// DropDetected, a fault detected in one pass is not simulated in later
+// ones.
 func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Options) (*Result, error) {
-	workers := parallel.Degree(opts.Parallelism)
 	t := NewTargets(s.v, faults)
 	res := &Result{
 		Detected:     make([]bool, len(faults)),
 		FirstPattern: make([]int, len(faults)),
 	}
-	live := make([]bool, len(faults))
+	if cap(s.live) < len(faults) {
+		s.live = make([]uint8, len(faults))
+		s.masks = make([][4]uint64, len(faults))
+	}
+	live, masks := s.live[:len(faults)], s.masks[:len(faults)]
 	for i := range res.FirstPattern {
 		res.FirstPattern[i] = -1
-		live[i] = true
+		live[i] = 1<<Lanes - 1
 	}
 	nLive := len(faults)
-	if cap(s.maskBuf) < len(faults) {
-		s.maskBuf = make([]uint64, len(faults))
-	}
-	masks := s.maskBuf[:len(faults)]
 
 	var stems, blocks int64
-	for base := 0; base < len(patterns); base += 64 {
+	var lanes [Lanes][]bitvec.Vector
+	for base := 0; base < len(patterns); base += 64 * Lanes {
 		if err := ctxutil.Err(opts.Context); err != nil {
 			return nil, fmt.Errorf("fsim: %w", err)
 		}
-		block := patterns[base:min(base+64, len(patterns))]
-		e, err := s.detect(t, block, live, masks, workers)
+		block := patterns[base:min(base+64*Lanes, len(patterns))]
+		for w := range lanes {
+			lanes[w] = block[min(64*w, len(block)):min(64*(w+1), len(block))]
+		}
+		e, err := s.Detect(t, lanes[:], live, masks)
 		if err != nil {
-			return nil, fmt.Errorf("fsim: %w", err)
+			return nil, err
 		}
 		res.PatternsApplied += len(block)
 		res.GateEvals += e.GateEvals
 		stems += e.Stems
-		blocks++
+		blocks += int64(len(block)+63) / 64
 		for fi, m := range masks {
-			if !live[fi] || m == 0 {
+			if live[fi] == 0 || m == [4]uint64{} {
 				continue
 			}
 			if !res.Detected[fi] {
 				res.Detected[fi] = true
 				res.NumDetected++
-				res.FirstPattern[fi] = base + bits.TrailingZeros64(m)
+				w := 0
+				for m[w] == 0 {
+					w++
+				}
+				res.FirstPattern[fi] = base + 64*w + bits.TrailingZeros64(m[w])
 			}
 			if opts.DropDetected {
-				live[fi] = false
+				live[fi] = 0
 				nLive--
 			}
 		}
@@ -316,122 +300,120 @@ func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Opt
 	return res, nil
 }
 
-// Detect simulates one block of at most 64 patterns on the calling
-// goroutine. For every fault i of t with live[i] set, masks[i] receives
-// the patterns of the block (bit k for block[k]) that detect it; the
-// other entries are zeroed.
-func (s *Simulator) Detect(t *Targets, block []bitvec.Vector, live []bool, masks []uint64) (Effort, error) {
-	e, err := s.detect(t, block, live, masks, 1)
-	if err != nil {
+// Detect simulates one pass of up to Lanes lanes of at most 64 patterns
+// each: lane w is word w of every line, bit k of it lanes[w][k]. A lane
+// may be empty. For every fault i of t, masks[i][w] receives the patterns
+// of lane w that detect it if bit w of live[i] is set, and zero otherwise.
+func (s *Simulator) Detect(t *Targets, lanes [][]bitvec.Vector, live []uint8, masks [][4]uint64) (Effort, error) {
+	if err := s.simulateGood(lanes); err != nil {
 		return Effort{}, fmt.Errorf("fsim: %w", err)
 	}
-	return e, nil
-}
-
-// detect is Detect with the region-root propagations fanned out across up
-// to workers goroutines.
-func (s *Simulator) detect(t *Targets, block []bitvec.Vector, live []bool, masks []uint64, workers int) (Effort, error) {
-	if err := s.simulateGood(block); err != nil {
-		return Effort{}, err
-	}
 	s.traceSensitivity()
-	blockMask := ^uint64(0)
-	if len(block) < 64 {
-		blockMask = uint64(1)<<uint(len(block)) - 1
+	// allow[m] keeps, in the lanes of live mask m, the bits that hold a
+	// pattern.
+	var allow [1 << Lanes][4]uint64
+	for m := range allow {
+		for w, lane := range lanes {
+			if m>>w&1 != 0 {
+				allow[m][w] = ^uint64(0) >> (64 - len(lane))
+			}
+		}
 	}
 	// Each live fault's effect at its root; a root that some effect
 	// reaches is propagated once, flipped in the union of its effects.
-	v, good := s.v, s.good
+	v, good, sens := s.v, s.good, s.sens
 	s.active, s.reach = s.active[:0], s.reach[:0]
 	for ri := range t.roots {
-		var reach uint64
+		var reach [4]uint64
 		for _, fi := range t.order[t.start[ri]:t.start[ri+1]] {
-			masks[fi] = 0
-			if !live[fi] {
+			a := &allow[live[fi]&(1<<Lanes-1)]
+			if *a == [4]uint64{} {
+				masks[fi] = [4]uint64{}
 				continue
 			}
 			tg := &t.faults[fi]
-			x := (good[tg.act] ^ tg.stuck) & blockMask & s.sens[tg.site]
-			if tg.pin != fault.OutputPin && x != 0 {
-				x &= v.Sensitivity(tg.site, tg.pin, good)
+			g, sn := &good[tg.act], &sens[tg.site]
+			x := [4]uint64{
+				(g[0] ^ tg.stuck) & a[0] & sn[0],
+				(g[1] ^ tg.stuck) & a[1] & sn[1],
+				(g[2] ^ tg.stuck) & a[2] & sn[2],
+				(g[3] ^ tg.stuck) & a[3] & sn[3],
+			}
+			if tg.pin != fault.OutputPin && x != [4]uint64{} {
+				p := v.Sensitivity(tg.site, tg.pin, good)
+				x[0] &= p[0]
+				x[1] &= p[1]
+				x[2] &= p[2]
+				x[3] &= p[3]
 			}
 			masks[fi] = x
-			reach |= x
+			reach[0] |= x[0]
+			reach[1] |= x[1]
+			reach[2] |= x[2]
+			reach[3] |= x[3]
 		}
-		if reach != 0 {
+		if reach != [4]uint64{} {
 			s.active = append(s.active, int32(ri))
 			s.reach = append(s.reach, reach)
 		}
 	}
 	e := Effort{Stems: int64(len(s.active))}
-	if cap(s.observed) < len(s.active) {
-		s.observed = make([]uint64, len(s.active))
-	}
-	observed := s.observed[:len(s.active)]
-
-	// Degrade toward serial when the active roots are too few to amortize
-	// goroutine handoffs. Scheduling only; results are unaffected.
-	workers = max(1, min(workers, len(s.active)/minRootsPerWorker))
-	if workers == 1 {
-		m := s.machines[0]
-		for k, ri := range s.active {
-			observed[k] = m.propagate(s, t.roots[ri], s.reach[k], &e.GateEvals)
-		}
-	} else {
-		s.ensureMachines(workers)
-		if cap(s.evals) < workers {
-			s.evals = make([]int64, workers)
-		}
-		evals := s.evals[:workers]
-		clear(evals)
-		parallel.ForEachChunk(workers, len(s.active), rootChunk, func(worker, lo, hi int) {
-			// Count locally and publish once per chunk: per-root increments
-			// on adjacent counters would false-share one cache line.
-			m, n := s.machines[worker], int64(0)
-			for k := lo; k < hi; k++ {
-				observed[k] = m.propagate(s, t.roots[s.active[k]], s.reach[k], &n)
-			}
-			evals[worker] += n
-		})
-		for _, n := range evals {
-			e.GateEvals += n
-		}
+	if len(s.active) > 0 {
+		copy(s.val, good)
 	}
 	for k, ri := range s.active {
+		o := s.propagate(t.roots[ri], s.reach[k], &e.GateEvals)
 		for _, fi := range t.order[t.start[ri]:t.start[ri+1]] {
-			masks[fi] &= observed[k]
+			m := &masks[fi]
+			m[0] &= o[0]
+			m[1] &= o[1]
+			m[2] &= o[2]
+			m[3] &= o[3]
 		}
 	}
 	return e, nil
 }
 
-// simulateGood packs the block into primary-input words (bit k holds
-// pattern k) and evaluates the good machine.
-func (s *Simulator) simulateGood(block []bitvec.Vector) error {
-	if len(block) > 64 {
-		return fmt.Errorf("block of %d patterns exceeds 64", len(block))
+// simulateGood packs the lanes into the primary inputs' words (bit k of
+// word w holds lanes[w][k]) and evaluates the good machine.
+func (s *Simulator) simulateGood(lanes [][]bitvec.Vector) error {
+	v := s.v
+	if len(lanes) > Lanes {
+		return fmt.Errorf("%d lanes exceed %d", len(lanes), Lanes)
 	}
-	clear(s.words)
-	for k, p := range block {
-		if p.Width() != len(s.words) {
-			return fmt.Errorf("pattern %d has width %d, circuit has %d inputs", k, p.Width(), len(s.words))
+	for w, lane := range lanes {
+		if len(lane) > 64 {
+			return fmt.Errorf("lane %d has %d patterns, more than 64", w, len(lane))
 		}
-		for i := range s.words {
-			if p.Bit(i) {
-				s.words[i] |= 1 << uint(k)
+		for k, p := range lane {
+			if p.Width() != len(v.Inputs) {
+				return fmt.Errorf("lane %d pattern %d has width %d, circuit has %d inputs", w, k, p.Width(), len(v.Inputs))
 			}
 		}
 	}
-	v := s.v
-	for i, l := range v.Inputs {
-		s.good[l] = s.words[i]
+	for _, l := range v.Inputs {
+		s.good[l] = [4]uint64{}
+	}
+	for w, lane := range lanes {
+		clear(s.words)
+		for k, p := range lane {
+			// Visit the pattern's set bits only; a Vector holds none past
+			// its width.
+			for j := 0; 64*j < len(s.words); j++ {
+				for x := p.Limb(j); x != 0; x &= x - 1 {
+					s.words[64*j+bits.TrailingZeros64(x)] |= 1 << uint(k)
+				}
+			}
+		}
+		for i, l := range v.Inputs {
+			s.good[l][w] = s.words[i]
+		}
 	}
 	for l := range v.Nodes {
 		if v.Nodes[l].Type != netlist.Input {
 			s.good[l] = v.Eval(int32(l), s.good)
 		}
 	}
-	s.block++
 	return nil
 }
 
@@ -443,12 +425,13 @@ func (s *Simulator) traceSensitivity() {
 	v := s.v
 	for g := int32(len(v.Nodes)) - 1; g >= 0; g-- {
 		if v.Root[g] == g {
-			s.sens[g] = ^uint64(0)
+			s.sens[g] = [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 		}
 		sg := s.sens[g]
 		for pin, f := range v.FaninOf(g) {
 			if v.Root[f] != f {
-				s.sens[f] = sg & v.Sensitivity(g, pin, s.good)
+				p := v.Sensitivity(g, pin, s.good)
+				s.sens[f] = [4]uint64{sg[0] & p[0], sg[1] & p[1], sg[2] & p[2], sg[3] & p[3]}
 			}
 		}
 	}
@@ -456,41 +439,43 @@ func (s *Simulator) traceSensitivity() {
 
 // propagate flips line r in the patterns flip, propagates the change
 // event-driven in level order, and returns the patterns in which a primary
-// output changed. It restores the machine to the good values afterwards.
-func (m *machine) propagate(s *Simulator, r int32, flip uint64, evals *int64) uint64 {
-	v, good, val := s.v, s.good, m.val
-	if m.block != s.block {
-		copy(val, good)
-		m.block = s.block
-	}
-	var observed uint64
+// output changed. It restores the faulty machine to the good values
+// afterwards.
+func (s *Simulator) propagate(r int32, flip [4]uint64, evals *int64) [4]uint64 {
+	v, good, val := s.v, s.good, s.val
+	var observed [4]uint64
 	if v.IsOut[r] {
 		observed = flip
 	}
-	val[r] = good[r] ^ flip
-	m.changed = append(m.changed[:0], r)
+	g := &good[r]
+	val[r] = [4]uint64{g[0] ^ flip[0], g[1] ^ flip[1], g[2] ^ flip[2], g[3] ^ flip[3]}
+	s.changed = append(s.changed[:0], r)
 	if out := v.FanoutOf(r); len(out) > 0 {
-		last := m.schedule(out)
+		last := s.schedule(out)
 		for w := out[0] >> 6; w <= last>>6; w++ {
-			for m.pending[w] != 0 {
-				l := w<<6 | int32(bits.TrailingZeros64(m.pending[w]))
-				m.pending[w] &= m.pending[w] - 1
+			for s.pending[w] != 0 {
+				l := w<<6 | int32(bits.TrailingZeros64(s.pending[w]))
+				s.pending[w] &= s.pending[w] - 1
 				x := v.Eval(l, val)
 				*evals++
-				d := x ^ good[l]
-				if d == 0 {
+				g := &good[l]
+				d0, d1, d2, d3 := x[0]^g[0], x[1]^g[1], x[2]^g[2], x[3]^g[3]
+				if d0|d1|d2|d3 == 0 {
 					continue
 				}
 				val[l] = x
-				m.changed = append(m.changed, l)
+				s.changed = append(s.changed, l)
 				if v.IsOut[l] {
-					observed |= d
+					observed[0] |= d0
+					observed[1] |= d1
+					observed[2] |= d2
+					observed[3] |= d3
 				}
-				last = max(last, m.schedule(v.FanoutOf(l)))
+				last = max(last, s.schedule(v.FanoutOf(l)))
 			}
 		}
 	}
-	for _, l := range m.changed {
+	for _, l := range s.changed {
 		val[l] = good[l]
 	}
 	return observed
@@ -498,9 +483,9 @@ func (m *machine) propagate(s *Simulator, r int32, flip uint64, evals *int64) ui
 
 // schedule marks a changed line's fanout (ascending) pending and returns
 // the highest line it marked, or -1.
-func (m *machine) schedule(out []int32) int32 {
+func (s *Simulator) schedule(out []int32) int32 {
 	for _, fo := range out {
-		m.pending[fo>>6] |= 1 << (fo & 63)
+		s.pending[fo>>6] |= 1 << (fo & 63)
 	}
 	if len(out) == 0 {
 		return -1

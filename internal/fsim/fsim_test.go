@@ -251,9 +251,9 @@ func TestDropDetectedStopsEarly(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	faults, _, _ := fault.List(c)
 	sim, _ := New(c)
-	// Two repetitions of the exhaustive set span multiple 64-pattern blocks,
-	// so fault dropping saves work in the later blocks.
-	patterns := make([]bitvec.Vector, 128)
+	// Sixteen repetitions of the exhaustive set span two 256-pattern
+	// blocks, so fault dropping saves work in the later block.
+	patterns := make([]bitvec.Vector, 512)
 	for v := range patterns {
 		patterns[v] = bitvec.FromUint64(5, uint64(v%32))
 	}
@@ -361,8 +361,9 @@ q = DFF(z)
 	}
 }
 
-// TestDetectRejectsBadBlocks checks that a block of more than 64 patterns
-// and a pattern whose width is not the circuit's input count are refused.
+// TestDetectRejectsBadBlocks checks that a lane of more than 64 patterns,
+// more than four lanes, and a pattern whose width is not the circuit's
+// input count are refused.
 func TestDetectRejectsBadBlocks(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	faults, _, err := fault.List(c)
@@ -374,16 +375,19 @@ func TestDetectRejectsBadBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := NewTargets(sim.v, faults)
-	live := make([]bool, len(faults))
-	masks := make([]uint64, len(faults))
+	live := make([]uint8, len(faults))
+	masks := make([][4]uint64, len(faults))
 	wide := make([]bitvec.Vector, 65)
 	for i := range wide {
 		wide[i] = bitvec.New(5)
 	}
-	if _, err := sim.Detect(tg, wide, live, masks); err == nil {
-		t.Error("expected error for a 65-pattern block")
+	if _, err := sim.Detect(tg, [][]bitvec.Vector{nil, wide}, live, masks); err == nil {
+		t.Error("expected error for a 65-pattern lane")
 	}
-	if _, err := sim.Detect(tg, []bitvec.Vector{bitvec.New(3)}, live, masks); err == nil {
+	if _, err := sim.Detect(tg, make([][]bitvec.Vector, Lanes+1), live, masks); err == nil {
+		t.Errorf("expected error for %d lanes", Lanes+1)
+	}
+	if _, err := sim.Detect(tg, [][]bitvec.Vector{{bitvec.New(3)}}, live, masks); err == nil {
 		t.Error("expected error for a 3-bit pattern on 5 inputs")
 	}
 	if _, err := sim.Run(faults, []bitvec.Vector{bitvec.New(3)}, Options{}); err == nil {
@@ -391,8 +395,81 @@ func TestDetectRejectsBadBlocks(t *testing.T) {
 	}
 }
 
+// resultsEqual compares every field of two Results bit for bit.
+func resultsEqual(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.NumDetected != want.NumDetected {
+		t.Errorf("%s: NumDetected %d, want %d", label, got.NumDetected, want.NumDetected)
+	}
+	if got.PatternsApplied != want.PatternsApplied {
+		t.Errorf("%s: PatternsApplied %d, want %d", label, got.PatternsApplied, want.PatternsApplied)
+	}
+	if got.GateEvals != want.GateEvals {
+		t.Errorf("%s: GateEvals %d, want %d", label, got.GateEvals, want.GateEvals)
+	}
+	for i := range want.Detected {
+		if got.Detected[i] != want.Detected[i] {
+			t.Fatalf("%s: Detected[%d] = %v, want %v", label, i, got.Detected[i], want.Detected[i])
+		}
+		if got.FirstPattern[i] != want.FirstPattern[i] {
+			t.Fatalf("%s: FirstPattern[%d] = %d, want %d", label, i, got.FirstPattern[i], want.FirstPattern[i])
+		}
+	}
+}
+
+// TestReusedSimulatorMatchesFresh runs one Simulator per circuit across
+// every option combination, each on the whole fault list and then on a
+// shorter one, over 600 patterns (two full passes and a partial one). Every
+// Result must equal a fresh Simulator's bit for bit, so nothing a run
+// leaves behind — good values, the faulty machine, live masks — reaches
+// the next.
+func TestReusedSimulatorMatchesFresh(t *testing.T) {
+	optionSets := []Options{
+		{},
+		{DropDetected: true},
+		{DropDetected: true, StopWhenAllDetected: true},
+		{StopWhenAllDetected: true},
+	}
+	for _, name := range []string{"s420", "s820", "s953", "s1238"} {
+		scan, err := bench.ScanView(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults, _, err := fault.List(scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		patterns := make([]bitvec.Vector, 600)
+		for i := range patterns {
+			patterns[i] = bitvec.Random(len(scan.Inputs), rng)
+		}
+		reused, err := New(scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for oi, opts := range optionSets {
+			for _, sub := range [][]fault.Fault{faults, faults[:len(faults)/3]} {
+				fresh, err := New(scan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Run(sub, patterns, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.Run(sub, patterns, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsEqual(t, fmt.Sprintf("%s options %d, %d faults", name, oi, len(sub)), want, got)
+			}
+		}
+	}
+}
+
 // BenchmarkFaultSim grades 256 random patterns against every collapsed
-// fault of s1238 with fault dropping, serially and on two workers.
+// fault of s1238 with fault dropping.
 func BenchmarkFaultSim(b *testing.B) {
 	c, err := bench.ScanView("s1238")
 	if err != nil {
@@ -411,14 +488,10 @@ func BenchmarkFaultSim(b *testing.B) {
 	for i := range patterns {
 		patterns[i] = bitvec.Random(len(c.Inputs), rng)
 	}
-	for _, j := range []int{1, 2} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(faults, patterns, Options{DropDetected: true, Parallelism: j}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sim.Run(faults, patterns, Options{DropDetected: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

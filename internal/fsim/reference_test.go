@@ -15,9 +15,9 @@ import (
 // reference, which evaluates the good and faulty machines from scratch one
 // fault and one pattern at a time, on small generated full-scan circuits
 // with reconvergent fanout and random-pattern-resistant cones. Every
-// fault's Detected and FirstPattern must match at Parallelism 1 and 2 on a
-// list of 1 to 600 patterns, which crosses the 64-, 256- and 512-pattern
-// boundaries. Every fault ATPG reports
+// fault's Detected and FirstPattern must match on a list of 1 to 600
+// patterns, which crosses the 64-, 256- and 512-pattern boundaries. Every
+// fault ATPG reports
 // as detected must be detected by its patterns, and no fault it reports
 // untestable may be detected by any of the 2^n input vectors (the
 // circuits have at most 12 scan inputs).
@@ -73,16 +73,14 @@ func FuzzFaultSimMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, j := range []int{1, 2} {
-			res, err := sim.Run(faults, patterns, fsim.Options{Parallelism: j})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for fi, flt := range faults {
-				if res.Detected[fi] != (want[fi] >= 0) || res.FirstPattern[fi] != want[fi] {
-					t.Fatalf("j%d fault %s: detected=%v first=%d, reference first=%d",
-						j, flt.String(c), res.Detected[fi], res.FirstPattern[fi], want[fi])
-				}
+		got, err := sim.Run(faults, patterns, fsim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, flt := range faults {
+			if got.Detected[fi] != (want[fi] >= 0) || got.FirstPattern[fi] != want[fi] {
+				t.Fatalf("fault %s: detected=%v first=%d, reference first=%d",
+					flt.String(c), got.Detected[fi], got.FirstPattern[fi], want[fi])
 			}
 		}
 

@@ -54,11 +54,6 @@ type Config struct {
 	// rejected with ErrTooLarge (default 25000, which admits every circuit
 	// the paper ran GATSBY on and rejects s13207/s15850-class instances).
 	MaxFaults int
-	// Parallelism bounds the fault-simulation worker pool grading each
-	// candidate's test set. 1 forces serial; 0 (and any negative value)
-	// means one worker per available processor. The search itself is
-	// sequential, so the result is bit-identical for any value.
-	Parallelism int
 	// Context, when non-nil, cancels the search: it is checked before every
 	// fitness evaluation (each one a full test-set fault simulation). A
 	// cancelled run returns the context's error — the GA has no meaningful
@@ -155,7 +150,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 		for i, fi := range remaining {
 			sub[i] = faults[fi]
 		}
-		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Parallelism: cfg.Parallelism, Context: cfg.Context})
+		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Context: cfg.Context})
 		if err != nil {
 			return err
 		}
@@ -219,7 +214,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 		for i, fi := range remaining {
 			sub[i] = faults[fi]
 		}
-		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Parallelism: cfg.Parallelism, Context: cfg.Context})
+		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Context: cfg.Context})
 		if err != nil {
 			return nil, fmt.Errorf("gatsby: %w", err)
 		}

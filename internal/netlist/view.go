@@ -131,43 +131,58 @@ func (v *View) FanoutOf(l int32) []int32 {
 	return v.Fanout[nd.Out:nd.OutEnd]
 }
 
-// Eval computes line l's gate function bitwise over the 64-pattern words
-// val holds for its fanin lines. An input line's word is assigned, not
-// computed: Eval returns 0 for it.
-func (v *View) Eval(l int32, val []uint64) uint64 {
+// Eval computes line l's gate function bitwise over the four words val
+// holds for each of its fanin lines: one call evaluates 256 patterns, 64
+// per word. An input line's value is assigned, not computed: Eval returns
+// zero words for it.
+func (v *View) Eval(l int32, val [][4]uint64) [4]uint64 {
 	nd := &v.Nodes[l]
 	in := v.Fanin[nd.In:nd.InEnd]
 	op := gateOps[nd.Type]
 	inv := -uint64(op >> 2 & 1)
 	if op&opXor != 0 {
-		x := inv
+		x0, x1, x2, x3 := inv, inv, inv, inv
 		for _, f := range in {
-			x ^= val[f]
+			w := &val[f]
+			x0 ^= w[0]
+			x1 ^= w[1]
+			x2 ^= w[2]
+			x3 ^= w[3]
 		}
-		return x
+		return [4]uint64{x0, x1, x2, x3}
 	}
-	x, neg := ^uint64(0), -uint64(op>>1&1)
+	neg := -uint64(op >> 1 & 1)
+	x0, x1, x2, x3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	for _, f := range in {
-		x &= val[f] ^ neg
+		w := &val[f]
+		x0 &= w[0] ^ neg
+		x1 &= w[1] ^ neg
+		x2 &= w[2] ^ neg
+		x3 &= w[3] ^ neg
 	}
-	return x ^ inv
+	return [4]uint64{x0 ^ inv, x1 ^ inv, x2 ^ inv, x3 ^ inv}
 }
 
-// Sensitivity returns the patterns, over the words val holds, in which
-// flipping the value on fanin pin pin of line l flips l: every other input
-// of an AND-family gate holds its non-controlling value, and any flip
-// passes an XOR-family gate, an inverter or a buffer.
-func (v *View) Sensitivity(l int32, pin int, val []uint64) uint64 {
+// Sensitivity returns the patterns, over the four words val holds per
+// line, in which flipping the value on fanin pin pin of line l flips l:
+// every other input of an AND-family gate holds its non-controlling value,
+// and any flip passes an XOR-family gate, an inverter or a buffer.
+func (v *View) Sensitivity(l int32, pin int, val [][4]uint64) [4]uint64 {
 	nd := &v.Nodes[l]
-	s, op := ^uint64(0), gateOps[nd.Type]
+	op := gateOps[nd.Type]
+	s0, s1, s2, s3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	if op&opXor != 0 {
-		return s
+		return [4]uint64{s0, s1, s2, s3}
 	}
 	neg := -uint64(op >> 1 & 1)
 	for q, f := range v.Fanin[nd.In:nd.InEnd] {
 		if q != pin {
-			s &= val[f] ^ neg
+			w := &val[f]
+			s0 &= w[0] ^ neg
+			s1 &= w[1] ^ neg
+			s2 &= w[2] ^ neg
+			s3 &= w[3] ^ neg
 		}
 	}
-	return s
+	return [4]uint64{s0, s1, s2, s3}
 }

@@ -27,8 +27,9 @@ y   = XOR(d, d)
 z   = OR(f1, x, y)
 `
 
-// TestViewEvalMatchesEval checks the view's evaluation of every line
-// against the gate semantics of Eval on random words.
+// TestViewEvalMatchesEval checks the view's evaluation of every line, in
+// each of its four words, against the gate semantics of Eval on random
+// words.
 func TestViewEvalMatchesEval(t *testing.T) {
 	c, err := ParseString("types", allTypes)
 	if err != nil {
@@ -36,21 +37,26 @@ func TestViewEvalMatchesEval(t *testing.T) {
 	}
 	v := NewView(c)
 	rng := rand.New(rand.NewSource(1))
-	val := make([]uint64, len(v.Nodes))
+	val := make([][4]uint64, len(v.Nodes))
 	for trial := 0; trial < 20; trial++ {
 		for l := range val {
-			val[l] = rng.Uint64()
+			for w := range val[l] {
+				val[l][w] = rng.Uint64()
+			}
 		}
 		for l := range v.Nodes {
 			if v.Nodes[l].Type == Input {
 				continue
 			}
-			var in []uint64
-			for _, f := range v.FaninOf(int32(l)) {
-				in = append(in, val[f])
-			}
-			if got, want := v.Eval(int32(l), val), Eval(v.Nodes[l].Type, in); got != want {
-				t.Fatalf("line %d (%s): Eval %x, want %x", l, v.Nodes[l].Type, got, want)
+			got := v.Eval(int32(l), val)
+			for w := range got {
+				var in []uint64
+				for _, f := range v.FaninOf(int32(l)) {
+					in = append(in, val[f][w])
+				}
+				if want := Eval(v.Nodes[l].Type, in); got[w] != want {
+					t.Fatalf("line %d (%s) word %d: Eval %x, want %x", l, v.Nodes[l].Type, w, got[w], want)
+				}
 			}
 		}
 	}
@@ -63,14 +69,14 @@ func TestViewEvalMatchesEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := NewView(c)
-		if got := v.Eval(v.Line[c.Outputs[0]], make([]uint64, 1)); got != tc.want {
-			t.Errorf("%s: Eval %x, want %x", tc.src, got, tc.want)
+		if got := v.Eval(v.Line[c.Outputs[0]], make([][4]uint64, 1)); got != [4]uint64{tc.want, tc.want, tc.want, tc.want} {
+			t.Errorf("%s: Eval %x, want %x in every word", tc.src, got, tc.want)
 		}
 	}
 }
 
 // TestViewSensitivity checks that flipping a fanin pin flips its gate in
-// exactly the patterns Sensitivity reports.
+// exactly the patterns Sensitivity reports, in each of the four words.
 func TestViewSensitivity(t *testing.T) {
 	c, err := ParseString("types", allTypes)
 	if err != nil {
@@ -78,23 +84,31 @@ func TestViewSensitivity(t *testing.T) {
 	}
 	v := NewView(c)
 	rng := rand.New(rand.NewSource(2))
-	val := make([]uint64, len(v.Nodes))
+	val := make([][4]uint64, len(v.Nodes))
 	for trial := 0; trial < 20; trial++ {
 		for l := range val {
-			val[l] = rng.Uint64()
+			for w := range val[l] {
+				val[l][w] = rng.Uint64()
+			}
 		}
 		for l := range v.Nodes {
 			nd := &v.Nodes[l]
 			for pin := 0; pin < int(nd.InEnd-nd.In); pin++ {
 				// Flip the pin alone, through a private copy of its line.
-				flipped := append([]uint64(nil), val...)
-				flipped = append(flipped, ^val[v.Fanin[int(nd.In)+pin]])
 				saved := v.Fanin[int(nd.In)+pin]
+				inv := val[saved]
+				for w := range inv {
+					inv[w] = ^inv[w]
+				}
+				flipped := append(append([][4]uint64(nil), val...), inv)
 				v.Fanin[int(nd.In)+pin] = int32(len(val))
-				got := v.Eval(int32(l), flipped) ^ v.Eval(int32(l), append(val, val[saved]))
+				a, b := v.Eval(int32(l), flipped), v.Eval(int32(l), append(val, val[saved]))
 				v.Fanin[int(nd.In)+pin] = saved
-				if want := v.Sensitivity(int32(l), pin, val); got != want {
-					t.Fatalf("line %d (%s) pin %d: flip changes %x, Sensitivity %x", l, nd.Type, pin, got, want)
+				want := v.Sensitivity(int32(l), pin, val)
+				for w := range want {
+					if got := a[w] ^ b[w]; got != want[w] {
+						t.Fatalf("line %d (%s) pin %d word %d: flip changes %x, Sensitivity %x", l, nd.Type, pin, w, got, want[w])
+					}
 				}
 			}
 		}

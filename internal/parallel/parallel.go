@@ -1,6 +1,7 @@
 // Package parallel provides the small bounded worker pool shared by the
-// repository's hot paths (fault simulation and Detection Matrix
-// construction).
+// repository's hot paths (Detection Matrix construction, the exact
+// covering solve and batch serving), and the one interpretation of every
+// Parallelism option.
 //
 // The pool is deliberately minimal: work is identified by integer index,
 // indices are handed out dynamically (an atomic cursor, so fast workers steal
@@ -8,8 +9,8 @@
 // so callers can keep per-worker scratch state without locking. Nothing here
 // introduces nondeterminism by itself — callers that write results to
 // per-index slots and fold them in index order get output that is
-// bit-identical to a serial run, which is the contract internal/fsim and
-// internal/dmatrix document.
+// bit-identical to a serial run, which is the contract internal/dmatrix
+// documents.
 package parallel
 
 import (
@@ -89,50 +90,4 @@ func ForEach(workers, n int, fn func(worker, i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// ForEachChunk invokes fn(worker, lo, hi) over half-open chunks [lo, hi)
-// that partition [0, n), each at most chunk wide, distributed dynamically
-// across at most `workers` goroutines. It is ForEach for inner loops too
-// cheap to pay one atomic operation per index; fn cannot fail because the
-// hot loops it hosts (per-fault event propagation) have no error paths.
-//
-// With workers <= 1 (or a single chunk) fn runs on the calling goroutine.
-func ForEachChunk(workers, n, chunk int, fn func(worker, lo, hi int)) {
-	if n < 1 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	chunks := (n + chunk - 1) / chunk
-	workers = Clamp(workers, chunks)
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				ci := int(cursor.Add(1))
-				if ci >= chunks {
-					return
-				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(worker, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

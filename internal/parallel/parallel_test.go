@@ -106,32 +106,3 @@ func TestForEachSerialErrorStopsImmediately(t *testing.T) {
 		t.Errorf("serial path made %d calls, want 4", calls)
 	}
 }
-
-func TestForEachChunkCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, chunk := range []int{1, 7, 64, 1000} {
-			const n = 517
-			counts := make([]int32, n)
-			ForEachChunk(workers, n, chunk, func(worker, lo, hi int) {
-				if hi-lo > chunk && Clamp(workers, (n+chunk-1)/chunk) > 1 {
-					t.Errorf("chunk [%d,%d) wider than %d", lo, hi, chunk)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&counts[i], 1)
-				}
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d chunk=%d: index %d visited %d times",
-						workers, chunk, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestForEachChunkEmpty(t *testing.T) {
-	ForEachChunk(4, 0, 16, func(worker, lo, hi int) {
-		t.Error("fn called with no work")
-	})
-}

@@ -57,12 +57,12 @@
 // The hot paths of Solve — grading every candidate (δ, θ, T) triplet
 // against the fault list, and the exact covering solve of the reduced
 // matrix — run on a bounded worker pool. ATPGOptions.Parallelism controls
-// the fault-simulation fan-out inside Prepare, and Options.Parallelism
+// the PODEM search workers inside Prepare, and Options.Parallelism
 // controls both the Detection Matrix build and the covering solver's
 // branch-and-bound fan-out inside Solve; in all of them, 1 forces the
 // serial path and 0 (the zero value) uses one worker per available
 // processor. Parallel runs are guaranteed bit-identical to serial runs —
-// see internal/fsim, internal/dmatrix and internal/setcover for the
+// see internal/atpg, internal/dmatrix and internal/setcover for the
 // determinism contract and the tests that enforce it. (The solution is
 // covered by the guarantee; the SolverNodes effort counter, like
 // wall-clock time, is not, and neither is the best-so-far of a
