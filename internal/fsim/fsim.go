@@ -29,11 +29,12 @@
 // & Ha 1991): a fault inside a region changes nothing outside it except
 // through the root, and the patterns of a pass are independent bits.
 //
-// Four words per line, rather than one, pay because a region root's event
-// set is already nearly the whole circuit at 64 patterns: halving a block
-// to 32 patterns multiplies gate evaluations by only 1.79-1.85 on the
-// bundled circuits, so the same evaluations over four words cover about
-// four times the patterns.
+// Four words per line, rather than one, pay because the set of gates a
+// region root's flip reaches is already nearly as large at 64 patterns as
+// at 256, so an evaluation over four words costs little more than one over
+// a single word and covers four times the patterns. The 30 Detection
+// Matrices of perfbench's traced cold run (seed 1) take 4.1 M four-word
+// evaluations where one word per line took 14.3 M.
 //
 // This simulator plays the role of the TestGen fault simulator in the paper:
 // it grades the ATPG test set and fills the Detection Matrix (which triplet
@@ -42,14 +43,14 @@
 // # Concurrency
 //
 // A Simulator propagates its region roots serially, on the calling
-// goroutine. An earlier version fanned each block's roots out across
-// worker goroutines; one root's propagation is only tens of gate
-// evaluations, the packing, good machine and fault effects ran serially
-// before the fan-out, and on the bundled circuits it saved nothing
-// measurable. Callers that want parallelism run one Simulator per
-// goroutine on a shared view and Targets, as the Detection Matrix build
-// does. A Run's Result depends only on the circuit, the faults, the
-// patterns and the options.
+// goroutine. Fanning them out across goroutines does not pay: one root's
+// propagation is only tens of gate evaluations, the packing, good machine
+// and fault effects of a pass are serial work before any fan-out, and on
+// the bundled circuits a per-root worker pool measured no faster than one
+// goroutine. Callers that want parallelism run one Simulator per goroutine
+// on a shared view and Targets, as the Detection Matrix build does. A
+// Run's Result depends only on the circuit, the faults, the patterns and
+// the options.
 //
 // # Cancellation
 //
