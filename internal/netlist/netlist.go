@@ -490,8 +490,9 @@ func (c *Circuit) Clone() *Circuit {
 }
 
 // Eval computes the boolean function of a gate type over fanin values. It is
-// the single source of truth for gate semantics, shared by the logic and
-// fault simulators (which apply it bitwise over 64-pattern words).
+// the single source of truth for gate semantics: the logic simulator applies
+// it bitwise over 64-pattern words, and View.Eval, the fault simulator's
+// four-word form, is tested against it.
 func Eval(t GateType, in []uint64) uint64 {
 	switch t {
 	case And, Nand:
