@@ -1,6 +1,6 @@
 // Command benchgen emits the synthetic benchmark circuits as .bench
-// netlists, and generates/solves the Balas–Ho set-covering corpus behind
-// the exact solver's bound benchmarks.
+// netlists, and generates the Balas–Ho set-covering corpus the exact
+// solver is tested and benchmarked on.
 //
 // Circuit usage:
 //
@@ -13,10 +13,9 @@
 //	benchgen -cover -rows 80 -cols 50 -density 0.45 -cseed 7      # one instance to stdout
 //	benchgen -cover -costs uniform -maxcost 100 ...               # weighted cost class
 //	benchgen -cover-corpus -out internal/setcover/corpus          # regenerate the committed corpus + golden.json
-//	benchgen -cover-bench -out BENCH_bounds.json                  # run the bounds harness (counting vs Lagrangian)
 //
-// See docs/CORPUS.md for the corpus tiers and how to read the harness
-// output.
+// See docs/CORPUS.md for the corpus tiers and the tests and benchmark
+// that pin the solver on them.
 package main
 
 import (
@@ -39,16 +38,14 @@ func main() {
 
 		cover       = flag.Bool("cover", false, "emit one Balas-Ho set-covering instance (.scp) to stdout")
 		coverCorpus = flag.Bool("cover-corpus", false, "regenerate the committed corpus instances and golden.json under -out")
-		coverBench  = flag.Bool("cover-bench", false, "run the corpus bounds harness and write BENCH_bounds.json to -out")
-		out         = flag.String("out", "", "output path: corpus package dir for -cover-corpus, JSON file for -cover-bench")
+		out         = flag.String("out", "", "-cover-corpus: corpus package dir to write")
 		rows        = flag.Int("rows", 80, "-cover: number of covering rows (sets)")
 		cols        = flag.Int("cols", 50, "-cover: number of columns to cover (elements)")
 		density     = flag.Float64("density", 0.3, "-cover: target incidence density in (0,1]")
 		costs       = flag.String("costs", "unit", "-cover: cost class: unit or uniform")
 		maxCost     = flag.Int("maxcost", 0, "-cover: inclusive cost ceiling for -costs uniform (0 = 100)")
 		cseed       = flag.Int64("cseed", 1, "-cover: generator seed")
-		openBudget  = flag.Int64("open-budget", 0, "-cover-bench: node budget per open-tier solve (0 = default)")
-		jobs        = flag.Int("j", 1, "-cover-bench/-cover-corpus: solver parallelism (1 = serial, deterministic node counts; 0 = all cores)")
+		jobs        = flag.Int("j", 1, "-cover-corpus: generator and solver parallelism (1 = serial; 0 = all cores)")
 	)
 	flag.Parse()
 
@@ -57,8 +54,6 @@ func main() {
 		emitInstance(*rows, *cols, *density, *costs, *maxCost, *cseed)
 	case *coverCorpus:
 		regenerateCorpus(*out, *jobs)
-	case *coverBench:
-		runBoundsBench(*out, *openBudget, *jobs)
 	case *list:
 		fmt.Printf("%-8s %6s %6s %6s %8s\n", "name", "PI", "PO", "FF", "gates")
 		for _, p := range bench.Profiles() {
@@ -67,7 +62,7 @@ func main() {
 	case *circuit != "":
 		emitCircuit(*circuit, *scan)
 	default:
-		fmt.Fprintln(os.Stderr, "benchgen: one of -circuit, -list, -cover, -cover-corpus, -cover-bench required")
+		fmt.Fprintln(os.Stderr, "benchgen: one of -circuit, -list, -cover, -cover-corpus required")
 		os.Exit(1)
 	}
 }
@@ -175,28 +170,4 @@ func regenerateCorpus(dir string, jobs int) {
 	if err := os.WriteFile(filepath.Join(dir, "golden.json"), raw, 0o644); err != nil {
 		fatal(err)
 	}
-}
-
-func runBoundsBench(out string, openBudget int64, jobs int) {
-	bench, err := corpus.RunBounds(corpus.BenchOptions{
-		Parallelism:    jobs,
-		OpenNodeBudget: openBudget,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := bench.WriteJSON(w); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "hard-tier nodes: counting=%d lagrangian=%d reduction=%.1fx\n",
-		bench.Summary.HardNodesCounting, bench.Summary.HardNodesLagrangian, bench.Summary.HardNodeReduction)
 }

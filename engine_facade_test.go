@@ -1,8 +1,8 @@
 package reseeding
 
-// Facade-level coverage of the v2 Engine surface: the v1 wrappers really
-// are served by the package-default Engine, and the fault facade exposes
-// the collapsing statistics.
+// Facade-level coverage of the Engine surface: PrepareCircuit's
+// cancellation and content-addressed sharing, and the fault facade's
+// collapsing statistics.
 
 import (
 	"context"
@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// The v1 Prepare wrapper honors ATPGOptions.Context: a cancelled context
-// aborts the preparation instead of running the ATPG to completion.
+// PrepareCircuit without a context of its own honors ATPGOptions.Context:
+// a cancelled context aborts the preparation instead of running the ATPG
+// to completion.
 func TestPrepareHonorsOptionsContext(t *testing.T) {
 	scan, err := ScanView("s953")
 	if err != nil {
@@ -20,9 +21,10 @@ func TestPrepareHonorsOptionsContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = Prepare(scan, ATPGOptions{Seed: 42, Context: ctx})
+	var noCtx context.Context // PrepareCircuit falls back to opts.Context
+	_, _, err = NewEngine(EngineOptions{}).PrepareCircuit(noCtx, scan, ATPGOptions{Seed: 42, Context: ctx})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Prepare returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled PrepareCircuit returned %v, want context.Canceled", err)
 	}
 }
 
@@ -67,10 +69,10 @@ z = OR(n2, c)
 	}
 }
 
-// The v1 Prepare wrapper is served by the package-default Engine: two
-// calls with content-equal circuits and equal options share one cached
-// Flow (pointer identity), different options do not.
-func TestPrepareServedByDefaultEngine(t *testing.T) {
+// PrepareCircuit is content-addressed: two calls with content-equal
+// circuits and equal options share one cached Flow (pointer identity),
+// different options do not.
+func TestPrepareCircuitSharesFlows(t *testing.T) {
 	scanA, err := ScanView("s820")
 	if err != nil {
 		t.Fatal(err)
@@ -79,43 +81,24 @@ func TestPrepareServedByDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := Prepare(scanA, ATPGOptions{Seed: 7})
+	eng := NewEngine(EngineOptions{})
+	ctx := context.Background()
+	f1, _, err := eng.PrepareCircuit(ctx, scanA, ATPGOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Prepare(scanB, ATPGOptions{Seed: 7})
+	f2, _, err := eng.PrepareCircuit(ctx, scanB, ATPGOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f1 != f2 {
 		t.Error("equal circuits + options did not share the cached Flow")
 	}
-	f3, err := Prepare(scanA, ATPGOptions{Seed: 8})
+	f3, _, err := eng.PrepareCircuit(ctx, scanA, ATPGOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f3 == f1 {
 		t.Error("different ATPG seed shared a cached Flow")
-	}
-}
-
-// The v1 one-shot Run wrapper flows through the same caches and stays
-// deterministic.
-func TestRunServedByDefaultEngine(t *testing.T) {
-	a, err := Run("s420", "adder", ATPGOptions{Seed: 3}, Options{Cycles: 32, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("s420", "adder", ATPGOptions{Seed: 3}, Options{Cycles: 32, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumTriplets() != b.NumTriplets() || a.TestLength != b.TestLength {
-		t.Errorf("repeated Run diverged: %d/%d vs %d/%d",
-			a.NumTriplets(), a.TestLength, b.NumTriplets(), b.TestLength)
-	}
-	stats := DefaultEngine().Stats()
-	if stats.PrepareBuilds == 0 || stats.Solves < 2 {
-		t.Errorf("default engine did not serve Run: %+v", stats)
 	}
 }

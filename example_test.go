@@ -42,15 +42,16 @@ func ExampleEngine() {
 }
 
 // Example is the paper's flow end to end: generate the benchmark UUT in its
-// full-scan view, run the ATPG once, pick a functional module as the test
-// pattern generator, and solve the set covering problem for a minimal
-// reseeding solution.
+// full-scan view, run the ATPG once through an Engine, pick a functional
+// module as the test pattern generator, and solve the set covering problem
+// for a minimal reseeding solution.
 func Example() {
 	scan, err := reseeding.ScanView("s420")
 	if err != nil {
 		panic(err)
 	}
-	flow, err := reseeding.Prepare(scan, reseeding.ATPGOptions{Seed: 1})
+	eng := reseeding.NewEngine(reseeding.EngineOptions{})
+	flow, _, err := eng.PrepareCircuit(context.Background(), scan, reseeding.ATPGOptions{Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -78,7 +79,8 @@ func ExampleFlow_Solve() {
 	if err != nil {
 		panic(err)
 	}
-	flow, err := reseeding.Prepare(scan, reseeding.ATPGOptions{Seed: 1})
+	eng := reseeding.NewEngine(reseeding.EngineOptions{})
+	flow, _, err := eng.PrepareCircuit(context.Background(), scan, reseeding.ATPGOptions{Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -117,7 +119,7 @@ func ExampleNewTPG() {
 }
 
 // ExampleScanView shows the full-scan combinational view consumed by
-// Prepare: flip-flops of the sequential benchmark become pseudo
+// PrepareCircuit: flip-flops of the sequential benchmark become pseudo
 // inputs/outputs.
 func ExampleScanView() {
 	seq, err := reseeding.OpenBenchmark("s420")

@@ -23,9 +23,7 @@ var DeterminismScope = []string{
 	"internal/engine",
 	// The distributed fabric: ring placement, subtree leases and the
 	// incumbent protocol must agree across processes, which is the same
-	// contract as within one. (internal/cluster/loadgen is deliberately
-	// outside — latency measurement is wall-clock by definition, and
-	// suffix matching does not descend.)
+	// contract as within one.
 	"internal/cluster",
 }
 

@@ -8,11 +8,13 @@ package cluster_test
 // continue, never to a wrong answer or a client-visible failure.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/setcover"
 	"repro/internal/setcover/corpus"
+	"repro/internal/store"
 )
 
 // lateBound lets an httptest server start (assigning its URL) before the
@@ -42,10 +45,16 @@ func (l *lateBound) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // -advertise. configure receives the URL and returns the Config.
 func newReplica(t *testing.T, configure func(self string) server.Config) (*httptest.Server, *server.Server) {
 	t.Helper()
+	return newReplicaOver(t, engine.New(engine.Options{Parallelism: 1}), configure)
+}
+
+// newReplicaOver is newReplica serving from the given Engine.
+func newReplicaOver(t *testing.T, eng *engine.Engine, configure func(self string) server.Config) (*httptest.Server, *server.Server) {
+	t.Helper()
 	lb := &lateBound{}
 	ts := httptest.NewServer(lb)
 	t.Cleanup(ts.Close)
-	srv := server.New(engine.New(engine.Options{Parallelism: 1}), configure(ts.URL))
+	srv := server.New(eng, configure(ts.URL))
 	lb.h.Store(http.Handler(srv))
 	return ts, srv
 }
@@ -356,5 +365,96 @@ func TestCoordinatorRejectsForgedLease(t *testing.T) {
 	}
 	if rejected != 1 {
 		t.Fatalf("%d lease spans carry rejected=1, want 1", rejected)
+	}
+}
+
+// Four clients send c432, s420 and s820 × seeds 1–2 through a gateway over
+// two replicas that share one store: once cold, then three times warm.
+// Every response is a 200, each key's solution is the same in every wave,
+// and the warm waves build no flow or matrix on either replica. No other
+// test sends concurrent solves through a gateway to real replicas.
+func TestGatewayConcurrentColdWarm(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replicas []string
+	for range 2 {
+		ts, _ := newReplicaOver(t, engine.New(engine.Options{Parallelism: 1, Store: st}),
+			func(string) server.Config { return server.Config{} })
+		replicas = append(replicas, ts.URL)
+	}
+	gw := newGatewayOver(t, replicas...)
+
+	var keys []engine.Request
+	for _, circuit := range []string{"c432", "s420", "s820"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			keys = append(keys, engine.Request{Circuit: circuit, TPG: "adder", Cycles: 32, Seed: seed, Parallelism: 1})
+		}
+	}
+	// wave sends every key once over four clients and returns each key's
+	// solution as the replica encoded it.
+	wave := func(name string) []json.RawMessage {
+		sols := make([]json.RawMessage, len(keys))
+		next := make(chan int)
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					body, err := json.Marshal(keys[i])
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					resp, err := http.Post(gw.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("%s %s seed %d: %v", name, keys[i].Circuit, keys[i].Seed, err)
+						continue
+					}
+					var out struct{ Solution json.RawMessage }
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || err != nil {
+						t.Errorf("%s %s seed %d: %s, decode error %v", name, keys[i].Circuit, keys[i].Seed, resp.Status, err)
+						continue
+					}
+					sols[i] = out.Solution
+				}
+			}()
+		}
+		for i := range keys {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+		return sols
+	}
+	builds := func() (prepare, matrix [2]int64) {
+		for i, rep := range replicas {
+			resp, err := http.Get(rep + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats struct{ Engine engine.Stats }
+			mustDecode(t, resp, &stats)
+			resp.Body.Close()
+			prepare[i], matrix[i] = stats.Engine.PrepareBuilds, stats.Engine.MatrixBuilds
+		}
+		return prepare, matrix
+	}
+
+	cold := wave("cold")
+	prepare, matrix := builds()
+	for w := 1; w <= 3; w++ {
+		for i, sol := range wave("warm") {
+			if !bytes.Equal(sol, cold[i]) {
+				t.Errorf("warm wave %d: %s seed %d solution differs from the cold wave's", w, keys[i].Circuit, keys[i].Seed)
+			}
+		}
+	}
+	if p, m := builds(); p != prepare || m != matrix {
+		t.Errorf("warm waves built: prepare_builds %v → %v, matrix_builds %v → %v", prepare, p, matrix, m)
 	}
 }

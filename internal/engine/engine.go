@@ -361,7 +361,7 @@ func (e *Engine) prepareNamed(ctx context.Context, circuit string, opts atpg.Opt
 // PrepareNamed fetches or computes the Flow of a built-in benchmark
 // circuit (full-scan view). The bool reports whether the result came from
 // the cache or a shared in-flight preparation. A nil ctx falls back to
-// opts.Context (the v1 facade's cancellation channel).
+// opts.Context.
 func (e *Engine) PrepareNamed(ctx context.Context, circuit string, opts atpg.Options) (*core.Flow, bool, error) {
 	_, flow, hit, err := e.prepareNamed(fallbackCtx(ctx, opts.Context), circuit, opts)
 	return flow, hit, err
@@ -493,9 +493,9 @@ func (e *Engine) solveKind(ctx context.Context, flowKey string, flow *core.Flow,
 	return sol, hit || fromStore, nil
 }
 
-// Run is the structured-options counterpart of Solve: it serves the v1
-// facade's one-shot flow (named benchmark circuit, generator kind) from
-// the Engine's caches. Unlike Request it accepts the full ATPG and solver
+// Run is the structured-options counterpart of Solve: it serves a
+// one-shot flow (named benchmark circuit, generator kind) from the
+// Engine's caches. Unlike Request it accepts the full ATPG and solver
 // option structs. A nil ctx falls back to the options' own Context fields.
 func (e *Engine) Run(ctx context.Context, circuit, kind string, atpgOpts atpg.Options, opts core.Options) (*core.Solution, error) {
 	ctx = fallbackCtx(ctx, atpgOpts.Context, opts.Context)

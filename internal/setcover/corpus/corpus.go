@@ -34,9 +34,14 @@ const (
 	TierHard Tier = "hard"
 	// TierOpen instances are not solved to proven optimality by the
 	// current solver within corpus budgets: golden records the best known
-	// cost, and harness runs exercise the anytime contract.
+	// cost, and budgeted solves exercise the anytime contract.
 	TierOpen Tier = "open"
 )
+
+// DefaultOpenNodeBudget bounds each open-tier solve: enough tree to make
+// the anytime best-so-far meaningful, small enough to keep a serial pass
+// over the corpus seconds-fast.
+const DefaultOpenNodeBudget = 50_000
 
 // Tiers lists the tiers in grading order.
 func Tiers() []Tier { return []Tier{TierEasy, TierMedium, TierHard, TierOpen} }
@@ -49,9 +54,9 @@ type Spec struct {
 }
 
 // Specs returns the corpus definition in canonical order (the order of
-// instances/ and of every harness report). Dense hard-tier instances are
-// where the counting bound degenerates; the open tier is sized beyond the
-// corpus node budgets on purpose.
+// instances/ and of every corpus test and benchmark). Dense hard-tier
+// instances are where the counting bound degenerates; the open tier is
+// sized beyond the corpus node budgets on purpose.
 func Specs() []Spec {
 	return []Spec{
 		{"easy-1", TierEasy, Params{Rows: 25, Cols: 20, Density: 0.2, Costs: CostUnit, Seed: 101}},

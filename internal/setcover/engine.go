@@ -129,7 +129,7 @@ type ExactOptions struct {
 	// default) and BoundLagrangian use the Lagrangian dual bound — root
 	// subgradient multipliers priced into every node's residual, combined
 	// with the counting bound by max — while BoundCounting keeps the
-	// combinatorial bound alone (the corpus harness's baseline). The mode
+	// combinatorial bound alone (the corpus tests' baseline). The mode
 	// changes Nodes and wall time only: completed solves return
 	// bit-identical Rows/Cost/Optimal in every mode.
 	Bound BoundMode

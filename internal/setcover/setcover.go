@@ -157,8 +157,8 @@ type Solution struct {
 	// RootLB is the exact solver's root lower bound on the optimal cost —
 	// the stronger of the counting bound and (in Lagrangian modes) the dual
 	// value after the root multiplier ascent, plus any cost the root
-	// re-reduction committed. It never exceeds the optimal cost, so the
-	// corpus harness reports RootLB/Cost as bound tightness. 0 for greedy
+	// re-reduction committed. It never exceeds the optimal cost, so
+	// RootLB/Cost reads as the bound's tightness. 0 for greedy
 	// solves and solves truncated before the root bound was computed. It
 	// depends on ExactOptions.Bound (that is its point) but not on
 	// Parallelism.

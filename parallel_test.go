@@ -4,7 +4,10 @@ package reseeding
 // ATPG fault grading, Detection Matrix construction, reduction and exact
 // covering — must compute the same solution for every Parallelism value.
 // The per-layer guarantees live in internal/fsim, internal/dmatrix and
-// internal/setcover; this test pins them down at the public API.
+// internal/setcover; this test pins them down at the public API. Each
+// Parallelism value prepares its own Flow with core.Prepare, so ATPG runs
+// at every value: an Engine would serve every value but the first from
+// its flow cache, whose key leaves Parallelism out.
 //
 // SolverNodes is zeroed before comparison: with a parallel covering solve
 // the node count depends on pruning races against the shared incumbent, the
@@ -15,6 +18,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestSolveBitIdenticalAcrossParallelism(t *testing.T) {
@@ -29,7 +34,7 @@ func TestSolveBitIdenticalAcrossParallelism(t *testing.T) {
 		}
 		var reference *Solution
 		for _, j := range []int{1, 2, runtime.GOMAXPROCS(0), 0} {
-			flow, err := Prepare(scan, ATPGOptions{Seed: 1, Parallelism: j})
+			flow, err := core.Prepare(scan, ATPGOptions{Seed: 1, Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,21 +13,21 @@
 //
 // The flow is:
 //
+//	eng := reseeding.NewEngine(reseeding.EngineOptions{})
 //	scan, _ := reseeding.ScanView("s1238")        // benchmark UUT
-//	flow, _ := reseeding.Prepare(scan, reseeding.ATPGOptions{Seed: 1})
+//	flow, _, _ := eng.PrepareCircuit(ctx, scan, reseeding.ATPGOptions{Seed: 1})
 //	gen, _ := reseeding.NewTPG("adder", len(scan.Inputs))
 //	sol, _ := flow.Solve(gen, reseeding.Options{Cycles: 64, Seed: 2})
 //	fmt.Println(sol.NumTriplets(), sol.TestLength)
 //
-// Prepare runs the built-in ATPG once per circuit; Solve builds the
+// PrepareCircuit runs the built-in ATPG once per circuit; Solve builds the
 // Detection Matrix for one generator, reduces it by essentiality and
 // dominance, and solves the residual covering problem exactly.
 //
 // # The Engine (v2 API)
 //
-// Services answering many reseeding queries use a long-lived Engine
-// instead of the one-shot flow above. An Engine memoizes Prepare artifacts
-// per circuit and Detection Matrices per (circuit, generator kind,
+// Services answering many reseeding queries keep one long-lived Engine.
+// An Engine memoizes prepared flows per circuit and Detection Matrices per (circuit, generator kind,
 // evolution length, seed), deduplicates concurrent identical requests
 // (singleflight: N goroutines asking for the same circuit run exactly one
 // ATPG), and answers plain, JSON-serializable Requests:
@@ -46,18 +46,15 @@
 // context's error. See internal/engine for the cache keying and
 // invalidation rules.
 //
-// The v1 entry points (Prepare, Run) remain as thin wrappers over a
-// package-default Engine: existing callers compile unchanged and now share
-// its artifact caches. Flow.Solve is unchanged and cache-free; pair it
-// with Engine.SolveFlow to run caller-defined generators with engine
-// cancellation.
+// Flow.Solve is cache-free; pair it with Engine.SolveFlow to run
+// caller-defined generators with engine cancellation.
 //
 // # Parallelism
 //
 // The hot paths of Solve — grading every candidate (δ, θ, T) triplet
 // against the fault list, and the exact covering solve of the reduced
 // matrix — run on a bounded worker pool. ATPGOptions.Parallelism controls
-// the PODEM search workers inside Prepare, and Options.Parallelism
+// the PODEM search workers inside PrepareCircuit, and Options.Parallelism
 // controls both the Detection Matrix build and the covering solver's
 // branch-and-bound fan-out inside Solve; in all of them, 1 forces the
 // serial path and 0 (the zero value) uses one worker per available
@@ -78,7 +75,6 @@
 package reseeding
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/atpg"
@@ -199,7 +195,7 @@ func Benchmarks() []string { return bench.List() }
 func OpenBenchmark(name string) (*Circuit, error) { return bench.Named(name) }
 
 // ScanView generates the named benchmark in full-scan combinational form,
-// the shape consumed by Prepare.
+// the shape consumed by Engine.PrepareCircuit.
 func ScanView(name string) (*Circuit, error) { return bench.ScanView(name) }
 
 // Faults returns the collapsed stuck-at fault list of a combinational
@@ -229,7 +225,7 @@ func NewTPG(kind string, width int) (Generator, error) { return tpg.ByName(kind,
 func TPGKinds() []string { return tpg.Kinds() }
 
 // Engine is the long-lived, concurrency-safe front door of the reseeding
-// flow: it memoizes Prepare artifacts and Detection Matrices with
+// flow: it memoizes prepared flows and Detection Matrices with
 // singleflight deduplication and answers serializable Requests. See
 // internal/engine for the cache keying and invalidation rules.
 type Engine = engine.Engine
@@ -279,47 +275,6 @@ type Response = engine.Response
 
 // NewEngine returns an Engine with the given defaults.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
-
-// defaultEngine backs the v1 entry points, so they share one process-wide
-// artifact cache.
-var defaultEngine = engine.New(engine.Options{})
-
-// DefaultEngine returns the package-default Engine the v1 wrappers
-// (Prepare, Run) are served by. Flush it to drop their caches.
-func DefaultEngine() *Engine { return defaultEngine }
-
-// Prepare enumerates faults and runs the ATPG on a combinational circuit,
-// producing the Flow whose Solve method computes reseeding solutions.
-//
-// Since the v2 redesign, Prepare is a thin wrapper over the package
-// default Engine: the result is memoized per (circuit content, ATPG
-// options) and shared — treat the returned Flow as immutable. A non-nil
-// ATPGOptions.Context cancels the preparation (cancellation of a shared
-// in-flight preparation only takes effect when its last waiter is gone).
-func Prepare(c *Circuit, opts ATPGOptions) (*Flow, error) {
-	f, _, err := defaultEngine.PrepareCircuit(orBackground(opts.Context), c, opts)
-	return f, err
-}
-
-// Run is the one-shot convenience flow on a named benchmark circuit. It is
-// a thin wrapper over the package-default Engine, so repeated runs share
-// cached ATPG preparations and Detection Matrices. The Context fields of
-// either options struct cancel the run end to end.
-func Run(circuit, tpgKind string, atpgOpts ATPGOptions, opts Options) (*Solution, error) {
-	ctx := orBackground(atpgOpts.Context)
-	if atpgOpts.Context == nil && opts.Context != nil {
-		ctx = opts.Context
-	}
-	return defaultEngine.Run(ctx, circuit, tpgKind, atpgOpts, opts)
-}
-
-// orBackground substitutes the non-cancellable background context for nil.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
 
 // RunGatsby runs the genetic-algorithm baseline on the same target fault
 // list a Flow would use, for comparison tables.

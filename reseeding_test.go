@@ -1,6 +1,7 @@
 package reseeding
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := Prepare(scan, ATPGOptions{Seed: 1})
+	flow, _, err := NewEngine(EngineOptions{}).PrepareCircuit(context.Background(), scan, ATPGOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,16 +26,6 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if sol.NumTriplets() == 0 || sol.TestLength == 0 {
 		t.Errorf("empty solution: %+v", sol)
-	}
-}
-
-func TestRunOneShot(t *testing.T) {
-	sol, err := Run("s820", "multiplier", ATPGOptions{Seed: 1}, Options{Cycles: 32, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Generator != "multiplier" || sol.Circuit != "s820_scan" {
-		t.Errorf("labels: %q %q", sol.Generator, sol.Circuit)
 	}
 }
 
@@ -142,7 +133,7 @@ func TestRunGatsbyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := Prepare(scan, ATPGOptions{Seed: 1})
+	flow, _, err := NewEngine(EngineOptions{}).PrepareCircuit(context.Background(), scan, ATPGOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
