@@ -23,8 +23,8 @@
 //	if ctx == nil { ctx = context.Background() }
 //
 // or the return form (if ctx == nil { return context.Background() }), is
-// allowed its Background call — substituting Background for an absent context is
-// exactly what those helpers are for.
+// allowed its Background call — substituting Background for an absent
+// context is exactly what those helpers are for.
 package ctxflow
 
 import (

@@ -43,14 +43,14 @@ var pinnedBounds = map[string][2]boundCounts{
 	"open-2":   {{50001, 38, false, 2}, {50001, 38, false, 26}},
 }
 
-// boundSolve runs one serial solve of a corpus instance under one bound,
-// the open tier under DefaultOpenNodeBudget.
-func boundSolve(inst *Instance, tier Tier, bound setcover.BoundMode) (setcover.Solution, error) {
+// boundOptions are the options of one serial solve under one bound, the
+// open tier under DefaultOpenNodeBudget.
+func boundOptions(tier Tier, bound setcover.BoundMode) setcover.ExactOptions {
 	opts := setcover.ExactOptions{Bound: bound, Parallelism: 1}
 	if tier == TierOpen {
 		opts.MaxNodes = DefaultOpenNodeBudget
 	}
-	return solve(inst, opts)
+	return opts
 }
 
 // TestCorpusBoundsPinned solves every corpus instance serially under both
@@ -83,13 +83,7 @@ func TestCorpusBoundsPinned(t *testing.T) {
 			}
 			var sols [2]setcover.Solution
 			for k, bound := range bounds {
-				sol, err := boundSolve(inst, spec.Tier, bound.mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !inst.Problem.Verify(sol.Rows) {
-					t.Fatalf("%s: invalid cover %v", bound.name, sol.Rows)
-				}
+				sol := solveInstance(t, inst, boundOptions(spec.Tier, bound.mode))
 				if got := (boundCounts{sol.Nodes, sol.Cost, sol.Optimal, sol.RootLB}); got != want[k] {
 					t.Errorf("%s: got %+v, pinned %+v", bound.name, got, want[k])
 				}
@@ -125,9 +119,10 @@ func BenchmarkCorpusBounds(b *testing.B) {
 		}
 		for _, bound := range bounds {
 			b.Run(spec.Name+"/"+bound.name, func(b *testing.B) {
+				opts := boundOptions(spec.Tier, bound.mode)
 				var nodes int64
 				for b.Loop() {
-					sol, err := boundSolve(inst, spec.Tier, bound.mode)
+					sol, err := solve(inst, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
