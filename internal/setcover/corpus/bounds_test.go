@@ -53,57 +53,136 @@ func boundOptions(tier Tier, bound setcover.BoundMode) setcover.ExactOptions {
 	return opts
 }
 
-// TestCorpusBoundsPinned solves every corpus instance serially under both
-// bounds and requires each solve's nodes, cost, optimality and root lower
-// bound to equal pinnedBounds. Where both bounds complete they must return
-// the same rows (the bound only prunes) at the golden.json optimum, and
-// summed over the hard tier the Lagrangian bound must search at least 5x
-// fewer nodes than counting. Under -short only the easy tier runs.
-func TestCorpusBoundsPinned(t *testing.T) {
+// solveBounds solves one corpus instance serially under both bounds and
+// requires what holds for every instance: each solve's nodes, cost,
+// optimality and root lower bound equal its pinnedBounds row, a proven
+// cost is the golden.json optimum, and where both bounds complete they
+// return the same rows (the bound only prunes).
+func solveBounds(t *testing.T, spec Spec, golden map[string]Golden) [2]setcover.Solution {
+	t.Helper()
+	want, ok := pinnedBounds[spec.Name]
+	if !ok {
+		t.Fatalf("%s: not in the pinned table", spec.Name)
+	}
+	inst, err := Load(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sols [2]setcover.Solution
+	for k, bound := range bounds {
+		sol := solveInstance(t, inst, boundOptions(spec.Tier, bound.mode))
+		if got := (boundCounts{sol.Nodes, sol.Cost, sol.Optimal, sol.RootLB}); got != want[k] {
+			t.Errorf("%s %s: got %+v, pinned %+v", spec.Name, bound.name, got, want[k])
+		}
+		if g := golden[spec.Name].Optimal; g != nil && sol.Optimal && sol.Cost != *g {
+			t.Errorf("%s %s: proven cost %d, golden optimum %d", spec.Name, bound.name, sol.Cost, *g)
+		}
+		sols[k] = sol
+	}
+	c, l := sols[0], sols[1]
+	if c.Optimal && l.Optimal && (c.Cost != l.Cost || !slices.Equal(c.Rows, l.Rows)) {
+		t.Errorf("%s: bounds disagree: counting %v (cost %d), lagrangian %v (cost %d)", spec.Name, c.Rows, c.Cost, l.Rows, l.Cost)
+	}
+	return sols
+}
+
+// goldenManifest is GoldenManifest for a test.
+func goldenManifest(t *testing.T) map[string]Golden {
+	t.Helper()
 	golden, err := GoldenManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pinnedBounds) != len(Specs()) {
-		t.Fatalf("pinned table has %d rows for %d specs", len(pinnedBounds), len(Specs()))
-	}
+	return golden
+}
+
+// TestCommittedBenchCurrent: pinnedBounds holds one row per corpus
+// instance, each with a node count under both bounds, and its hard tier
+// already shows the 5x node reduction.
+func TestCommittedBenchCurrent(t *testing.T) {
 	var hardCounting, hardLagrangian int64
 	for _, spec := range Specs() {
-		want, ok := pinnedBounds[spec.Name]
+		row, ok := pinnedBounds[spec.Name]
 		if !ok {
-			t.Fatalf("%s: not in the pinned table", spec.Name)
+			t.Errorf("%s: not in the pinned table", spec.Name)
+			continue
 		}
+		if row[0].nodes <= 0 || row[1].nodes <= 0 {
+			t.Errorf("%s: pinned row has no node count: %+v", spec.Name, row)
+		}
+		if spec.Tier == TierHard {
+			hardCounting += row[0].nodes
+			hardLagrangian += row[1].nodes
+		}
+	}
+	if len(pinnedBounds) != len(Specs()) {
+		t.Errorf("pinned table has %d rows for %d specs", len(pinnedBounds), len(Specs()))
+	}
+	if hardLagrangian == 0 || hardCounting < 5*hardLagrangian {
+		t.Errorf("pinned hard tier: counting %d nodes, lagrangian %d: reduction below the 5x floor", hardCounting, hardLagrangian)
+	}
+}
+
+// TestCorpusMatchesCommittedBench solves every corpus instance serially
+// under both bounds and requires each solve to match its pinnedBounds row,
+// the golden optimum and the other bound's rows (solveBounds). A change
+// that moves the search tree fails here.
+func TestCorpusMatchesCommittedBench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus double solve skipped in -short")
+	}
+	golden := goldenManifest(t)
+	for _, spec := range Specs() {
 		t.Run(spec.Name, func(t *testing.T) {
-			if testing.Short() && spec.Tier != TierEasy {
-				t.Skip("only the easy tier runs in -short")
-			}
-			inst, err := Load(spec.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sols [2]setcover.Solution
-			for k, bound := range bounds {
-				sol := solveInstance(t, inst, boundOptions(spec.Tier, bound.mode))
-				if got := (boundCounts{sol.Nodes, sol.Cost, sol.Optimal, sol.RootLB}); got != want[k] {
-					t.Errorf("%s: got %+v, pinned %+v", bound.name, got, want[k])
-				}
-				if g := golden[spec.Name].Optimal; g != nil && sol.Optimal && sol.Cost != *g {
-					t.Errorf("%s: proven cost %d, golden optimum %d", bound.name, sol.Cost, *g)
-				}
-				sols[k] = sol
-			}
-			c, l := sols[0], sols[1]
-			if c.Optimal && l.Optimal && (c.Cost != l.Cost || !slices.Equal(c.Rows, l.Rows)) {
-				t.Errorf("bounds disagree: counting %v (cost %d), lagrangian %v (cost %d)", c.Rows, c.Cost, l.Rows, l.Cost)
-			}
-			if spec.Tier == TierHard {
-				hardCounting += c.Nodes
-				hardLagrangian += l.Nodes
-			}
+			solveBounds(t, spec, golden)
 		})
 	}
-	if hardCounting < 5*hardLagrangian {
-		t.Errorf("hard tier: counting %d nodes, lagrangian %d: reduction below 5x", hardCounting, hardLagrangian)
+}
+
+// TestLagrangianNodeReduction: summed over the hard tier's fresh serial
+// solves, the Lagrangian bound must search at least 5x fewer nodes than
+// the counting bound.
+func TestLagrangianNodeReduction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hard-tier double solve skipped in -short")
+	}
+	golden := goldenManifest(t)
+	var hardCounting, hardLagrangian int64
+	for _, spec := range Specs() {
+		if spec.Tier != TierHard {
+			continue
+		}
+		sols := solveBounds(t, spec, golden)
+		hardCounting += sols[0].Nodes
+		hardLagrangian += sols[1].Nodes
+	}
+	if hardLagrangian == 0 || hardCounting < 5*hardLagrangian {
+		t.Errorf("hard tier: counting %d nodes, lagrangian %d: reduction below the 5x floor", hardCounting, hardLagrangian)
+	}
+}
+
+// TestRunBoundsSubset runs both bounds on the easy tier, so -short still
+// solves part of the corpus: each instance must be proven optimal under
+// both, with a root lower bound in (0, cost].
+func TestRunBoundsSubset(t *testing.T) {
+	golden := goldenManifest(t)
+	var n int
+	for _, spec := range Specs() {
+		if spec.Tier != TierEasy {
+			continue
+		}
+		n++
+		for k, sol := range solveBounds(t, spec, golden) {
+			if !sol.Optimal {
+				t.Errorf("%s %s: easy instance not solved to optimality", spec.Name, bounds[k].name)
+			}
+			if sol.RootLB <= 0 || sol.RootLB > sol.Cost {
+				t.Errorf("%s %s: root lower bound %d outside (0, %d]", spec.Name, bounds[k].name, sol.RootLB, sol.Cost)
+			}
+		}
+	}
+	if n != 4 {
+		t.Fatalf("easy tier has %d instances, want 4", n)
 	}
 }
 
