@@ -280,23 +280,6 @@ func BenchmarkParallelMatrixBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultSimNoDrop measures one large fault-simulation run: the
-// full collapsed fault list against the ATPG test set, without fault
-// dropping, so every fault stays live in every pass.
-func BenchmarkFaultSimNoDrop(b *testing.B) {
-	flow := flowFor(b, "s1238")
-	sim, err := fsim.New(flow.Circuit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := sim.Run(flow.AllFaults, flow.Patterns, fsim.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelSolve measures the end-to-end covering flow across
 // worker-pool sizes. Since the unified covering engine, -j drives both the
 // matrix build and the exact solve's branch-and-bound fan-out; only the
@@ -360,8 +343,7 @@ func BenchmarkSubstrateFaultSim(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(flow.AllFaults, flow.Patterns,
-					fsim.Options{DropDetected: true}); err != nil {
+				if _, err := sim.Run(flow.AllFaults, flow.Patterns, fsim.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	res, err := sim.Run(faults, pats, fsim.Options{DropDetected: true, Context: ctx})
+	res, err := sim.Run(faults, pats, fsim.Options{Context: ctx})
 	if err != nil {
 		fail(err)
 	}

@@ -11,18 +11,16 @@ import (
 	"testing"
 )
 
-// PrepareCircuit without a context of its own honors ATPGOptions.Context:
-// a cancelled context aborts the preparation instead of running the ATPG
+// A cancelled context aborts PrepareCircuit instead of running the ATPG
 // to completion.
-func TestPrepareHonorsOptionsContext(t *testing.T) {
+func TestPrepareCircuitHonorsContext(t *testing.T) {
 	scan, err := ScanView("s953")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var noCtx context.Context // PrepareCircuit falls back to opts.Context
-	_, _, err = NewEngine(EngineOptions{}).PrepareCircuit(noCtx, scan, ATPGOptions{Seed: 42, Context: ctx})
+	_, _, err = NewEngine(EngineOptions{}).PrepareCircuit(ctx, scan, ATPGOptions{Seed: 42})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled PrepareCircuit returned %v, want context.Canceled", err)
 	}

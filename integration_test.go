@@ -84,7 +84,7 @@ func TestHardwareReplayDetectsAllFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{DropDetected: true})
+			res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestHardwareReplayLFSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{DropDetected: true})
+	res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

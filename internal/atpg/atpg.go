@@ -218,7 +218,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 			break // every remaining fault in range was classified
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, batch, fsim.Options{DropDetected: true, Context: opts.Context})
+		fres, err := sim.Run(sub, batch, fsim.Options{Context: opts.Context})
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -260,7 +260,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		for i, p := range patterns {
 			reversed[len(patterns)-1-i] = p
 		}
-		fres, err := sim.Run(sub, reversed, fsim.Options{DropDetected: true, Context: opts.Context})
+		fres, err := sim.Run(sub, reversed, fsim.Options{Context: opts.Context})
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -300,7 +300,7 @@ func randomPhase(sim *fsim.Simulator, width int, faults []fault.Fault, opts Opti
 			block[i] = bitvec.Random(width, rng)
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, block, fsim.Options{DropDetected: true, Context: opts.Context})
+		fres, err := sim.Run(sub, block, fsim.Options{Context: opts.Context})
 		if err != nil {
 			return nil, nil, fmt.Errorf("atpg: %w", err)
 		}

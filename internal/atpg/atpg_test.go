@@ -62,7 +62,7 @@ func TestFullCoverageC17(t *testing.T) {
 	// Independent check: grading the returned patterns must reproduce the
 	// claimed detection record.
 	sim, _ := fsim.New(c)
-	fres, err := sim.Run(faults, res.Patterns, fsim.Options{DropDetected: true})
+	fres, err := sim.Run(faults, res.Patterns, fsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRandomCircuitsFullTestableCoverage(t *testing.T) {
 			t.Errorf("trial %d: testable coverage %v", trial, res.TestableCoverage())
 		}
 		sim, _ := fsim.New(c)
-		fres, err := sim.Run(faults, res.Patterns, fsim.Options{DropDetected: true})
+		fres, err := sim.Run(faults, res.Patterns, fsim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -267,11 +267,10 @@ func (f *Flow) BuildMatrix(gen tpg.Generator, opts Options) (*dmatrix.Matrix, er
 		return nil, fmt.Errorf("core: %s: empty ATPG test set", f.Circuit.Name)
 	}
 	m, err := dmatrix.Build(f.Circuit, f.TargetFaults, f.Patterns, gen, dmatrix.Options{
-		Cycles:               opts.Cycles,
-		Seed:                 opts.Seed,
-		RecordFirstDetection: true,
-		Parallelism:          opts.Parallelism,
-		Context:              opts.Context,
+		Cycles:      opts.Cycles,
+		Seed:        opts.Seed,
+		Parallelism: opts.Parallelism,
+		Context:     opts.Context,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -510,15 +509,6 @@ func romBits(triplets, width, maxCycles int) int {
 		counter++
 	}
 	return triplets * (2*width + counter)
-}
-
-// Run is the one-shot convenience flow: Prepare followed by Solve.
-func Run(c *netlist.Circuit, gen tpg.Generator, atpgOpts atpg.Options, opts Options) (*Solution, error) {
-	f, err := Prepare(c, atpgOpts)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(gen, opts)
 }
 
 // TradeoffPoint is one sample of the reseedings-vs-test-length curve

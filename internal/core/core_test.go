@@ -106,7 +106,7 @@ func verifyDetectsAll(t *testing.T, f *Flow, sol *Solution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(f.TargetFaults, patterns, fsim.Options{DropDetected: true})
+	res, err := sim.Run(f.TargetFaults, patterns, fsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,11 @@ func TestRunOnBenchmarkCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Run(s, gen, atpg.Options{Seed: 1}, Options{Cycles: 64, Seed: 3})
+	f, err := Prepare(s, atpg.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := f.Solve(gen, Options{Cycles: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@ package ctxutil
 
 import "context"
 
-// Err reports the context's error, tolerating a nil context (the zero
-// value of every Options.Context field in this repository means "not
-// cancellable").
+// Err reports the context's error, tolerating a nil context, which means
+// "not cancellable".
 func Err(ctx context.Context) error {
 	if ctx == nil {
 		return nil

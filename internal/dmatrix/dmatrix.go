@@ -8,10 +8,17 @@
 // the fault list by construction), a random input value θ_i, and a common
 // experimentally-tuned evolution length T.
 //
+// Build draws those candidates and hands them to Grade, which
+// fault-simulates any list of triplets of one length T. GATSBY grades each
+// generation of its genetic search through Grade too, against the faults
+// it has yet to detect. Every matrix records, for each detection, the
+// index of the earliest detecting pattern: the covering flow trims its
+// triplets with it, and GATSBY takes a candidate's length from it.
+//
 // # Packing
 //
 // The fault simulator simulates four 64-pattern lanes per pass, one per
-// word of a line's value, and Build fills each lane with exactly the
+// word of a line's value, and Grade fills each lane with exactly the
 // 64-pattern block of a one-word simulator:
 //
 //   - For T ≤ 64 a lane is a pack of max(1, ⌊64/T⌋) triplets: triplet j of
@@ -28,14 +35,15 @@
 //
 // # Parallelism and determinism
 //
-// Build fault-simulates the groups of four lanes concurrently: groups are
+// Grade fault-simulates the groups of four lanes concurrently: groups are
 // handed out to Options.Parallelism workers by the internal/parallel pool,
 // and every worker owns a private fsim.Simulator and buffers on one
-// circuit view and fault list shared by the whole build. Triplet expansion
-// and θ selection stay sequential (a single rand stream), and each worker
-// writes only its own groups' row slots, so the finished Matrix —
-// Triplets, Rows, FirstDetection, GateEvals, PatternsSimulated — is
-// bit-identical for every Parallelism value, including the serial value 1.
+// circuit view and fault list shared by the whole build. Build's θ
+// selection (a single rand stream) and Grade's triplet expansion stay
+// sequential, and each worker writes only its own groups' row slots, so
+// the finished Matrix — Triplets, Rows, FirstDetection, GateEvals,
+// PatternsSimulated — is bit-identical for every Parallelism value,
+// including the serial value 1.
 // The dmatrix tests assert this equivalence on benchmark circuits.
 package dmatrix
 
@@ -60,20 +68,16 @@ type Options struct {
 	// Cycles is the evolution length T applied to every triplet. It must be
 	// at least 1 (T = 1 reproduces the raw ATPG test set).
 	Cycles int
-	// Seed drives the random θ selection.
+	// Seed drives Build's random θ selection.
 	Seed int64
-	// RecordFirstDetection stores, for every (triplet, fault) pair, the
-	// index of the earliest detecting pattern; needed for the paper's
-	// test-length trimming. Costs 4 bytes per matrix cell.
-	RecordFirstDetection bool
 	// Parallelism is the number of goroutines fault-simulating groups of
 	// triplets concurrently. 1 forces the serial path; 0 (and any negative value)
 	// means one worker per available processor. The matrix is bit-identical
 	// for any value — see the package documentation.
 	Parallelism int
 	// Context, when non-nil, cancels the build: it is checked per triplet
-	// during expansion and per group during the parallel fill. A cancelled build returns
-	// the context's error — there is no partial matrix.
+	// during expansion and per group during the parallel fill. A cancelled
+	// build returns the context's error — there is no partial matrix.
 	Context context.Context
 }
 
@@ -85,8 +89,8 @@ type Matrix struct {
 	// Rows[i] is the set of fault indices detected by triplet i's test set.
 	Rows []*bitvec.Set
 	// FirstDetection[i][j] is the earliest pattern index (0..Cycles-1) at
-	// which triplet i detects fault j, or -1. Present only when
-	// Options.RecordFirstDetection was set.
+	// which triplet i detects fault j, or -1. It costs 4 bytes per matrix
+	// cell.
 	FirstDetection [][]int32
 	// Stats
 	GateEvals         int64 // fault-simulation effort
@@ -94,11 +98,27 @@ type Matrix struct {
 	TripletSims       int // number of triplet test-set fault simulations
 }
 
-// Build fault-simulates every candidate triplet on the generator and fills
-// the matrix. faults is the target list F (typically the ATPG-detected
-// faults); patterns is ATPGTS. The generator's width must equal the
-// circuit's input count.
+// Build draws the candidate triplets of the patterns — δ_i = p_i, θ_i from
+// opts.Seed in pattern order, T = opts.Cycles — and grades them. faults is
+// the target list F (typically the ATPG-detected faults); patterns is
+// ATPGTS.
 func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
+	gen tpg.Generator, opts Options) (*Matrix, error) {
+
+	rng := rand.New(rand.NewSource(opts.Seed))
+	triplets := make([]tpg.Triplet, len(patterns))
+	for i, p := range patterns {
+		triplets[i] = tpg.Triplet{Delta: p.Clone(), Theta: gen.RandomTheta(rng), Cycles: opts.Cycles}
+	}
+	return Grade(c, faults, triplets, gen, opts)
+}
+
+// Grade fault-simulates the given triplets on the generator against faults
+// and returns their matrix, which keeps the triplets as its rows' own.
+// Every triplet's Cycles must equal opts.Cycles, the packing unit;
+// opts.Seed is not used. The generator's width must equal the circuit's
+// input count.
+func Grade(c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	gen tpg.Generator, opts Options) (*Matrix, error) {
 
 	if opts.Cycles < 1 {
@@ -112,26 +132,20 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		return nil, fmt.Errorf("dmatrix: circuit %q must be finalized and combinational", c.Name)
 	}
 
-	// Phase 1 (sequential, so the matrix is independent of the worker
-	// count): draw θ values and expand every candidate's test set.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	m := &Matrix{NumFaults: len(faults)}
-	m.Triplets = make([]tpg.Triplet, len(patterns))
-	testSets := make([][]bitvec.Vector, len(patterns))
-	for i, p := range patterns {
+	// Phase 1 (sequential): expand every triplet's test set.
+	m := &Matrix{NumFaults: len(faults), Triplets: triplets}
+	testSets := make([][]bitvec.Vector, len(triplets))
+	for i, t := range triplets {
 		if err := ctxutil.Err(opts.Context); err != nil {
 			return nil, fmt.Errorf("dmatrix: %w", err)
 		}
-		t := tpg.Triplet{
-			Delta:  p.Clone(),
-			Theta:  gen.RandomTheta(rng),
-			Cycles: opts.Cycles,
+		if t.Cycles != opts.Cycles {
+			return nil, fmt.Errorf("dmatrix: triplet %d has %d cycles, want %d", i, t.Cycles, opts.Cycles)
 		}
 		ts, err := tpg.Expand(gen, t)
 		if err != nil {
 			return nil, fmt.Errorf("dmatrix: triplet %d: %w", i, err)
 		}
-		m.Triplets[i] = t
 		testSets[i] = ts
 	}
 
@@ -140,18 +154,16 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 	// so the matrix and its statistics are independent of scheduling.
 	per := max(1, 64/opts.Cycles) // triplets per lane
 	span := fsim.Lanes * per      // triplets per group
-	groups := (len(patterns) + span - 1) / span
+	groups := (len(triplets) + span - 1) / span
 	workers := parallel.Clamp(parallel.Degree(opts.Parallelism), groups)
 	v := netlist.NewView(c)
 	targets := fsim.NewTargets(v, faults)
-	m.Rows = make([]*bitvec.Set, len(patterns))
-	if opts.RecordFirstDetection {
-		m.FirstDetection = make([][]int32, len(patterns))
-	}
+	m.Rows = make([]*bitvec.Set, len(triplets))
+	m.FirstDetection = make([][]int32, len(triplets))
 	// One fsim span covers the whole phase and carries its totals.
 	fctx, fsp := obs.StartSpan(opts.Context, "fsim")
 	defer fsp.End()
-	fsp.SetInt("rows", int64(len(patterns)))
+	fsp.SetInt("rows", int64(len(triplets)))
 	packers := make([]*packer, workers)
 	stats := make([]packStats, groups)
 	err := parallel.ForEach(workers, groups, func(worker, k int) error {
@@ -167,7 +179,7 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 			}
 			packers[worker] = w
 		}
-		lo, hi := k*span, min((k+1)*span, len(patterns))
+		lo, hi := k*span, min((k+1)*span, len(triplets))
 		var err error
 		if stats[k], err = w.fill(m, targets, testSets, lo, hi, per, opts.Cycles); err != nil {
 			return fmt.Errorf("dmatrix: triplets %d-%d: %w", lo, hi-1, err)
@@ -184,7 +196,7 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 		blocks += int64(st.blocks)
 		m.PatternsSimulated += st.patterns
 	}
-	m.TripletSims = len(patterns)
+	m.TripletSims = len(triplets)
 	fsp.SetInt("gate_evals", m.GateEvals)
 	fsp.SetInt("patterns_applied", int64(m.PatternsSimulated))
 	fsp.SetInt("stems", stems)
@@ -212,13 +224,11 @@ type packStats struct {
 func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, per, cycles int) (packStats, error) {
 	for i := lo; i < hi; i++ {
 		m.Rows[i] = bitvec.NewSet(len(w.live))
-		if m.FirstDetection != nil {
-			fd := make([]int32, len(w.live))
-			for fi := range fd {
-				fd[fi] = -1
-			}
-			m.FirstDetection[i] = fd
+		fd := make([]int32, len(w.live))
+		for fi := range fd {
+			fd[fi] = -1
 		}
+		m.FirstDetection[i] = fd
 	}
 	open := uint8(1)<<((hi-lo+per-1)/per) - 1 // lanes in use
 	for fi := range w.live {
@@ -264,9 +274,7 @@ func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo
 				for mask != 0 {
 					j := bits.TrailingZeros64(mask) / width
 					m.Rows[first+j].Add(fi)
-					if m.FirstDetection != nil {
-						m.FirstDetection[first+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
-					}
+					m.FirstDetection[first+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
 					mask &^= field << (j * width)
 				}
 			}
@@ -314,10 +322,10 @@ func (m *Matrix) Density() float64 {
 // EffectiveLength returns the trimmed test length of triplet i when it is
 // responsible for the given faults: one past the latest first-detection
 // index among them (the paper deletes the trailing patterns that contribute
-// nothing). Requires RecordFirstDetection; falls back to the full cycle
-// count otherwise or when the fault set is empty.
+// nothing). It falls back to the full cycle count when the fault set is
+// empty.
 func (m *Matrix) EffectiveLength(i int, responsibleFaults []int) int {
-	if m.FirstDetection == nil || len(responsibleFaults) == 0 {
+	if len(responsibleFaults) == 0 {
 		return m.Triplets[i].Cycles
 	}
 	maxIdx := int32(-1)

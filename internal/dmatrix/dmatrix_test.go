@@ -115,7 +115,7 @@ func TestMonotoneInCycles(t *testing.T) {
 func TestFirstDetectionAndEffectiveLength(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	m, err := Build(c, faults, patterns, gen, Options{Cycles: 8, Seed: 7, RecordFirstDetection: true})
+	m, err := Build(c, faults, patterns, gen, Options{Cycles: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestParallelBuildIdentical(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
 	serial, err := Build(c, faults, patterns, gen,
-		Options{Cycles: 16, Seed: 7, RecordFirstDetection: true, Parallelism: 1})
+		Options{Cycles: 16, Seed: 7, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel, err := Build(c, faults, patterns, gen,
-		Options{Cycles: 16, Seed: 7, RecordFirstDetection: true, Parallelism: 8})
+		Options{Cycles: 16, Seed: 7, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65, 128, 129, 256, 257} {
 		for _, j := range []int{1, 2} {
 			m, err := Build(c, faults, res.Patterns, gen,
-				Options{Cycles: cycles, Seed: 9, RecordFirstDetection: true, Parallelism: j})
+				Options{Cycles: cycles, Seed: 9, Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := sim.Run(faults, ts, fsim.Options{DropDetected: true})
+				ref, err := sim.Run(faults, ts, fsim.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

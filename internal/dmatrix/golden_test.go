@@ -261,7 +261,7 @@ func TestGoldenMatrices(t *testing.T) {
 				}{{"j1", 1}, {"j2", 2}, {"jmax", 0}} {
 					t.Run(key+"/"+j.name, func(t *testing.T) {
 						m, err := Build(c, faults, res.Patterns, gen, Options{
-							Cycles: cycles, Seed: 5, RecordFirstDetection: true, Parallelism: j.j,
+							Cycles: cycles, Seed: 5, Parallelism: j.j,
 						})
 						if err != nil {
 							t.Fatal(err)

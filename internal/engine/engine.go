@@ -88,7 +88,7 @@ import (
 
 // Incumbent is one anytime progress snapshot of an exact covering solve in
 // flight — the best cover known so far — delivered to the observer of
-// Engine.SolveObserved. Re-exported from internal/setcover.
+// Engine.SolveWithObserver. Re-exported from internal/setcover.
 type Incumbent = setcover.Incumbent
 
 // Sample is one periodic search-progress snapshot delivered to
@@ -215,21 +215,6 @@ func New(opts Options) *Engine {
 	e.flows.SetLimit(opts.MaxCachedFlows)
 	e.matrices.SetLimit(opts.MaxCachedMatrices)
 	return e
-}
-
-// fallbackCtx returns ctx when non-nil, else the first non-nil fallback
-// (the Context field of a v1 options struct — the facade's cancellation
-// channel), else nil, which every layer treats as "not cancellable".
-func fallbackCtx(ctx context.Context, fallbacks ...context.Context) context.Context {
-	if ctx != nil {
-		return ctx
-	}
-	for _, c := range fallbacks {
-		if c != nil {
-			return c
-		}
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -360,21 +345,19 @@ func (e *Engine) prepareNamed(ctx context.Context, circuit string, opts atpg.Opt
 
 // PrepareNamed fetches or computes the Flow of a built-in benchmark
 // circuit (full-scan view). The bool reports whether the result came from
-// the cache or a shared in-flight preparation. A nil ctx falls back to
-// opts.Context.
+// the cache or a shared in-flight preparation.
 func (e *Engine) PrepareNamed(ctx context.Context, circuit string, opts atpg.Options) (*core.Flow, bool, error) {
-	_, flow, hit, err := e.prepareNamed(fallbackCtx(ctx, opts.Context), circuit, opts)
+	_, flow, hit, err := e.prepareNamed(ctx, circuit, opts)
 	return flow, hit, err
 }
 
 // PrepareCircuit fetches or computes the Flow of a caller-supplied
 // combinational circuit. The cache key is content-addressed (a hash of the
 // circuit's .bench rendering), so equal circuits share one preparation and
-// any structural change is a fresh key. A nil ctx falls back to
-// opts.Context.
+// any structural change is a fresh key.
 func (e *Engine) PrepareCircuit(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (*core.Flow, bool, error) {
 	opts = e.mergeATPG(opts)
-	f, hit, err := e.flow(fallbackCtx(ctx, opts.Context), flowKeyFor(inlineID(netlist.Format(c)), opts), opts,
+	f, hit, err := e.flow(ctx, flowKeyFor(inlineID(netlist.Format(c)), opts), opts,
 		func() (*netlist.Circuit, error) { return c, nil })
 	return f, hit, err
 }
@@ -421,7 +404,7 @@ func (e *Engine) fillCore(ctx context.Context, opts core.Options) core.Options {
 // one). Use Solve or Run for the kind-addressed, fully cached path.
 func (e *Engine) SolveFlow(ctx context.Context, flow *core.Flow, gen tpg.Generator, opts core.Options) (*core.Solution, error) {
 	e.solves.Add(1)
-	return flow.Solve(gen, e.fillCore(fallbackCtx(ctx, opts.Context), opts))
+	return flow.Solve(gen, e.fillCore(ctx, opts))
 }
 
 // solveKind is the kind-addressed solve shared by Solve and Run: the
@@ -496,9 +479,8 @@ func (e *Engine) solveKind(ctx context.Context, flowKey string, flow *core.Flow,
 // Run is the structured-options counterpart of Solve: it serves a
 // one-shot flow (named benchmark circuit, generator kind) from the
 // Engine's caches. Unlike Request it accepts the full ATPG and solver
-// option structs. A nil ctx falls back to the options' own Context fields.
+// option structs.
 func (e *Engine) Run(ctx context.Context, circuit, kind string, atpgOpts atpg.Options, opts core.Options) (*core.Solution, error) {
-	ctx = fallbackCtx(ctx, atpgOpts.Context, opts.Context)
 	key, flow, _, err := e.prepareNamed(ctx, circuit, atpgOpts)
 	if err != nil {
 		return nil, err

@@ -239,28 +239,17 @@ func (e *Engine) Prepare(ctx context.Context, req Request) (bool, error) {
 // returns the context's error. An invalid request fails Validate before
 // any work starts (errors.As exposes the *RequestError details).
 func (e *Engine) Solve(ctx context.Context, req Request) (*Response, error) {
-	return e.SolveObserved(ctx, req, nil)
-}
-
-// SolveObserved is Solve with an anytime progress observer: when the
-// covering phase runs the exact solver, onIncumbent receives a snapshot for
-// the greedy seed and for every replacement of the best cover found so far
-// (costs never increase; the last snapshot describes the returned cover),
-// offset to whole-solution totals (essential rows included). It is
-// how a long-running job surfaces best-so-far state before the final
-// Response exists. onIncumbent runs on solver goroutines under a solver
-// lock: it must return quickly and must not call back into the Engine. A
-// nil onIncumbent makes SolveObserved exactly Solve.
-func (e *Engine) SolveObserved(ctx context.Context, req Request, onIncumbent func(Incumbent)) (*Response, error) {
-	return e.SolveWithObserver(ctx, req, SolveObserver{OnIncumbent: onIncumbent})
+	return e.SolveWithObserver(ctx, req, SolveObserver{})
 }
 
 // A SolveObserver bundles the anytime streams of one exact covering
 // solve. Both callbacks run on solver goroutines and must return
 // quickly without calling back into the Engine; either may be nil.
 type SolveObserver struct {
-	// OnIncumbent receives every improvement of the best cover found so
-	// far, offset to whole-solution totals (see SolveObserved).
+	// OnIncumbent receives the greedy seed and every replacement of the
+	// best cover found so far (costs never increase; the last describes
+	// the returned cover), offset to whole-solution totals (essential
+	// rows included).
 	OnIncumbent func(Incumbent)
 	// OnSample receives periodic search-progress samples (node count,
 	// best cost, root lower bound) at a coarse, solver-chosen cadence —
@@ -269,8 +258,10 @@ type SolveObserver struct {
 	OnSample func(setcover.Sample)
 }
 
-// SolveWithObserver is SolveObserved with the full observer bundle: the
-// incumbent stream plus periodic search-progress samples.
+// SolveWithObserver is Solve with anytime progress observers: when the
+// covering phase runs the exact solver, watch receives the incumbent
+// stream and periodic search-progress samples. A zero SolveObserver makes
+// it exactly Solve.
 func (e *Engine) SolveWithObserver(ctx context.Context, req Request, watch SolveObserver) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()

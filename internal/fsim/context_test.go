@@ -30,13 +30,13 @@ func TestRunCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sim.Run(faults, patterns, Options{DropDetected: true, Context: ctx})
+	_, err = sim.Run(faults, patterns, Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 
 	// A nil context keeps the old behaviour.
-	res, err := sim.Run(faults, patterns, Options{DropDetected: true})
+	res, err := sim.Run(faults, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,13 +78,6 @@ const Lanes = 4
 
 // Options controls a fault simulation run.
 type Options struct {
-	// DropDetected stops simulating a fault after its first detection.
-	// This is the right mode both for test grading and for Detection Matrix
-	// rows, which only need "detected by this test set" plus the earliest
-	// detecting pattern.
-	DropDetected bool
-	// StopWhenAllDetected ends the run early once every fault is detected.
-	StopWhenAllDetected bool
 	// Context, when non-nil, cancels the run: Run checks it between
 	// 256-pattern blocks and returns the context's error. A run that
 	// completes before cancellation is unaffected.
@@ -225,9 +218,9 @@ func NewForView(v *netlist.View) *Simulator {
 }
 
 // Run simulates the fault list against the pattern sequence, 256
-// consecutive patterns per pass, and returns the detection record. With
-// DropDetected, a fault detected in one pass is not simulated in later
-// ones.
+// consecutive patterns per pass, and returns the detection record. A fault
+// detected in one pass is not simulated in later ones, and the run ends
+// once every fault is detected.
 func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Options) (*Result, error) {
 	t := NewTargets(s.v, faults)
 	res := &Result{
@@ -243,7 +236,6 @@ func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Opt
 		res.FirstPattern[i] = -1
 		live[i] = 1<<Lanes - 1
 	}
-	nLive := len(faults)
 
 	var stems, blocks int64
 	var lanes [Lanes][]bitvec.Vector
@@ -267,24 +259,16 @@ func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Opt
 			if live[fi] == 0 || m == [4]uint64{} {
 				continue
 			}
-			if !res.Detected[fi] {
-				res.Detected[fi] = true
-				res.NumDetected++
-				w := 0
-				for m[w] == 0 {
-					w++
-				}
-				res.FirstPattern[fi] = base + 64*w + bits.TrailingZeros64(m[w])
+			res.Detected[fi] = true
+			res.NumDetected++
+			live[fi] = 0
+			w := 0
+			for m[w] == 0 {
+				w++
 			}
-			if opts.DropDetected {
-				live[fi] = 0
-				nLive--
-			}
+			res.FirstPattern[fi] = base + 64*w + bits.TrailingZeros64(m[w])
 		}
-		if opts.StopWhenAllDetected && res.NumDetected == len(faults) {
-			break
-		}
-		if opts.DropDetected && nLive == 0 {
+		if res.NumDetected == len(faults) {
 			break
 		}
 	}

@@ -252,34 +252,19 @@ func TestDropDetectedStopsEarly(t *testing.T) {
 	faults, _, _ := fault.List(c)
 	sim, _ := New(c)
 	// Sixteen repetitions of the exhaustive set span two 256-pattern
-	// blocks, so fault dropping saves work in the later block.
+	// blocks.
 	patterns := make([]bitvec.Vector, 512)
 	for v := range patterns {
 		patterns[v] = bitvec.FromUint64(5, uint64(v%32))
 	}
-	full, err := sim.Run(faults, patterns, Options{})
+	res, err := sim.Run(faults, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	dropped, err := sim.Run(faults, patterns, Options{DropDetected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.NumDetected != dropped.NumDetected {
-		t.Errorf("drop changed detection count: %d vs %d", full.NumDetected, dropped.NumDetected)
-	}
-	for i := range faults {
-		if full.Detected[i] != dropped.Detected[i] || full.FirstPattern[i] != dropped.FirstPattern[i] {
-			t.Errorf("fault %d: drop changed result", i)
-		}
-	}
-	if dropped.GateEvals >= full.GateEvals {
-		t.Errorf("dropping should reduce work: %d vs %d evals", dropped.GateEvals, full.GateEvals)
 	}
 	// c17 is fully testable: every collapsed fault must be detected by the
 	// exhaustive set.
-	if dropped.NumDetected != len(faults) {
-		t.Errorf("exhaustive patterns detected %d of %d faults", dropped.NumDetected, len(faults))
+	if res.NumDetected != len(faults) {
+		t.Errorf("exhaustive patterns detected %d of %d faults", res.NumDetected, len(faults))
 	}
 }
 
@@ -291,7 +276,7 @@ func TestStopWhenAllDetected(t *testing.T) {
 	for v := range patterns {
 		patterns[v] = bitvec.FromUint64(5, uint64(v%32))
 	}
-	res, err := sim.Run(faults, patterns, Options{DropDetected: true, StopWhenAllDetected: true})
+	res, err := sim.Run(faults, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,19 +402,12 @@ func resultsEqual(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestReusedSimulatorMatchesFresh runs one Simulator per circuit across
-// every option combination, each on the whole fault list and then on a
-// shorter one, over 600 patterns (two full passes and a partial one). Every
-// Result must equal a fresh Simulator's bit for bit, so nothing a run
-// leaves behind — good values, the faulty machine, live masks — reaches
-// the next.
+// TestReusedSimulatorMatchesFresh runs one Simulator per circuit on the
+// whole fault list and then on a shorter one, over 600 patterns (two full
+// passes and a partial one). Every Result must equal a fresh Simulator's
+// bit for bit, so nothing a run leaves behind — good values, the faulty
+// machine, live masks — reaches the next.
 func TestReusedSimulatorMatchesFresh(t *testing.T) {
-	optionSets := []Options{
-		{},
-		{DropDetected: true},
-		{DropDetected: true, StopWhenAllDetected: true},
-		{StopWhenAllDetected: true},
-	}
 	for _, name := range []string{"s420", "s820", "s953", "s1238"} {
 		scan, err := bench.ScanView(name)
 		if err != nil {
@@ -448,22 +426,20 @@ func TestReusedSimulatorMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for oi, opts := range optionSets {
-			for _, sub := range [][]fault.Fault{faults, faults[:len(faults)/3]} {
-				fresh, err := New(scan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh.Run(sub, patterns, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := reused.Run(sub, patterns, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsEqual(t, fmt.Sprintf("%s options %d, %d faults", name, oi, len(sub)), want, got)
+		for _, sub := range [][]fault.Fault{faults, faults[:len(faults)/3]} {
+			fresh, err := New(scan)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := fresh.Run(sub, patterns, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.Run(sub, patterns, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsEqual(t, fmt.Sprintf("%s, %d faults", name, len(sub)), want, got)
 		}
 	}
 }
@@ -490,7 +466,7 @@ func BenchmarkFaultSim(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := sim.Run(faults, patterns, Options{DropDetected: true}); err != nil {
+		if _, err := sim.Run(faults, patterns, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

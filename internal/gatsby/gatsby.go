@@ -11,6 +11,13 @@
 // large circuits", which this implementation mirrors with an explicit
 // feasibility gate (ErrTooLarge), reproducing the blank GATSBY entries for
 // s13207 and s15850 in Table 1.
+//
+// Each generation is graded as one small Detection Matrix
+// (dmatrix.Grade): a row per candidate over the remaining faults, with
+// each detection's first pattern. A candidate's fitness is its row's
+// size and its length is one past its latest first detection; the
+// committed winner's row says which faults it detects, so no triplet is
+// simulated twice.
 package gatsby
 
 import (
@@ -20,9 +27,8 @@ import (
 	"math/rand"
 
 	"repro/internal/bitvec"
-	"repro/internal/ctxutil"
+	"repro/internal/dmatrix"
 	"repro/internal/fault"
-	"repro/internal/fsim"
 	"repro/internal/netlist"
 	"repro/internal/tpg"
 )
@@ -54,8 +60,8 @@ type Config struct {
 	// rejected with ErrTooLarge (default 25000, which admits every circuit
 	// the paper ran GATSBY on and rejects s13207/s15850-class instances).
 	MaxFaults int
-	// Context, when non-nil, cancels the search: it is checked before every
-	// fitness evaluation (each one a full test-set fault simulation). A
+	// Context, when non-nil, cancels the search: it is checked before each
+	// candidate's fitness evaluation (a full test-set fault simulation). A
 	// cancelled run returns the context's error — the GA has no meaningful
 	// partial solution, matching the tool it models.
 	Context context.Context
@@ -98,7 +104,8 @@ type Result struct {
 	Coverage float64
 	// TripletSims counts fitness evaluations (full test-set fault
 	// simulations) — the effort measure the paper contrasts with the set
-	// covering flow.
+	// covering flow: Population + (Generations-1) × (Population-1) graded
+	// candidates per reseed attempt, 151 at the defaults.
 	TripletSims int
 	// GateEvals accumulates fault-simulation work.
 	GateEvals int64
@@ -110,8 +117,9 @@ type Result struct {
 type individual struct {
 	delta   bitvec.Vector
 	theta   bitvec.Vector
-	fitness int
-	length  int // trimmed length achieving that fitness
+	row     *bitvec.Set // the remaining faults it detects, by sub-list index
+	fitness int         // row.Len()
+	length  int         // trimmed length achieving that fitness
 }
 
 // Run evolves a reseeding solution for the target fault list on the given
@@ -125,9 +133,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 	if len(faults) > cfg.MaxFaults {
 		return nil, fmt.Errorf("%w: %d faults > budget %d", ErrTooLarge, len(faults), cfg.MaxFaults)
 	}
-	sim, err := fsim.New(c)
-	if err != nil {
-		return nil, fmt.Errorf("gatsby: %w", err)
+	if !c.Finalized() || !c.IsCombinational() {
+		return nil, fmt.Errorf("gatsby: circuit %q must be finalized and combinational", c.Name)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	width := gen.Width()
@@ -137,30 +144,29 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 	for i := range faults {
 		remaining[i] = i
 	}
+	var sub []fault.Fault // faults[remaining[i]], rebuilt per reseed
 
-	evaluate := func(ind *individual) error {
-		if err := ctxutil.Err(cfg.Context); err != nil {
-			return err
+	// grade fault-simulates a generation as one Detection Matrix against
+	// the remaining faults.
+	grade := func(inds []*individual) error {
+		triplets := make([]tpg.Triplet, len(inds))
+		for i, ind := range inds {
+			triplets[i] = tpg.Triplet{Delta: ind.delta, Theta: ind.theta, Cycles: cfg.Cycles}
 		}
-		ts, err := tpg.Expand(gen, tpg.Triplet{Delta: ind.delta, Theta: ind.theta, Cycles: cfg.Cycles})
+		m, err := dmatrix.Grade(c, sub, triplets, gen, dmatrix.Options{
+			Cycles: cfg.Cycles, Parallelism: 1, Context: cfg.Context,
+		})
 		if err != nil {
 			return err
 		}
-		sub := make([]fault.Fault, len(remaining))
-		for i, fi := range remaining {
-			sub[i] = faults[fi]
-		}
-		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Context: cfg.Context})
-		if err != nil {
-			return err
-		}
-		res.TripletSims++
-		res.GateEvals += fres.GateEvals
-		ind.fitness = fres.NumDetected
-		ind.length = 0
-		for _, fp := range fres.FirstPattern {
-			if fp+1 > ind.length {
-				ind.length = fp + 1
+		res.TripletSims += m.TripletSims
+		res.GateEvals += m.GateEvals
+		for i, ind := range inds {
+			ind.row = m.Rows[i]
+			ind.fitness = ind.row.Len()
+			ind.length = 0
+			if ind.fitness > 0 {
+				ind.length = m.EffectiveLength(i, ind.row.Elements())
 			}
 		}
 		return nil
@@ -168,14 +174,18 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 
 	stalls := 0
 	for len(remaining) > 0 && len(res.Triplets) < cfg.MaxReseeds && stalls < cfg.StallLimit {
+		sub = sub[:0]
+		for _, fi := range remaining {
+			sub = append(sub, faults[fi])
+		}
 		// Fresh population per reseed: random seeds plus mutations of the
 		// previous winner would bias toward already-detected regions.
 		pop := make([]*individual, cfg.Population)
 		for i := range pop {
 			pop[i] = &individual{delta: bitvec.Random(width, rng), theta: gen.RandomTheta(rng)}
-			if err := evaluate(pop[i]); err != nil {
-				return nil, fmt.Errorf("gatsby: %w", err)
-			}
+		}
+		if err := grade(pop); err != nil {
+			return nil, fmt.Errorf("gatsby: %w", err)
 		}
 		best := fittest(pop)
 		for g := 1; g < cfg.Generations; g++ {
@@ -189,10 +199,10 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 				if rng.Intn(2) == 0 {
 					child.theta = a.theta.Clone()
 				}
-				if err := evaluate(child); err != nil {
-					return nil, fmt.Errorf("gatsby: %w", err)
-				}
 				next = append(next, child)
+			}
+			if err := grade(next[1:]); err != nil {
+				return nil, fmt.Errorf("gatsby: %w", err)
 			}
 			pop = next
 			if b := fittest(pop); b.fitness > best.fitness {
@@ -204,27 +214,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 			continue
 		}
 		stalls = 0
-		// Commit the winner: re-simulate to record exactly which faults it
-		// detects, then drop them.
-		ts, err := tpg.Expand(gen, tpg.Triplet{Delta: best.delta, Theta: best.theta, Cycles: best.length})
-		if err != nil {
-			return nil, fmt.Errorf("gatsby: %w", err)
-		}
-		sub := make([]fault.Fault, len(remaining))
-		for i, fi := range remaining {
-			sub[i] = faults[fi]
-		}
-		fres, err := sim.Run(sub, ts, fsim.Options{DropDetected: true, Context: cfg.Context})
-		if err != nil {
-			return nil, fmt.Errorf("gatsby: %w", err)
-		}
-		res.TripletSims++
-		res.GateEvals += fres.GateEvals
-		for si, d := range fres.Detected {
-			if d {
-				res.Detected[remaining[si]] = true
-			}
-		}
+		// Commit the winner: its row lists exactly the faults it detects.
+		best.row.ForEach(func(si int) { res.Detected[remaining[si]] = true })
 		n := 0
 		for _, fi := range remaining {
 			if !res.Detected[fi] {

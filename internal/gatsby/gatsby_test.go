@@ -77,7 +77,7 @@ func TestFullCoverageOnC17(t *testing.T) {
 		}
 		patterns = append(patterns, ts...)
 	}
-	fres, err := sim.Run(faults, patterns, fsim.Options{DropDetected: true})
+	fres, err := sim.Run(faults, patterns, fsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +94,9 @@ func TestSimulationEffortTracked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The GA pays one full population evaluation plus (generations-1)
-	// rounds of (population-1) children per reseed, plus a commit
-	// re-simulation; that simulation volume is its defining cost.
-	minSims := len(res.Triplets) * (16 + 9*15 + 1)
+	// rounds of (population-1) children per reseed; that simulation
+	// volume is its defining cost.
+	minSims := len(res.Triplets) * (16 + 9*15)
 	if res.TripletSims < minSims {
 		t.Errorf("TripletSims = %d, expected at least %d", res.TripletSims, minSims)
 	}

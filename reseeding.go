@@ -250,8 +250,8 @@ type Request = engine.Request
 type RequestError = engine.RequestError
 
 // Incumbent is one anytime progress snapshot of an exact covering solve:
-// the best cover known so far. Engine.SolveObserved delivers these while a
-// long solve runs — the heartbeat of the reseedd job API.
+// the best cover known so far. Engine.SolveWithObserver delivers these
+// while a long solve runs — the heartbeat of the reseedd job API.
 type Incumbent = engine.Incumbent
 
 // ArtifactStore is the Engine's optional second-level artifact cache:
