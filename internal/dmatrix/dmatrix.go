@@ -114,10 +114,9 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 }
 
 // Grade fault-simulates the given triplets on the generator against faults
-// and returns their matrix, which keeps the triplets as its rows' own.
-// Every triplet's Cycles must equal opts.Cycles, the packing unit;
-// opts.Seed is not used. The generator's width must equal the circuit's
-// input count.
+// and returns their matrix, whose Triplets is the given slice. Every
+// triplet's Cycles must equal opts.Cycles, the packing unit; opts.Seed is
+// not used. The generator's width must equal the circuit's input count.
 func Grade(c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	gen tpg.Generator, opts Options) (*Matrix, error) {
 

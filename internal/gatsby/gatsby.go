@@ -164,7 +164,6 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 		for i, ind := range inds {
 			ind.row = m.Rows[i]
 			ind.fitness = ind.row.Len()
-			ind.length = 0
 			if ind.fitness > 0 {
 				ind.length = m.EffectiveLength(i, ind.row.Elements())
 			}
