@@ -92,7 +92,7 @@ func BenchmarkTable1Gatsby(b *testing.B) {
 			b.ReportAllocs()
 			var triplets, sims int
 			for i := 0; i < b.N; i++ {
-				res, err := gatsby.Run(flow.Circuit, flow.TargetFaults, gen,
+				res, err := gatsby.Run(context.Background(), flow.Circuit, flow.TargetFaults, gen,
 					gatsby.Config{Seed: 3, Cycles: 64})
 				if err != nil {
 					b.Fatal(err)
@@ -114,7 +114,7 @@ func BenchmarkTable2(b *testing.B) {
 			gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
+				if _, err := dmatrix.Build(context.Background(), flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
 					dmatrix.Options{Cycles: 64, Seed: 2}); err != nil {
 					b.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(circuit+"/reduce-solve", func(b *testing.B) {
 			flow := flowFor(b, circuit)
 			gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
-			m, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
+			m, err := dmatrix.Build(context.Background(), flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
 				dmatrix.Options{Cycles: 64, Seed: 2})
 			if err != nil {
 				b.Fatal(err)
@@ -269,7 +269,7 @@ func BenchmarkParallelMatrixBuild(b *testing.B) {
 					gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
+						if _, err := dmatrix.Build(context.Background(), flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
 							dmatrix.Options{Cycles: cycles, Seed: 2, Parallelism: d.j}); err != nil {
 							b.Fatal(err)
 						}
@@ -306,7 +306,7 @@ func BenchmarkParallelSolve(b *testing.B) {
 func BenchmarkParallelResidualSolve(b *testing.B) {
 	flow := flowFor(b, "s1238")
 	gen, _ := tpg.NewAdder(len(flow.Circuit.Inputs))
-	m, err := dmatrix.Build(flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
+	m, err := dmatrix.Build(context.Background(), flow.Circuit, flow.TargetFaults, flow.Patterns, gen,
 		dmatrix.Options{Cycles: 64, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
@@ -343,7 +343,7 @@ func BenchmarkSubstrateFaultSim(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(flow.AllFaults, flow.Patterns, fsim.Options{}); err != nil {
+				if _, err := sim.Run(context.Background(), flow.AllFaults, flow.Patterns); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -383,8 +383,8 @@ func BenchmarkAblationObjective(b *testing.B) {
 // BenchmarkEngineCachedSolve contrasts a cold Engine request — ATPG
 // preparation, Detection Matrix build, covering solve — with a warm one
 // served from the artifact caches, which pays only for the covering
-// solve. The warm path is expected to be at least an order of magnitude
-// faster (the CI smoke runs both arms so the ratio lands in the log).
+// solve. It reports both times; the warm arm fails on a matrix-cache
+// miss, and nothing checks the ratio.
 func BenchmarkEngineCachedSolve(b *testing.B) {
 	req := Request{Circuit: "s420", TPG: "adder", Cycles: 64, Seed: 2}
 	b.Run("cold", func(b *testing.B) {

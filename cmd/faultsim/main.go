@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	res, err := sim.Run(faults, pats, fsim.Options{Context: ctx})
+	res, err := sim.Run(ctx, faults, pats)
 	if err != nil {
 		fail(err)
 	}

@@ -59,7 +59,6 @@ func main() {
 		WithGatsby:  !*noGatsby,
 		Parallelism: *jobs,
 		SolveBudget: *budget,
-		Context:     ctx,
 		Engine:      reseeding.NewEngine(reseeding.EngineOptions{Parallelism: *jobs}),
 	}
 	switch {
@@ -80,7 +79,7 @@ func main() {
 		var results []*experiments.CircuitResult
 		for _, name := range cfg.Circuits {
 			t0 := time.Now()
-			cr, err := experiments.RunCircuit(name, cfg)
+			cr, err := experiments.RunCircuit(ctx, name, cfg)
 			if err != nil {
 				if errors.Is(err, context.Canceled) {
 					interrupted = true
@@ -118,7 +117,7 @@ func main() {
 	}
 
 	if wantFigure {
-		points, err := experiments.Figure2(cfg)
+		points, err := experiments.Figure2(ctx, cfg)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "tables: figure 2 interrupted")

@@ -11,11 +11,11 @@
 //
 // Because the per-core view is a custom Generator — not one of the named
 // kinds a serializable Request can carry — it uses the Engine's
-// artifact-level API: PrepareNamed serves each core's ATPG preparation
-// from the cache (across program runs of the same process, and across
-// cores repeated in a session), and SolveFlow threads the context through
-// matrix construction and the covering solve. Matrices are not memoized on
-// this path; a custom Generator's name is too weak a cache key.
+// artifact-level API: Prepare serves each core's ATPG preparation from the
+// cache (across program runs of the same process, and across cores
+// repeated in a session), and SolveFlow threads the context through matrix
+// construction and the covering solve. Matrices are not memoized on this
+// path; a custom Generator's name is too weak a cache key.
 package main
 
 import (
@@ -94,7 +94,7 @@ func main() {
 	offset := 0
 	totalROM, totalLength := 0, 0
 	for _, name := range cores {
-		flow, _, err := eng.PrepareNamed(ctx, name, reseeding.ATPGOptions{Seed: 1})
+		flow, _, err := eng.Prepare(ctx, reseeding.Request{Circuit: name})
 		if err != nil {
 			log.Fatal(err)
 		}

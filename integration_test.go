@@ -7,6 +7,7 @@ package reseeding
 // BIST ROM drive a real circuit, not a model.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -84,7 +85,7 @@ func TestHardwareReplayDetectsAllFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{})
+			res, err := sim.Run(context.Background(), flow.TargetFaults, patterns)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestHardwareReplayLFSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(flow.TargetFaults, patterns, fsim.Options{})
+	res, err := sim.Run(context.Background(), flow.TargetFaults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

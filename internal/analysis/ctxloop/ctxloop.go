@@ -1,15 +1,15 @@
-// Package ctxloop enforces the cancellation contract in packages whose
-// option structs carry a context.Context: every potentially infinite
-// `for` loop must be able to stop.
+// Package ctxloop enforces the cancellation contract in packages that
+// handle a context.Context: every potentially infinite `for` loop must be
+// able to stop.
 //
-// The repository's anytime contract (PR 4) threads a Context through
-// every long-running phase, with ctxutil.Err as the one shared
-// cancellation probe. A `for` loop with no condition can spin forever, so
-// inside a context-carrying package it must contain at least one of
+// The repository's anytime contract threads a Context through every
+// long-running phase. A package is under the contract when it declares a
+// struct type with a context.Context field or a function or method with a
+// context.Context parameter. A `for` loop with no condition can spin
+// forever, so inside such a package it must contain at least one of
 //
-//   - a context check: a call to ctxutil.Err / ctxutil.Done, or .Err() /
-//     .Done() on a context.Context value (selects over ctx.Done() count
-//     through the latter);
+//   - a context check: a call to .Err() or .Done() on a context.Context
+//     value (selects over ctx.Done() count through the latter);
 //   - a return statement, handing the decision back to the caller; or
 //   - a break out of the loop.
 //
@@ -27,7 +27,7 @@ import (
 
 var Analyzer = &reseedvet.Analyzer{
 	Name: "ctxloop",
-	Doc:  "flags condition-less for loops that cannot observe cancellation in context-carrying packages",
+	Doc:  "flags condition-less for loops that cannot observe cancellation in packages that handle a context",
 	Run:  run,
 }
 
@@ -43,7 +43,7 @@ func run(pass *reseedvet.Pass) error {
 			}
 			if !canStop(pass, loop) {
 				pass.Reportf(loop.For,
-					"infinite for loop has no context check, return, or break; long phases must honor cancellation (see ctxutil.Err)")
+					"infinite for loop has no context check, return, or break; long phases must honor cancellation")
 			}
 			return true
 		})
@@ -51,24 +51,44 @@ func run(pass *reseedvet.Pass) error {
 	return nil
 }
 
-// carriesContext reports whether the package declares a struct type with
-// a context.Context field — the repository's Options convention, which is
-// what puts a package under the cancellation contract.
+// carriesContext reports whether the package is under the cancellation
+// contract: it declares a struct type with a context.Context field (the
+// Options convention) or a function or method with a context.Context
+// parameter (the convention that replaces it).
 func carriesContext(pass *reseedvet.Pass) bool {
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if reseedvet.IsContextType(st.Field(i).Type()) {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			if takesContext(obj) {
 				return true
 			}
+		case *types.TypeName:
+			if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if reseedvet.IsContextType(st.Field(i).Type()) {
+						return true
+					}
+				}
+			}
+			if named, ok := obj.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if takesContext(named.Method(i)) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// takesContext reports whether fn has a context.Context parameter.
+func takesContext(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if reseedvet.IsContextType(params.At(i).Type()) {
+			return true
 		}
 	}
 	return false
@@ -138,8 +158,8 @@ func children(n ast.Node) []ast.Node {
 	return out
 }
 
-// isContextCheck recognizes ctxutil.Err(ctx), ctxutil.Done(ctx), and
-// ctx.Err() / ctx.Done() on a context.Context value.
+// isContextCheck recognizes ctx.Err() / ctx.Done() on a context.Context
+// value.
 func isContextCheck(pass *reseedvet.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -148,11 +168,6 @@ func isContextCheck(pass *reseedvet.Pass, call *ast.CallExpr) bool {
 	name := sel.Sel.Name
 	if name != "Err" && name != "Done" {
 		return false
-	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pkg, isPkg := pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-			return pkg.Imported().Name() == "ctxutil"
-		}
 	}
 	if tv, ok := pass.TypesInfo.Types[sel.X]; ok {
 		return reseedvet.IsContextType(tv.Type)

@@ -67,11 +67,12 @@ type Options struct {
 	// bit-identical for any value: PODEM outcomes are consumed in
 	// undetected-list order (see the package doc).
 	Parallelism int
-	// Context, when non-nil, cancels the run: it is checked between
-	// fault-simulation blocks (through fsim), before every PODEM search and
-	// every outcome the consumer takes, and at each phase boundary. A
-	// cancelled run returns the context's error — there is no partial test
-	// set — after every worker it started has exited.
+	// Context, when non-nil, cancels the run (nil means
+	// context.Background): it is checked between fault-simulation blocks
+	// (through fsim), before every PODEM search and every outcome the
+	// consumer takes, and at each phase boundary. A cancelled run returns
+	// the context's error — there is no partial test set — after every
+	// worker it started has exited.
 	Context context.Context
 }
 
@@ -167,6 +168,9 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	if !c.IsCombinational() {
 		return nil, fmt.Errorf("atpg: circuit %q is sequential; apply FullScan first", c.Name)
 	}
+	if opts.Context == nil {
+		opts.Context = context.Background()
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	v := newView(c)
 	sim := fsim.NewForView(&v.View)
@@ -218,7 +222,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 			break // every remaining fault in range was classified
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, batch, fsim.Options{Context: opts.Context})
+		fres, err := sim.Run(opts.Context, sub, batch)
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -260,7 +264,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		for i, p := range patterns {
 			reversed[len(patterns)-1-i] = p
 		}
-		fres, err := sim.Run(sub, reversed, fsim.Options{Context: opts.Context})
+		fres, err := sim.Run(opts.Context, sub, reversed)
 		if err != nil {
 			return nil, fmt.Errorf("atpg: %w", err)
 		}
@@ -300,7 +304,7 @@ func randomPhase(sim *fsim.Simulator, width int, faults []fault.Fault, opts Opti
 			block[i] = bitvec.Random(width, rng)
 		}
 		sub := subset(faults, undetected)
-		fres, err := sim.Run(sub, block, fsim.Options{Context: opts.Context})
+		fres, err := sim.Run(opts.Context, sub, block)
 		if err != nil {
 			return nil, nil, fmt.Errorf("atpg: %w", err)
 		}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestFullCoverageC17(t *testing.T) {
 	// Independent check: grading the returned patterns must reproduce the
 	// claimed detection record.
 	sim, _ := fsim.New(c)
-	fres, err := sim.Run(faults, res.Patterns, fsim.Options{})
+	fres, err := sim.Run(context.Background(), faults, res.Patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestPodemDirectOnAllC17Faults(t *testing.T) {
 			continue
 		}
 		pattern := fill(out.cube, rng)
-		res, err := sim.Run([]fault.Fault{f}, []bitvec.Vector{pattern}, fsim.Options{})
+		res, err := sim.Run(context.Background(), []fault.Fault{f}, []bitvec.Vector{pattern})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestRandomCircuitsFullTestableCoverage(t *testing.T) {
 			t.Errorf("trial %d: testable coverage %v", trial, res.TestableCoverage())
 		}
 		sim, _ := fsim.New(c)
-		fres, err := sim.Run(faults, res.Patterns, fsim.Options{})
+		fres, err := sim.Run(context.Background(), faults, res.Patterns)
 		if err != nil {
 			t.Fatal(err)
 		}

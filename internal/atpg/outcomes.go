@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/ctxutil"
 	"repro/internal/fault"
 	"repro/internal/parallel"
 )
@@ -63,7 +62,7 @@ func (o *outcomes) round(list []int, consume func(fi int, out *outcome) bool) er
 	workers := parallel.Clamp(len(o.gens), len(list))
 	if workers == 1 {
 		for _, fi := range list {
-			if err := ctxutil.Err(o.ctx); err != nil {
+			if err := o.ctx.Err(); err != nil {
 				return err
 			}
 			if o.done[fi] == nil {
@@ -102,7 +101,7 @@ func (o *outcomes) round(list []int, consume func(fi int, out *outcome) bool) er
 				if have {
 					continue
 				}
-				if err := ctxutil.Err(o.ctx); err != nil {
+				if err := o.ctx.Err(); err != nil {
 					mu.Lock()
 					failed = err
 					cond.Broadcast()
@@ -125,7 +124,7 @@ func (o *outcomes) round(list []int, consume func(fi int, out *outcome) bool) er
 		wg.Wait()
 	}()
 	for _, fi := range list {
-		if err := ctxutil.Err(o.ctx); err != nil {
+		if err := o.ctx.Err(); err != nil {
 			return err
 		}
 		mu.Lock()

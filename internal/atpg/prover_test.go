@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestProverAgreesWithPodem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Seed: 1, Parallelism: 1}.WithDefaults()
+			opts := Options{Seed: 1, Parallelism: 1, Context: context.Background()}.WithDefaults()
 			v := newView(c)
 			sim := fsim.NewForView(&v.View)
 			res := &Result{Detected: make([]bool, len(faults))}
@@ -68,7 +69,7 @@ func TestProverAgreesWithPodem(t *testing.T) {
 						t.Errorf("PODEM detects %s; prover verdict %d", f.String(c), vd)
 						continue
 					}
-					fres, err := sim.Run([]fault.Fault{f}, []bitvec.Vector{model(gen.pr)}, fsim.Options{})
+					fres, err := sim.Run(context.Background(), []fault.Fault{f}, []bitvec.Vector{model(gen.pr)})
 					if err != nil {
 						t.Fatal(err)
 					}

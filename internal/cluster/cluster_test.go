@@ -220,7 +220,7 @@ func TestSubtreeAndIncumbentEndpoints(t *testing.T) {
 	if pl.Terminal() != nil {
 		t.Fatal("medium-1 planned terminal; the lease test needs a branching instance")
 	}
-	wantRes, err := pl.SolveSubtree(0, setcover.SubtreeOptions{})
+	wantRes, err := pl.SolveSubtree(context.Background(), 0, setcover.SubtreeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

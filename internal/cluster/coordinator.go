@@ -164,9 +164,8 @@ func (c *Coordinator) local(ctx context.Context, pl *setcover.ExactPlan, solveID
 		_, ssp := obs.StartSpan(ctx, "subtree")
 		defer ssp.End()
 		ssp.SetInt("branch", int64(b))
-		res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{
-			Context: ctx,
-			Bound:   func() int { return c.Board.Best(solveID) },
+		res, err := pl.SolveSubtree(ctx, b, setcover.SubtreeOptions{
+			Bound: func() int { return c.Board.Best(solveID) },
 			OnImprove: func(inc setcover.Incumbent) {
 				c.Board.Exchange(solveID, inc.Cost)
 			},

@@ -93,7 +93,8 @@ func (w ProblemWire) Fingerprint() string {
 // plans to be equal. Budgets and parallelism are deliberately absent:
 // they are per-lease and never change completed results.
 type SolveOptionsWire struct {
-	// Bound is "", "auto", "lagrangian" or "counting" ("" = auto).
+	// Bound is "", "auto", "lagrangian" or "counting"; the first three
+	// all name the Lagrangian bound (setcover.BoundAuto).
 	Bound string `json:"bound,omitempty"`
 	// AscentIters follows setcover.ExactOptions semantics (0 = default,
 	// negative = disabled).
@@ -103,11 +104,8 @@ type SolveOptionsWire struct {
 // EncodeOptions extracts the wire subset of opts.
 func EncodeOptions(opts setcover.ExactOptions) SolveOptionsWire {
 	w := SolveOptionsWire{AscentIters: opts.AscentIters}
-	switch opts.Bound {
-	case setcover.BoundCounting:
+	if opts.Bound == setcover.BoundCounting {
 		w.Bound = "counting"
-	case setcover.BoundLagrangian:
-		w.Bound = "lagrangian"
 	}
 	return w
 }
@@ -116,10 +114,8 @@ func EncodeOptions(opts setcover.ExactOptions) SolveOptionsWire {
 func (w SolveOptionsWire) Decode() (setcover.ExactOptions, error) {
 	opts := setcover.ExactOptions{AscentIters: w.AscentIters}
 	switch w.Bound {
-	case "", "auto":
+	case "", "auto", "lagrangian":
 		opts.Bound = setcover.BoundAuto
-	case "lagrangian":
-		opts.Bound = setcover.BoundLagrangian
 	case "counting":
 		opts.Bound = setcover.BoundCounting
 	default:

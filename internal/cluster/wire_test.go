@@ -71,3 +71,21 @@ func sameProblem(a, b *setcover.Problem) bool {
 	}
 	return true
 }
+
+// The wire's bound names decode to the solver's two modes: "", "auto" and
+// "lagrangian" all name the Lagrangian bound, so peers that still send
+// "lagrangian" keep working.
+func TestDecodeBoundNames(t *testing.T) {
+	for name, want := range map[string]setcover.BoundMode{
+		"": setcover.BoundAuto, "auto": setcover.BoundAuto,
+		"lagrangian": setcover.BoundAuto, "counting": setcover.BoundCounting,
+	} {
+		opts, err := cluster.SolveOptionsWire{Bound: name}.Decode()
+		if err != nil || opts.Bound != want {
+			t.Errorf("bound %q decoded to %v, %v; want %v", name, opts.Bound, err, want)
+		}
+	}
+	if _, err := (cluster.SolveOptionsWire{Bound: "simplex"}).Decode(); err == nil {
+		t.Error("unknown bound name accepted")
+	}
+}

@@ -94,9 +94,8 @@ func ExecuteSubtree(ctx context.Context, req *SubtreeRequest, client *http.Clien
 	}
 
 	_, ssp := obs.StartSpan(ctx, "subtree")
-	res, err := pl.SolveSubtree(req.Branch, setcover.SubtreeOptions{
-		Context: ctx,
-		Bound:   func() int { return int(globalBest.Load()) },
+	res, err := pl.SolveSubtree(ctx, req.Branch, setcover.SubtreeOptions{
+		Bound: func() int { return int(globalBest.Load()) },
 		OnImprove: func(inc setcover.Incumbent) {
 			lowerOrSetInt64(&localBest, int64(inc.Cost))
 			lowerInt64(&globalBest, int64(inc.Cost))

@@ -266,11 +266,14 @@ func (f *Flow) BuildMatrix(gen tpg.Generator, opts Options) (*dmatrix.Matrix, er
 	if len(f.Patterns) == 0 {
 		return nil, fmt.Errorf("core: %s: empty ATPG test set", f.Circuit.Name)
 	}
-	m, err := dmatrix.Build(f.Circuit, f.TargetFaults, f.Patterns, gen, dmatrix.Options{
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	m, err := dmatrix.Build(ctx, f.Circuit, f.TargetFaults, f.Patterns, gen, dmatrix.Options{
 		Cycles:      opts.Cycles,
 		Seed:        opts.Seed,
 		Parallelism: opts.Parallelism,
-		Context:     opts.Context,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -106,7 +107,7 @@ func verifyDetectsAll(t *testing.T, f *Flow, sol *Solution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(f.TargetFaults, patterns, fsim.Options{})
+	res, err := sim.Run(context.Background(), f.TargetFaults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

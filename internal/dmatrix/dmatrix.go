@@ -54,7 +54,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bitvec"
-	"repro/internal/ctxutil"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/netlist"
@@ -63,7 +62,8 @@ import (
 	"repro/internal/tpg"
 )
 
-// Options controls matrix construction.
+// Options controls matrix construction. Cancellation is not an option:
+// Build and Grade take their context as a parameter.
 type Options struct {
 	// Cycles is the evolution length T applied to every triplet. It must be
 	// at least 1 (T = 1 reproduces the raw ATPG test set).
@@ -75,10 +75,6 @@ type Options struct {
 	// means one worker per available processor. The matrix is bit-identical
 	// for any value — see the package documentation.
 	Parallelism int
-	// Context, when non-nil, cancels the build: it is checked per triplet
-	// during expansion and per group during the parallel fill. A cancelled
-	// build returns the context's error — there is no partial matrix.
-	Context context.Context
 }
 
 // Matrix is the Detection Matrix together with the triplets that generated
@@ -101,8 +97,8 @@ type Matrix struct {
 // Build draws the candidate triplets of the patterns — δ_i = p_i, θ_i from
 // opts.Seed in pattern order, T = opts.Cycles — and grades them. faults is
 // the target list F (typically the ATPG-detected faults); patterns is
-// ATPGTS.
-func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
+// ATPGTS. ctx cancels the build as it cancels Grade.
+func Build(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 	gen tpg.Generator, opts Options) (*Matrix, error) {
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -110,14 +106,19 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []bitvec.Vector,
 	for i, p := range patterns {
 		triplets[i] = tpg.Triplet{Delta: p.Clone(), Theta: gen.RandomTheta(rng), Cycles: opts.Cycles}
 	}
-	return Grade(c, faults, triplets, gen, opts)
+	return Grade(ctx, c, faults, triplets, gen, opts)
 }
 
 // Grade fault-simulates the given triplets on the generator against faults
 // and returns their matrix, whose Triplets is the given slice. Every
 // triplet's Cycles must equal opts.Cycles, the packing unit; opts.Seed is
 // not used. The generator's width must equal the circuit's input count.
-func Grade(c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
+//
+// ctx, which must not be nil, cancels the grading: it is checked per
+// triplet during expansion and per group during the parallel fill. A
+// cancelled grading returns the context's error — there is no partial
+// matrix. The fsim span that carries the simulation totals opens on ctx.
+func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	gen tpg.Generator, opts Options) (*Matrix, error) {
 
 	if opts.Cycles < 1 {
@@ -135,7 +136,7 @@ func Grade(c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	m := &Matrix{NumFaults: len(faults), Triplets: triplets}
 	testSets := make([][]bitvec.Vector, len(triplets))
 	for i, t := range triplets {
-		if err := ctxutil.Err(opts.Context); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dmatrix: %w", err)
 		}
 		if t.Cycles != opts.Cycles {
@@ -160,13 +161,13 @@ func Grade(c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	m.Rows = make([]*bitvec.Set, len(triplets))
 	m.FirstDetection = make([][]int32, len(triplets))
 	// One fsim span covers the whole phase and carries its totals.
-	fctx, fsp := obs.StartSpan(opts.Context, "fsim")
+	fctx, fsp := obs.StartSpan(ctx, "fsim")
 	defer fsp.End()
 	fsp.SetInt("rows", int64(len(triplets)))
 	packers := make([]*packer, workers)
 	stats := make([]packStats, groups)
 	err := parallel.ForEach(workers, groups, func(worker, k int) error {
-		if err := ctxutil.Err(fctx); err != nil {
+		if err := fctx.Err(); err != nil {
 			return fmt.Errorf("dmatrix: %w", err)
 		}
 		w := packers[worker]

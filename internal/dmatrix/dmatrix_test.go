@@ -1,6 +1,7 @@
 package dmatrix
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -54,7 +55,7 @@ func TestCoversByConstruction(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
 	for _, cycles := range []int{1, 5, 20} {
-		m, err := Build(c, faults, patterns, gen, Options{Cycles: cycles, Seed: 7})
+		m, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: cycles, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestCoversByConstruction(t *testing.T) {
 func TestCyclesOneMatchesPatternDetection(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	m, err := Build(c, faults, patterns, gen, Options{Cycles: 1, Seed: 7})
+	m, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestCyclesOneMatchesPatternDetection(t *testing.T) {
 func TestMonotoneInCycles(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	short, err := Build(c, faults, patterns, gen, Options{Cycles: 2, Seed: 7})
+	short, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Build(c, faults, patterns, gen, Options{Cycles: 10, Seed: 7})
+	long, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestMonotoneInCycles(t *testing.T) {
 func TestFirstDetectionAndEffectiveLength(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	m, err := Build(c, faults, patterns, gen, Options{Cycles: 8, Seed: 7})
+	m, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestFirstDetectionAndEffectiveLength(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	m1, err := Build(c, faults, patterns, gen, Options{Cycles: 6, Seed: 3})
+	m1, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Build(c, faults, patterns, gen, Options{Cycles: 6, Seed: 3})
+	m2, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	if _, err := Build(c, faults, patterns, gen, Options{Cycles: 0}); err == nil {
+	if _, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 0}); err == nil {
 		t.Error("expected error for zero cycles")
 	}
 	wrong, _ := tpg.NewAdder(len(c.Inputs) + 1)
-	if _, err := Build(c, faults, patterns, wrong, Options{Cycles: 1}); err == nil {
+	if _, err := Build(context.Background(), c, faults, patterns, wrong, Options{Cycles: 1}); err == nil {
 		t.Error("expected error for width mismatch")
 	}
 }
@@ -178,7 +179,7 @@ func TestBuildErrors(t *testing.T) {
 func TestDensityAndStats(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	m, err := Build(c, faults, patterns, gen, Options{Cycles: 4, Seed: 7})
+	m, err := Build(context.Background(), c, faults, patterns, gen, Options{Cycles: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +199,11 @@ func TestDifferentGeneratorsGiveDifferentRows(t *testing.T) {
 	c, faults, patterns := setup(t)
 	add, _ := tpg.NewAdder(len(c.Inputs))
 	mul, _ := tpg.NewMultiplier(len(c.Inputs))
-	ma, err := Build(c, faults, patterns, add, Options{Cycles: 16, Seed: 7})
+	ma, err := Build(context.Background(), c, faults, patterns, add, Options{Cycles: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := Build(c, faults, patterns, mul, Options{Cycles: 16, Seed: 7})
+	mm, err := Build(context.Background(), c, faults, patterns, mul, Options{Cycles: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +223,12 @@ func TestDifferentGeneratorsGiveDifferentRows(t *testing.T) {
 func TestParallelBuildIdentical(t *testing.T) {
 	c, faults, patterns := setup(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	serial, err := Build(c, faults, patterns, gen,
+	serial, err := Build(context.Background(), c, faults, patterns, gen,
 		Options{Cycles: 16, Seed: 7, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Build(c, faults, patterns, gen,
+	parallel, err := Build(context.Background(), c, faults, patterns, gen,
 		Options{Cycles: 16, Seed: 7, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 	}
 	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65, 128, 129, 256, 257} {
 		for _, j := range []int{1, 2} {
-			m, err := Build(c, faults, res.Patterns, gen,
+			m, err := Build(context.Background(), c, faults, res.Patterns, gen,
 				Options{Cycles: cycles, Seed: 9, Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
@@ -292,7 +293,7 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := sim.Run(faults, ts, fsim.Options{})
+				ref, err := sim.Run(context.Background(), faults, ts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package dmatrix
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func FuzzLanesMatchPerTripletRows(f *testing.F) {
 		}
 		var want []*fsim.Result
 		for _, j := range []int{1, 2} {
-			m, err := Build(c, faults, patterns, gen,
+			m, err := Build(context.Background(), c, faults, patterns, gen,
 				Options{Cycles: T, Seed: seed, Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +77,7 @@ func FuzzLanesMatchPerTripletRows(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := sim.Run(faults, ts, fsim.Options{})
+					ref, err := sim.Run(context.Background(), faults, ts)
 					if err != nil {
 						t.Fatal(err)
 					}

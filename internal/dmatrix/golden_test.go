@@ -1,6 +1,7 @@
 package dmatrix
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -260,7 +261,7 @@ func TestGoldenMatrices(t *testing.T) {
 					j    int
 				}{{"j1", 1}, {"j2", 2}, {"jmax", 0}} {
 					t.Run(key+"/"+j.name, func(t *testing.T) {
-						m, err := Build(c, faults, res.Patterns, gen, Options{
+						m, err := Build(context.Background(), c, faults, res.Patterns, gen, Options{
 							Cycles: cycles, Seed: 5, Parallelism: j.j,
 						})
 						if err != nil {

@@ -76,7 +76,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/atpg"
-	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dmatrix"
@@ -122,11 +121,6 @@ type Options struct {
 	// any negative value) means one worker per available processor.
 	// Requests may override it per call.
 	Parallelism int
-	// ATPG supplies the engine-wide defaults for the test-generation step
-	// (a zero Seed means 1, so an Engine is deterministic out of the box).
-	// Request.ATPGSeed overrides the seed per request; the other tuning
-	// fields are engine-wide because they are part of the flow cache key.
-	ATPG atpg.Options
 	// MaxCachedFlows / MaxCachedMatrices bound the artifact caches; 0 (the
 	// default) means unbounded — right for a fixed benchmark population,
 	// wrong for a service fed unbounded distinct inline circuits or cycle
@@ -175,9 +169,8 @@ type Stats struct {
 // for concurrent use by any number of goroutines; create one per process
 // (or per isolation domain) and share it.
 type Engine struct {
-	parallelism  int
-	atpgDefaults atpg.Options
-	store        ArtifactStore
+	parallelism int
+	store       ArtifactStore
 
 	flows    cache.Group[string, *core.Flow]
 	matrices cache.Group[matrixKey, *dmatrix.Matrix]
@@ -208,10 +201,7 @@ func (k matrixKey) String() string {
 
 // New returns an Engine with the given defaults.
 func New(opts Options) *Engine {
-	if opts.ATPG.Seed == 0 {
-		opts.ATPG.Seed = 1
-	}
-	e := &Engine{parallelism: opts.Parallelism, atpgDefaults: opts.ATPG, store: opts.Store}
+	e := &Engine{parallelism: opts.Parallelism, store: opts.Store}
 	e.flows.SetLimit(opts.MaxCachedFlows)
 	e.matrices.SetLimit(opts.MaxCachedMatrices)
 	return e
@@ -332,56 +322,25 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// prepareNamed is the one derivation of a named benchmark's flow key and
-// loader, shared by PrepareNamed, Run and the Request path so identical
-// requests can never split the cache.
-func (e *Engine) prepareNamed(ctx context.Context, circuit string, opts atpg.Options) (string, *core.Flow, bool, error) {
-	opts = e.mergeATPG(opts)
-	key := flowKeyFor("bench:"+circuit, opts)
-	flow, hit, err := e.flow(ctx, key, opts,
-		func() (*netlist.Circuit, error) { return bench.ScanView(circuit) })
-	return key, flow, hit, err
-}
-
-// PrepareNamed fetches or computes the Flow of a built-in benchmark
-// circuit (full-scan view). The bool reports whether the result came from
-// the cache or a shared in-flight preparation.
-func (e *Engine) PrepareNamed(ctx context.Context, circuit string, opts atpg.Options) (*core.Flow, bool, error) {
-	_, flow, hit, err := e.prepareNamed(ctx, circuit, opts)
-	return flow, hit, err
-}
-
 // PrepareCircuit fetches or computes the Flow of a caller-supplied
 // combinational circuit. The cache key is content-addressed (a hash of the
 // circuit's .bench rendering), so equal circuits share one preparation and
 // any structural change is a fresh key.
 func (e *Engine) PrepareCircuit(ctx context.Context, c *netlist.Circuit, opts atpg.Options) (*core.Flow, bool, error) {
-	opts = e.mergeATPG(opts)
+	opts = mergeATPG(opts)
 	f, hit, err := e.flow(ctx, flowKeyFor(inlineID(netlist.Format(c)), opts), opts,
 		func() (*netlist.Circuit, error) { return c, nil })
 	return f, hit, err
 }
 
-// mergeATPG overlays per-call ATPG options on the engine defaults: zero
-// tuning fields inherit the engine-wide value (for the SkipCompaction
-// flag, false is the zero value, so an engine-wide true cannot be undone
-// per call). Every path into the flow cache merges the same way, so a
-// logically identical request always derives the same key.
-func (e *Engine) mergeATPG(o atpg.Options) atpg.Options {
-	d := e.atpgDefaults
+// mergeATPG applies the Engine's one ATPG default: a zero seed means 1, so
+// an Engine is deterministic out of the box. Every path into the flow
+// cache applies it, so a logically identical request always derives the
+// same key.
+func mergeATPG(o atpg.Options) atpg.Options {
 	if o.Seed == 0 {
-		o.Seed = d.Seed
+		o.Seed = 1
 	}
-	if o.MaxRandomPatterns == 0 {
-		o.MaxRandomPatterns = d.MaxRandomPatterns
-	}
-	if o.RandomStallBlocks == 0 {
-		o.RandomStallBlocks = d.RandomStallBlocks
-	}
-	if o.BacktrackLimit == 0 {
-		o.BacktrackLimit = d.BacktrackLimit
-	}
-	o.SkipCompaction = o.SkipCompaction || d.SkipCompaction
 	return o
 }
 
@@ -401,15 +360,15 @@ func (e *Engine) fillCore(ctx context.Context, opts core.Options) core.Options {
 // through matrix construction and the covering solve. Matrices are NOT
 // memoized on this path: a caller-supplied Generator is identified only by
 // its Name, which is too weak a key (two distinct generators may share
-// one). Use Solve or Run for the kind-addressed, fully cached path.
+// one). Use Solve for the kind-addressed, fully cached path.
 func (e *Engine) SolveFlow(ctx context.Context, flow *core.Flow, gen tpg.Generator, opts core.Options) (*core.Solution, error) {
 	e.solves.Add(1)
 	return flow.Solve(gen, e.fillCore(ctx, opts))
 }
 
-// solveKind is the kind-addressed solve shared by Solve and Run: the
-// Detection Matrix is fetched from (or inserted into) the matrix cache,
-// then reduced and solved under the request's own budgets.
+// solveKind is Solve's kind-addressed half: the Detection Matrix is
+// fetched from (or inserted into) the matrix cache, then reduced and
+// solved under the request's own budgets.
 func (e *Engine) solveKind(ctx context.Context, flowKey string, flow *core.Flow,
 	kind string, opts core.Options) (*core.Solution, bool, error) {
 
@@ -474,19 +433,6 @@ func (e *Engine) solveKind(ctx context.Context, flowKey string, flow *core.Flow,
 		return nil, hit, fmt.Errorf("engine: %w", err)
 	}
 	return sol, hit || fromStore, nil
-}
-
-// Run is the structured-options counterpart of Solve: it serves a
-// one-shot flow (named benchmark circuit, generator kind) from the
-// Engine's caches. Unlike Request it accepts the full ATPG and solver
-// option structs.
-func (e *Engine) Run(ctx context.Context, circuit, kind string, atpgOpts atpg.Options, opts core.Options) (*core.Solution, error) {
-	key, flow, _, err := e.prepareNamed(ctx, circuit, atpgOpts)
-	if err != nil {
-		return nil, err
-	}
-	sol, _, err := e.solveKind(ctx, key, flow, kind, opts)
-	return sol, err
 }
 
 // shortKey abbreviates the hash of an inline circuit id for display.

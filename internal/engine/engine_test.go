@@ -185,7 +185,7 @@ func TestCancelledBeforePrepare(t *testing.T) {
 // A context cancelled after the flow is cached aborts in the matrix phase.
 func TestCancelledDuringMatrixPhase(t *testing.T) {
 	eng := New(Options{})
-	if hit, err := eng.Prepare(context.Background(), s420Req()); err != nil || hit {
+	if _, hit, err := eng.Prepare(context.Background(), s420Req()); err != nil || hit {
 		t.Fatalf("warmup: hit=%v err=%v", hit, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

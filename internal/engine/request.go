@@ -35,8 +35,8 @@ type Request struct {
 	Cycles int `json:"cycles,omitempty"`
 	// Seed drives the random θ selection of the Detection Matrix build.
 	Seed int64 `json:"seed,omitempty"`
-	// ATPGSeed overrides the engine-wide ATPG seed (0 keeps the engine
-	// default). It is part of the flow cache key.
+	// ATPGSeed seeds the ATPG (0 means 1). It is part of the flow cache
+	// key.
 	ATPGSeed int64 `json:"atpg_seed,omitempty"`
 	// Solver selects the covering strategy: "" or "exact" (default),
 	// "greedy", "greedy-noreduce".
@@ -55,10 +55,11 @@ type Request struct {
 	// SolveBudget bounds the exact covering solve's wall-clock time
 	// (anytime contract; serialized as integer nanoseconds).
 	SolveBudget time.Duration `json:"solve_budget,omitempty"`
-	// Bound selects the exact solver's lower bound: "" or "auto"
-	// (Lagrangian, the default), "lagrangian", "counting". Never part of a
-	// cache key: completed solves return bit-identical covers in every
-	// mode — the bound only changes how much tree is searched.
+	// Bound selects the exact solver's lower bound: "", "auto" or
+	// "lagrangian" (the Lagrangian bound, the default; all three decode to
+	// setcover.BoundAuto), or "counting". Never part of a cache key:
+	// completed solves return bit-identical covers in every mode — the
+	// bound only changes how much tree is searched.
 	Bound string `json:"bound,omitempty"`
 	// AscentIters overrides the root subgradient budget of the Lagrangian
 	// bound (0 = solver default, negative = warm start only). Ignored for
@@ -188,10 +189,8 @@ func (req Request) coreOptions() (core.Options, error) {
 		return opts, fmt.Errorf("engine: unknown objective %q", req.Objective)
 	}
 	switch req.Bound {
-	case "", "auto":
+	case "", "auto", "lagrangian":
 		opts.Exact.Bound = setcover.BoundAuto
-	case "lagrangian":
-		opts.Exact.Bound = setcover.BoundLagrangian
 	case "counting":
 		opts.Exact.Bound = setcover.BoundCounting
 	default:
@@ -203,32 +202,33 @@ func (req Request) coreOptions() (core.Options, error) {
 	return opts, nil
 }
 
-// atpgOptions derives the request's ATPG options from the engine defaults
-// through the same mergeATPG every other path uses, so a logically
-// identical request always lands on the same flow key. Parallelism rides
-// along (it is not part of the key).
-func (req Request) atpgOptions(e *Engine) atpg.Options {
-	return e.mergeATPG(atpg.Options{Seed: req.ATPGSeed, Parallelism: req.Parallelism})
+// atpgOptions derives the request's ATPG options through the same
+// mergeATPG every other path uses, so a logically identical request always
+// lands on the same flow key. Parallelism rides along (it is not part of
+// the key).
+func (req Request) atpgOptions() atpg.Options {
+	return mergeATPG(atpg.Options{Seed: req.ATPGSeed, Parallelism: req.Parallelism})
 }
 
-// Prepare warms the circuit artifacts a Request depends on (fault list and
-// ATPG test set) without solving anything. The bool reports whether they
-// were already cached. A later Solve for the same circuit skips the ATPG
-// entirely.
-func (e *Engine) Prepare(ctx context.Context, req Request) (bool, error) {
+// Prepare fetches or computes the circuit artifacts a Request depends on
+// (fault list and ATPG test set) without solving anything, and returns
+// them as a Flow. Only the circuit, ATPGSeed and Parallelism fields are
+// read. The bool reports whether the Flow was already cached. A later
+// Solve for the same circuit skips the ATPG entirely, and the Flow serves
+// caller-defined generators through SolveFlow.
+func (e *Engine) Prepare(ctx context.Context, req Request) (*core.Flow, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if errs := req.validateCircuit(); len(errs) > 0 {
-		return false, errors.Join(errs...)
+		return nil, false, errors.Join(errs...)
 	}
 	id, load, err := e.circuitRef(req)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	atpgOpts := req.atpgOptions(e)
-	_, hit, err := e.flow(ctx, flowKeyFor(id, atpgOpts), atpgOpts, load)
-	return hit, err
+	atpgOpts := req.atpgOptions()
+	return e.flow(ctx, flowKeyFor(id, atpgOpts), atpgOpts, load)
 }
 
 // Solve answers one reseeding query. It threads ctx through every phase —
@@ -282,7 +282,7 @@ func (e *Engine) SolveWithObserver(ctx context.Context, req Request, watch Solve
 	sctx, sp := obs.StartSpan(ctx, "solve")
 	defer sp.End()
 	sp.SetStr("tpg", req.TPG)
-	atpgOpts := req.atpgOptions(e)
+	atpgOpts := req.atpgOptions()
 	key := flowKeyFor(id, atpgOpts)
 	flow, prepHit, err := e.flow(sctx, key, atpgOpts, load)
 	if err != nil {

@@ -185,7 +185,7 @@ func TestTestLengthTraceHasReduceAndRootLB(t *testing.T) {
 		t.Fatalf("testlength trace lacks reduce (%v) or the ascent root_lb (%d)", reduced, rootLB)
 	}
 
-	flow, _, err := eng.PrepareNamed(context.Background(), req.Circuit, req.atpgOptions(eng))
+	flow, _, err := eng.Prepare(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/setcover"
 )
 
 // Validate is the one set of request rules shared by cmd/reseed and the
@@ -95,8 +97,22 @@ func TestSolveRejectsWithTypedErrors(t *testing.T) {
 	}
 
 	// Prepare shares the circuit subset of the rules.
-	_, err = eng.Prepare(context.Background(), Request{Circuit: "sNaN"})
+	_, _, err = eng.Prepare(context.Background(), Request{Circuit: "sNaN"})
 	if !errors.As(err, &reqErr) || reqErr.Field != "circuit" {
 		t.Errorf("Prepare rejection not typed: %v", err)
+	}
+}
+
+// A request's bound names map to the solver's two modes: "", "auto" and
+// "lagrangian" all name the Lagrangian bound.
+func TestRequestBoundNames(t *testing.T) {
+	for name, want := range map[string]setcover.BoundMode{
+		"": setcover.BoundAuto, "auto": setcover.BoundAuto,
+		"lagrangian": setcover.BoundAuto, "counting": setcover.BoundCounting,
+	} {
+		opts, err := Request{Bound: name}.coreOptions()
+		if err != nil || opts.Exact.Bound != want {
+			t.Errorf("bound %q mapped to %v, %v; want %v", name, opts.Exact.Bound, err, want)
+		}
 	}
 }

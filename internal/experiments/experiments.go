@@ -22,18 +22,17 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/atpg"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gatsby"
-	"repro/internal/setcover"
 	"repro/internal/tpg"
 )
 
 // TPGKinds are the three accumulator TPGs of the paper's evaluation.
 var TPGKinds = []string{"adder", "multiplier", "subtracter"}
 
-// Config tunes an experiment run.
+// Config tunes an experiment run. Cancellation is not a field: Run,
+// RunCircuit, Figure2 and Tradeoff take their context as a parameter.
 type Config struct {
 	// Circuits to include, in order; nil selects the paper's Table 1 list.
 	Circuits []string
@@ -46,26 +45,16 @@ type Config struct {
 	// Gatsby tunes the baseline; its MaxFaults feasibility gate decides
 	// which circuits get "-" entries as in the paper.
 	Gatsby gatsby.Config
-	// ATPG tunes the shared test generation step.
-	ATPG atpg.Options
-	// Parallelism bounds the worker pool used per solve for Detection
-	// Matrix construction, the ATPG's PODEM search and the exact covering
-	// solver's branch-and-bound fan-out. 1 forces serial; 0 means one
-	// worker per available processor. A zero Parallelism inside ATPG
-	// inherits this value; set it to a nonzero degree to control that
-	// stage independently.
+	// Parallelism bounds the worker pool used per solve for the ATPG's
+	// PODEM search, Detection Matrix construction and the exact covering
+	// solver's branch-and-bound fan-out. 1 forces serial; 0 means the
+	// Engine's degree (one worker per available processor for the private
+	// engine).
 	Parallelism int
 	// SolveBudget, when positive, bounds the wall-clock time of each exact
 	// covering solve (the anytime contract): a truncated solve keeps the
 	// best cover found so far and reports Optimal = false in Table 2.
 	SolveBudget time.Duration
-	// Context, when non-nil, cancels the run end to end: ATPG, matrix
-	// construction and the GA baseline abort with the context's error,
-	// while in-flight exact covering solves finish anytime-style
-	// (best-so-far, Optimal = false). Run returns the circuits completed
-	// before cancellation together with the error, so a driver can render
-	// partial tables.
-	Context context.Context
 	// Engine, when non-nil, supplies the artifact cache the flow runs on:
 	// ATPG preparations and Detection Matrices are shared across circuits,
 	// TPG kinds and repeated calls (Figure2 after Run re-uses the s1238
@@ -84,6 +73,22 @@ func (c Config) withDefaults() Config {
 		c.Engine = engine.New(engine.Options{Parallelism: c.Parallelism})
 	}
 	return c
+}
+
+// request is the Engine request of one circuit, TPG kind and evolution
+// length, with the run's derived seeds: ATPG at Seed+1, θ at Seed+2.
+// Prepare reads only its circuit, ATPG seed and Parallelism, so the flow
+// GATSBY runs on is the one every solve of the circuit uses.
+func (c Config) request(circuit, kind string, cycles int) engine.Request {
+	return engine.Request{
+		Circuit:     circuit,
+		TPG:         kind,
+		Cycles:      cycles,
+		Seed:        c.Seed + 2,
+		ATPGSeed:    c.Seed + 1,
+		Parallelism: c.Parallelism,
+		SolveBudget: c.SolveBudget,
+	}
 }
 
 // Table1Circuits returns the circuits of the paper's Table 1, in its order.
@@ -114,14 +119,17 @@ type CircuitResult struct {
 }
 
 // Run executes the flow for every configured circuit and TPG. It is the
-// shared driver behind Table 1 and Table 2. When the configured Context is
-// cancelled mid-run, Run returns the circuits completed so far together
-// with the cancellation error.
-func Run(cfg Config) ([]*CircuitResult, error) {
+// shared driver behind Table 1 and Table 2. ctx, which must not be nil,
+// cancels the run end to end: ATPG, matrix construction and the GA
+// baseline abort with the context's error, while in-flight exact covering
+// solves finish anytime-style (best-so-far, Optimal = false). A cancelled
+// Run returns the circuits completed before cancellation together with
+// the error, so a driver can render partial tables.
+func Run(ctx context.Context, cfg Config) ([]*CircuitResult, error) {
 	cfg = cfg.withDefaults()
 	var out []*CircuitResult
 	for _, name := range cfg.Circuits {
-		cr, err := RunCircuit(name, cfg)
+		cr, err := RunCircuit(ctx, name, cfg)
 		if err != nil {
 			return out, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -131,18 +139,11 @@ func Run(cfg Config) ([]*CircuitResult, error) {
 }
 
 // RunCircuit executes the flow for one circuit across all TPG kinds, on
-// the configured Engine's artifact caches.
-func RunCircuit(name string, cfg Config) (*CircuitResult, error) {
+// the configured Engine's artifact caches. ctx cancels it as it cancels
+// Run.
+func RunCircuit(ctx context.Context, name string, cfg Config) (*CircuitResult, error) {
 	cfg = cfg.withDefaults()
-	ctx := cfg.Context
-	atpgOpts := cfg.ATPG
-	if atpgOpts.Seed == 0 {
-		atpgOpts.Seed = cfg.Seed + 1
-	}
-	if atpgOpts.Parallelism == 0 {
-		atpgOpts.Parallelism = cfg.Parallelism
-	}
-	flow, _, err := cfg.Engine.PrepareNamed(ctx, name, atpgOpts)
+	flow, _, err := cfg.Engine.Prepare(ctx, cfg.request(name, "", 0))
 	if err != nil {
 		return nil, err
 	}
@@ -155,16 +156,11 @@ func RunCircuit(name string, cfg Config) (*CircuitResult, error) {
 		ByTPG:      make(map[string]*TPGResult),
 	}
 	for _, kind := range TPGKinds {
-		sol, err := cfg.Engine.Run(ctx, name, kind, atpgOpts, core.Options{
-			Cycles:      cfg.Cycles,
-			Seed:        cfg.Seed + 2,
-			Parallelism: cfg.Parallelism,
-			Exact:       setcover.ExactOptions{TimeBudget: cfg.SolveBudget},
-		})
+		resp, err := cfg.Engine.Solve(ctx, cfg.request(name, kind, cfg.Cycles))
 		if err != nil {
 			return nil, err
 		}
-		tr := &TPGResult{Solution: sol}
+		tr := &TPGResult{Solution: resp.Solution}
 		if cfg.WithGatsby {
 			gen, err := tpg.ByName(kind, len(scan.Inputs))
 			if err != nil {
@@ -172,7 +168,6 @@ func RunCircuit(name string, cfg Config) (*CircuitResult, error) {
 			}
 			gcfg := cfg.Gatsby
 			gcfg.Seed = cfg.Seed + 3
-			gcfg.Context = ctx
 			if gcfg.Cycles == 0 {
 				// Match the covering flow's evolution length so the
 				// #Triplets comparison is apples to apples (Figure 2 shows
@@ -180,7 +175,7 @@ func RunCircuit(name string, cfg Config) (*CircuitResult, error) {
 				// decide the table, not the algorithms).
 				gcfg.Cycles = cfg.Cycles
 			}
-			gres, err := gatsby.Run(scan, flow.TargetFaults, gen, gcfg)
+			gres, err := gatsby.Run(ctx, scan, flow.TargetFaults, gen, gcfg)
 			switch {
 			case errors.Is(err, gatsby.ErrTooLarge):
 				tr.TooLarge = true
@@ -200,42 +195,31 @@ type Figure2Point = core.TradeoffPoint
 
 // Figure2 computes the paper's Figure 2: the number of reseedings versus
 // global test length for s1238 with an adder-based accumulator, swept over
-// the candidate evolution length T.
-func Figure2(cfg Config) ([]Figure2Point, error) {
-	return Tradeoff("s1238", "adder", nil, cfg)
+// the candidate evolution length T. ctx cancels it as it cancels Run.
+func Figure2(ctx context.Context, cfg Config) ([]Figure2Point, error) {
+	return Tradeoff(ctx, "s1238", "adder", nil, cfg)
 }
 
 // Tradeoff computes a reseedings-vs-test-length curve for any circuit and
 // TPG kind. A nil cyclesList selects a geometric sweep 1..1024. Each point
 // is one Engine solve, so the preparation is shared with any earlier run
-// on the same Engine and every point's matrix lands in the cache.
-func Tradeoff(circuit, kind string, cyclesList []int, cfg Config) ([]Figure2Point, error) {
+// on the same Engine and every point's matrix lands in the cache. ctx
+// cancels it as it cancels Run.
+func Tradeoff(ctx context.Context, circuit, kind string, cyclesList []int, cfg Config) ([]Figure2Point, error) {
 	cfg = cfg.withDefaults()
 	if cyclesList == nil {
 		cyclesList = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	}
-	atpgOpts := cfg.ATPG
-	if atpgOpts.Seed == 0 {
-		atpgOpts.Seed = cfg.Seed + 1
-	}
-	if atpgOpts.Parallelism == 0 {
-		atpgOpts.Parallelism = cfg.Parallelism
-	}
 	var points []Figure2Point
 	for _, t := range cyclesList {
-		sol, err := cfg.Engine.Run(cfg.Context, circuit, kind, atpgOpts, core.Options{
-			Cycles:      t,
-			Seed:        cfg.Seed + 2,
-			Parallelism: cfg.Parallelism,
-			Exact:       setcover.ExactOptions{TimeBudget: cfg.SolveBudget},
-		})
+		resp, err := cfg.Engine.Solve(ctx, cfg.request(circuit, kind, t))
 		if err != nil {
 			return nil, fmt.Errorf("tradeoff at T=%d: %w", t, err)
 		}
 		points = append(points, Figure2Point{
 			Cycles:     t,
-			Triplets:   sol.NumTriplets(),
-			TestLength: sol.TestLength,
+			Triplets:   resp.Solution.NumTriplets(),
+			TestLength: resp.Solution.TestLength,
 		})
 	}
 	// Present the curve as the paper does: test length on the X axis,

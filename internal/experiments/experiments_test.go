@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,7 +25,7 @@ func smallConfig() Config {
 }
 
 func TestRunSmallSuite(t *testing.T) {
-	results, err := Run(smallConfig())
+	results, err := Run(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestRunSmallSuite(t *testing.T) {
 // The paper's headline comparison: the covering solution never needs more
 // triplets than the GA baseline needs for the same covered faults.
 func TestCoveringBeatsOrMatchesGatsby(t *testing.T) {
-	results, err := Run(smallConfig())
+	results, err := Run(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +95,27 @@ func TestCoveringBeatsOrMatchesGatsby(t *testing.T) {
 	}
 }
 
+// A cancelled ctx stops Run before its first circuit completes: no
+// circuits, and an error wrapping the context's.
+func TestRunCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := Run(ctx, smallConfig())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if len(results) != 0 {
+		t.Errorf("cancelled run returned %d circuits, want none", len(results))
+	}
+}
+
 func TestFeasibilityGateMirrorsPaper(t *testing.T) {
 	// With a small budget the baseline must refuse, producing the paper's
 	// "-" entries, while the covering flow still succeeds.
 	cfg := smallConfig()
 	cfg.Circuits = []string{"s420"}
 	cfg.Gatsby.MaxFaults = 10
-	results, err := Run(cfg)
+	results, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +129,7 @@ func TestFeasibilityGateMirrorsPaper(t *testing.T) {
 }
 
 func TestWriteTables(t *testing.T) {
-	results, err := Run(smallConfig())
+	results, err := Run(context.Background(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +151,7 @@ func TestWriteTables(t *testing.T) {
 
 func TestTradeoffCurveShape(t *testing.T) {
 	cfg := Config{Seed: 1, Cycles: 32}
-	points, err := Tradeoff("s420", "adder", []int{1, 8, 64, 256}, cfg)
+	points, err := Tradeoff(context.Background(), "s420", "adder", []int{1, 8, 64, 256}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +198,7 @@ func TestTable1CircuitList(t *testing.T) {
 
 func TestUnknownCircuitError(t *testing.T) {
 	cfg := Config{Circuits: []string{"nope"}, Seed: 1}
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("expected error for unknown circuit")
 	}
 }

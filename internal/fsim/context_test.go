@@ -30,17 +30,17 @@ func TestRunCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sim.Run(faults, patterns, Options{Context: ctx})
+	_, err = sim.Run(ctx, faults, patterns)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 
-	// A nil context keeps the old behaviour.
-	res, err := sim.Run(faults, patterns, Options{})
+	// A live context runs to completion.
+	res, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PatternsApplied == 0 {
-		t.Error("nil-context run simulated nothing")
+		t.Error("live-context run simulated nothing")
 	}
 }

@@ -49,12 +49,11 @@
 // the bundled circuits a per-root worker pool measured no faster than one
 // goroutine. Callers that want parallelism run one Simulator per goroutine
 // on a shared view and Targets, as the Detection Matrix build does. A
-// Run's Result depends only on the circuit, the faults, the patterns and
-// the options.
+// Run's Result depends only on the circuit, the faults and the patterns.
 //
 // # Cancellation
 //
-// Options.Context makes a run cancellable: the context is checked once per
+// Run takes a context, which must not be nil. It is checked once per
 // 256-pattern block — the grain at which the simulator commits work — and
 // a cancelled run returns the context's error wrapped, with no partial
 // Result.
@@ -66,7 +65,6 @@ import (
 	"math/bits"
 
 	"repro/internal/bitvec"
-	"repro/internal/ctxutil"
 	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -75,14 +73,6 @@ import (
 // Lanes is the number of 64-pattern lanes one pass simulates, one per
 // word of a line's value.
 const Lanes = 4
-
-// Options controls a fault simulation run.
-type Options struct {
-	// Context, when non-nil, cancels the run: Run checks it between
-	// 256-pattern blocks and returns the context's error. A run that
-	// completes before cancellation is unaffected.
-	Context context.Context
-}
 
 // Result reports the outcome of a fault simulation run.
 type Result struct {
@@ -220,8 +210,9 @@ func NewForView(v *netlist.View) *Simulator {
 // Run simulates the fault list against the pattern sequence, 256
 // consecutive patterns per pass, and returns the detection record. A fault
 // detected in one pass is not simulated in later ones, and the run ends
-// once every fault is detected.
-func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Options) (*Result, error) {
+// once every fault is detected. ctx is checked between passes; a run that
+// completes before cancellation is unaffected.
+func (s *Simulator) Run(ctx context.Context, faults []fault.Fault, patterns []bitvec.Vector) (*Result, error) {
 	t := NewTargets(s.v, faults)
 	res := &Result{
 		Detected:     make([]bool, len(faults)),
@@ -240,7 +231,7 @@ func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Opt
 	var stems, blocks int64
 	var lanes [Lanes][]bitvec.Vector
 	for base := 0; base < len(patterns); base += 64 * Lanes {
-		if err := ctxutil.Err(opts.Context); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fsim: %w", err)
 		}
 		block := patterns[base:min(base+64*Lanes, len(patterns))]
@@ -275,7 +266,7 @@ func (s *Simulator) Run(faults []fault.Fault, patterns []bitvec.Vector, opts Opt
 	// Fold effort counters onto the enclosing trace span (if any): many
 	// Run calls accumulate into a single span, and AddInt commutes, so the
 	// totals are schedule-independent. No per-run span is created.
-	if sp := obs.CurrentSpan(opts.Context); sp != nil {
+	if sp := obs.CurrentSpan(ctx); sp != nil {
 		sp.AddInt("gate_evals", res.GateEvals)
 		sp.AddInt("patterns_applied", int64(res.PatternsApplied))
 		sp.AddInt("runs", 1)

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -113,7 +114,7 @@ func TestAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(faults, patterns, Options{})
+	res, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestRandomCircuitsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(faults, patterns, Options{})
+		res, err := sim.Run(context.Background(), faults, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestDropDetectedStopsEarly(t *testing.T) {
 	for v := range patterns {
 		patterns[v] = bitvec.FromUint64(5, uint64(v%32))
 	}
-	res, err := sim.Run(faults, patterns, Options{})
+	res, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestStopWhenAllDetected(t *testing.T) {
 	for v := range patterns {
 		patterns[v] = bitvec.FromUint64(5, uint64(v%32))
 	}
-	res, err := sim.Run(faults, patterns, Options{})
+	res, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ z = OR(a, n)
 	}
 	sim, _ := New(c)
 	patterns := []bitvec.Vector{bitvec.FromUint64(1, 0), bitvec.FromUint64(1, 1)}
-	res, err := sim.Run(faults, patterns, Options{})
+	res, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestEmptyPatternList(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	faults, _, _ := fault.List(c)
 	sim, _ := New(c)
-	res, err := sim.Run(faults, nil, Options{})
+	res, err := sim.Run(context.Background(), faults, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestDetectRejectsBadBlocks(t *testing.T) {
 	if _, err := sim.Detect(tg, [][]bitvec.Vector{{bitvec.New(3)}}, live, masks); err == nil {
 		t.Error("expected error for a 3-bit pattern on 5 inputs")
 	}
-	if _, err := sim.Run(faults, []bitvec.Vector{bitvec.New(3)}, Options{}); err == nil {
+	if _, err := sim.Run(context.Background(), faults, []bitvec.Vector{bitvec.New(3)}); err == nil {
 		t.Error("Run accepted a 3-bit pattern on 5 inputs")
 	}
 }
@@ -431,11 +432,11 @@ func TestReusedSimulatorMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Run(sub, patterns, Options{})
+			want, err := fresh.Run(context.Background(), sub, patterns)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := reused.Run(sub, patterns, Options{})
+			got, err := reused.Run(context.Background(), sub, patterns)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -466,7 +467,7 @@ func BenchmarkFaultSim(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := sim.Run(faults, patterns, Options{}); err != nil {
+		if _, err := sim.Run(context.Background(), faults, patterns); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package fsim_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func FuzzFaultSimMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.Run(faults, patterns, fsim.Options{})
+		got, err := sim.Run(context.Background(), faults, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 var ErrTooLarge = errors.New("gatsby: circuit too large for simulation-based search")
 
 // Config tunes the genetic search. The zero value selects defaults.
+// Cancellation is not a field: Run takes its context as a parameter.
 type Config struct {
 	// Population is the number of individuals per generation (default 16).
 	Population int
@@ -60,11 +61,6 @@ type Config struct {
 	// rejected with ErrTooLarge (default 25000, which admits every circuit
 	// the paper ran GATSBY on and rejects s13207/s15850-class instances).
 	MaxFaults int
-	// Context, when non-nil, cancels the search: it is checked before each
-	// candidate's fitness evaluation (a full test-set fault simulation). A
-	// cancelled run returns the context's error — the GA has no meaningful
-	// partial solution, matching the tool it models.
-	Context context.Context
 }
 
 func (c Config) withDefaults() Config {
@@ -124,7 +120,12 @@ type individual struct {
 
 // Run evolves a reseeding solution for the target fault list on the given
 // generator. The generator's width must equal the circuit's input count.
-func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config) (*Result, error) {
+//
+// ctx, which must not be nil, cancels the search: each generation's
+// grading checks it (dmatrix.Grade). A cancelled run returns the
+// context's error — the GA has no meaningful partial solution, matching
+// the tool it models.
+func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if gen.Width() != len(c.Inputs) {
 		return nil, fmt.Errorf("gatsby: generator width %d != circuit inputs %d",
@@ -153,9 +154,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, gen tpg.Generator, cfg Config
 		for i, ind := range inds {
 			triplets[i] = tpg.Triplet{Delta: ind.delta, Theta: ind.theta, Cycles: cfg.Cycles}
 		}
-		m, err := dmatrix.Grade(c, sub, triplets, gen, dmatrix.Options{
-			Cycles: cfg.Cycles, Parallelism: 1, Context: cfg.Context,
-		})
+		m, err := dmatrix.Grade(ctx, c, sub, triplets, gen, dmatrix.Options{Cycles: cfg.Cycles, Parallelism: 1})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package gatsby
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -54,7 +55,7 @@ func target(t *testing.T) (*netlist.Circuit, []fault.Fault) {
 func TestFullCoverageOnC17(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	res, err := Run(c, faults, gen, Config{Seed: 1, Cycles: 64})
+	res, err := Run(context.Background(), c, faults, gen, Config{Seed: 1, Cycles: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestFullCoverageOnC17(t *testing.T) {
 		}
 		patterns = append(patterns, ts...)
 	}
-	fres, err := sim.Run(faults, patterns, fsim.Options{})
+	fres, err := sim.Run(context.Background(), faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFullCoverageOnC17(t *testing.T) {
 func TestSimulationEffortTracked(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	res, err := Run(c, faults, gen, Config{Seed: 1, Cycles: 64})
+	res, err := Run(context.Background(), c, faults, gen, Config{Seed: 1, Cycles: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSimulationEffortTracked(t *testing.T) {
 func TestFeasibilityGate(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	_, err := Run(c, faults, gen, Config{Seed: 1, MaxFaults: 5})
+	_, err := Run(context.Background(), c, faults, gen, Config{Seed: 1, MaxFaults: 5})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Errorf("expected ErrTooLarge, got %v", err)
 	}
@@ -117,7 +118,7 @@ func TestFeasibilityGate(t *testing.T) {
 func TestWidthMismatch(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs) + 3)
-	if _, err := Run(c, faults, gen, Config{Seed: 1}); err == nil {
+	if _, err := Run(context.Background(), c, faults, gen, Config{Seed: 1}); err == nil {
 		t.Fatal("expected width mismatch error")
 	}
 }
@@ -125,11 +126,11 @@ func TestWidthMismatch(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	a, err := Run(c, faults, gen, Config{Seed: 7, Cycles: 32})
+	a, err := Run(context.Background(), c, faults, gen, Config{Seed: 7, Cycles: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, faults, gen, Config{Seed: 7, Cycles: 32})
+	b, err := Run(context.Background(), c, faults, gen, Config{Seed: 7, Cycles: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestEmptyFaultList(t *testing.T) {
 	c, _ := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	res, err := Run(c, nil, gen, Config{Seed: 1})
+	res, err := Run(context.Background(), c, nil, gen, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestEmptyFaultList(t *testing.T) {
 func TestMaxReseedsBounds(t *testing.T) {
 	c, faults := target(t)
 	gen, _ := tpg.NewAdder(len(c.Inputs))
-	res, err := Run(c, faults, gen, Config{Seed: 1, Cycles: 1, MaxReseeds: 2})
+	res, err := Run(context.Background(), c, faults, gen, Config{Seed: 1, Cycles: 1, MaxReseeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

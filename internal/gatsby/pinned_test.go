@@ -1,6 +1,7 @@
 package gatsby
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -77,7 +78,7 @@ func TestResultsPinned(t *testing.T) {
 			for _, cycles := range []int{7, 64, 300} {
 				key := fmt.Sprintf("%s/%s/T%d", name, kind, cycles)
 				t.Run(key, func(t *testing.T) {
-					res, err := Run(c, faults, gen, Config{Seed: 3, Generations: 4, StallLimit: 4, Cycles: cycles})
+					res, err := Run(context.Background(), c, faults, gen, Config{Seed: 3, Generations: 4, StallLimit: 4, Cycles: cycles})
 					if err != nil {
 						t.Fatal(err)
 					}

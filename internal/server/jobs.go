@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ctxutil"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -344,7 +343,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		// Includes cancellation that reached the covering phase: the
 		// Response carries the best-so-far with Interrupted set.
 		j.state, j.resp = jobDone, resp
-	case ctxutil.Err(ctx) != nil:
+	case ctx.Err() != nil:
 		j.state, j.errMsg = jobCancelled, err.Error()
 	default:
 		j.state, j.errMsg = jobFailed, err.Error()

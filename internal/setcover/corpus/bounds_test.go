@@ -19,7 +19,7 @@ type boundCounts struct {
 var bounds = [2]struct {
 	name string
 	mode setcover.BoundMode
-}{{"counting", setcover.BoundCounting}, {"lagrangian", setcover.BoundLagrangian}}
+}{{"counting", setcover.BoundCounting}, {"lagrangian", setcover.BoundAuto}}
 
 // pinnedBounds is every corpus instance solved at Parallelism 1 under each
 // of bounds, the open tier under DefaultOpenNodeBudget. Summed over the

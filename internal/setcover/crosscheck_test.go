@@ -96,7 +96,7 @@ func TestCrossCheckBruteForce(t *testing.T) {
 			if name == "SolveExact" {
 				w = nil
 			}
-			for _, mode := range []BoundMode{BoundCounting, BoundLagrangian} {
+			for _, mode := range []BoundMode{BoundCounting, BoundAuto} {
 				var got Solution
 				var err error
 				if w == nil {
@@ -176,7 +176,7 @@ func FuzzCrossCheck(f *testing.F) {
 		if !p.Verify(exact.Rows) || !p.Verify(wexact.Rows) {
 			t.Fatal("invalid cover")
 		}
-		for _, mode := range []BoundMode{BoundCounting, BoundLagrangian} {
+		for _, mode := range []BoundMode{BoundCounting, BoundAuto} {
 			got, err := p.SolveExact(ExactOptions{Bound: mode})
 			if err != nil {
 				t.Fatal(err)

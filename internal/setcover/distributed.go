@@ -91,8 +91,6 @@ type SubtreeOptions struct {
 	// Exhaustion truncates (the result is flagged Truncated and the merge
 	// loses its optimality proof).
 	MaxNodes int64
-	// Context, when non-nil, cancels the subtree (truncation, not error).
-	Context context.Context
 	// Bound, when non-nil, is polled at the search's node cadence for the
 	// best cover cost known anywhere else — the coordinator's current
 	// incumbent in a distributed solve. It must be the cost of a real
@@ -131,8 +129,10 @@ type SubtreeResult struct {
 }
 
 // SolveSubtree executes one subtree lease serially. branch must be in
-// [0, NumBranches); a terminal plan has none.
-func (pl *ExactPlan) SolveSubtree(branch int, sub SubtreeOptions) (SubtreeResult, error) {
+// [0, NumBranches); a terminal plan has none. Cancelling ctx, which must
+// not be nil, truncates the subtree: the result is flagged Truncated and
+// the error stays nil.
+func (pl *ExactPlan) SolveSubtree(ctx context.Context, branch int, sub SubtreeOptions) (SubtreeResult, error) {
 	if pl.terminal != nil {
 		return SubtreeResult{}, fmt.Errorf("setcover: plan is terminal, no subtrees to solve")
 	}
@@ -141,7 +141,7 @@ func (pl *ExactPlan) SolveSubtree(branch int, sub SubtreeOptions) (SubtreeResult
 	}
 	// The lease's node count starts at zero: the root node is accounted
 	// once by Merge, not once per lease.
-	s := newSearch(pl.greedy.Cost, ExactOptions{MaxNodes: sub.MaxNodes, Context: sub.Context, OnIncumbent: sub.OnImprove})
+	s := newSearch(pl.greedy.Cost, ExactOptions{MaxNodes: sub.MaxNodes, Context: ctx, OnIncumbent: sub.OnImprove})
 	s.pl, s.bound = pl, sub.Bound
 	res, _ := s.runBranch(branch)
 	return res, nil

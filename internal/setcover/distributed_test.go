@@ -7,6 +7,7 @@ package setcover_test
 // determinism contract; internal/cluster adds the cross-process half.
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -62,7 +63,7 @@ func planSolveAll(t *testing.T, pl *setcover.ExactPlan, order []int) setcover.So
 	bound.Store(int64(pl.Greedy().Cost))
 	var results []setcover.SubtreeResult
 	for _, b := range order {
-		res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{
+		res, err := pl.SolveSubtree(context.Background(), b, setcover.SubtreeOptions{
 			Bound: func() int { return int(bound.Load()) },
 			OnImprove: func(inc setcover.Incumbent) {
 				for {
@@ -100,7 +101,7 @@ func TestPlanMergeMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
 		p, weights := randomCovered(rng)
-		for _, mode := range []setcover.BoundMode{setcover.BoundLagrangian, setcover.BoundCounting} {
+		for _, mode := range []setcover.BoundMode{setcover.BoundAuto, setcover.BoundCounting} {
 			for _, weighted := range []bool{false, true} {
 				opts := setcover.ExactOptions{Bound: mode, Parallelism: 1}
 				var want setcover.Solution
@@ -207,7 +208,7 @@ func TestPlanMergeDegradesGracefully(t *testing.T) {
 
 		// A truncated lease (1-node budget) plus a lost lease: still a
 		// cover, still no optimality claim, cost never above greedy.
-		res, err := pl.SolveSubtree(0, setcover.SubtreeOptions{MaxNodes: 1})
+		res, err := pl.SolveSubtree(context.Background(), 0, setcover.SubtreeOptions{MaxNodes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestPlanSubtreeErrors(t *testing.T) {
 	if pl.NumBranches() != 0 {
 		t.Fatalf("terminal plan advertises %d branches", pl.NumBranches())
 	}
-	if _, err := pl.SolveSubtree(0, setcover.SubtreeOptions{}); err == nil {
+	if _, err := pl.SolveSubtree(context.Background(), 0, setcover.SubtreeOptions{}); err == nil {
 		t.Error("terminal plan accepted a lease")
 	}
 	if got := pl.Merge(nil); got.Cost != term.Cost || !got.Optimal {
@@ -281,7 +282,7 @@ func TestMergeRejectsForgedResult(t *testing.T) {
 	}
 	var results []setcover.SubtreeResult
 	for b := 0; b < pl.NumBranches(); b++ {
-		res, err := pl.SolveSubtree(b, setcover.SubtreeOptions{})
+		res, err := pl.SolveSubtree(context.Background(), b, setcover.SubtreeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,5 +347,35 @@ func TestMergeRejectsForgedResult(t *testing.T) {
 	}
 	if !pl.Accepts(setcover.SubtreeResult{Branch: 0, Truncated: true}) {
 		t.Error("a lease that found nothing was refused")
+	}
+}
+
+// A cancelled context truncates a subtree lease: the result is flagged
+// Truncated, so the merge claims no optimality, and the error is nil.
+// Branch 0 of open-1 runs far past the 128-node cadence at which the
+// search polls its context.
+func TestSolveSubtreeCancelledContext(t *testing.T) {
+	inst, err := corpus.Load("open-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := inst.Problem.PlanExact(nil, setcover.ExactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.NumBranches() == 0 {
+		t.Fatal("open-1 planned terminal; the test needs a subtree")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := pl.SolveSubtree(ctx, 0, setcover.SubtreeOptions{})
+	if err != nil {
+		t.Fatalf("cancelled lease returned error %v, want truncation", err)
+	}
+	if !res.Truncated {
+		t.Errorf("cancelled lease not truncated: %+v", res)
+	}
+	if sol := pl.Merge([]setcover.SubtreeResult{res}); sol.Optimal {
+		t.Error("merge of a cancelled lease claims optimality")
 	}
 }

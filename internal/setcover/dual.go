@@ -62,12 +62,11 @@ import (
 type BoundMode int
 
 const (
-	// BoundAuto is the engine default: the Lagrangian dual bound.
+	// BoundAuto, the engine default, is the Lagrangian dual bound: it
+	// prunes with max(dual value, counting bound) at every node, from
+	// per-column multipliers of a root subgradient ascent priced into the
+	// residual's row costs and refined by a few task-local steps.
 	BoundAuto BoundMode = iota
-	// BoundLagrangian prunes with max(dual value, counting bound) at every
-	// node: per-column multipliers from a root subgradient ascent priced
-	// into the residual's row costs, refined by a few task-local steps.
-	BoundLagrangian
 	// BoundCounting prunes with the combinatorial bound alone (greedily
 	// accumulated pairwise row-disjoint columns). It is the pre-dual
 	// engine's behaviour, kept for comparison runs and as the corpus
@@ -79,8 +78,6 @@ func (m BoundMode) String() string {
 	switch m {
 	case BoundAuto:
 		return "auto"
-	case BoundLagrangian:
-		return "lagrangian"
 	case BoundCounting:
 		return "counting"
 	default:
@@ -239,7 +236,7 @@ func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, t
 
 // DualBound computes a provable lower bound on the optimal cover cost by
 // Lagrangian subgradient ascent — the root bound the engine's
-// BoundLagrangian mode prunes with, exposed for corpus tightness reports
+// BoundAuto mode prunes with, exposed for corpus tightness reports
 // and for tests asserting the bound never exceeds a known optimum. A nil
 // weights slice means unit costs; iters <= 0 uses the engine default
 // ascent budget. The bound is deterministic for a given problem.

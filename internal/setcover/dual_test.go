@@ -16,10 +16,9 @@ import (
 
 func TestBoundModeString(t *testing.T) {
 	cases := map[BoundMode]string{
-		BoundAuto:       "auto",
-		BoundLagrangian: "lagrangian",
-		BoundCounting:   "counting",
-		BoundMode(42):   "BoundMode(42)",
+		BoundAuto:     "auto",
+		BoundCounting: "counting",
+		BoundMode(42): "BoundMode(42)",
 	}
 	for mode, want := range cases {
 		if got := mode.String(); got != want {
@@ -143,7 +142,7 @@ func TestRootLBNeverExceedsOptimum(t *testing.T) {
 		if p.UncoverableColumns() != nil {
 			continue
 		}
-		for _, mode := range []BoundMode{BoundCounting, BoundLagrangian} {
+		for _, mode := range []BoundMode{BoundCounting, BoundAuto} {
 			var serial Solution
 			for _, par := range []int{1, 4} {
 				sol, err := p.SolveExactWeighted(weights, ExactOptions{Bound: mode, Parallelism: par})
@@ -196,7 +195,7 @@ func TestLagrangianTighterRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lagrangian, err := p.SolveExact(ExactOptions{Bound: BoundLagrangian})
+	lagrangian, err := p.SolveExact(ExactOptions{Bound: BoundAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

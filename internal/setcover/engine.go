@@ -126,10 +126,10 @@ type ExactOptions struct {
 	OnSample func(Sample)
 
 	// Bound selects the lower bound the search prunes with: BoundAuto (the
-	// default) and BoundLagrangian use the Lagrangian dual bound — root
-	// subgradient multipliers priced into every node's residual, combined
-	// with the counting bound by max — while BoundCounting keeps the
-	// combinatorial bound alone (the corpus tests' baseline). The mode
+	// default) uses the Lagrangian dual bound — root subgradient
+	// multipliers priced into every node's residual, combined with the
+	// counting bound by max — while BoundCounting keeps the combinatorial
+	// bound alone (the corpus tests' baseline). The mode
 	// changes Nodes and wall time only: completed solves return
 	// bit-identical Rows/Cost/Optimal in every mode.
 	Bound BoundMode

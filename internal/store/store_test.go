@@ -282,10 +282,10 @@ func TestEngineRecoversFromCorruptStore(t *testing.T) {
 	}
 }
 
-// BenchmarkRestart compares a daemon's first solve cold (empty store: full
-// ATPG + matrix build) against warm (artifacts on disk): the warm restart
-// must be at least an order of magnitude faster, which is the store's
-// reason to exist. Recorded on the 1-CPU dev container: see CI logs.
+// BenchmarkRestart reports a daemon's first solve cold (empty store: full
+// ATPG + matrix build) and warm (artifacts on disk). Nothing checks the
+// ratio; TestWarmRestartSkipsATPG checks that the warm restart runs no
+// ATPG, the store's reason to exist.
 func BenchmarkRestart(b *testing.B) {
 	req := engine.Request{Circuit: "s420", TPG: "adder", Cycles: 48, Seed: 2}
 	b.Run("cold", func(b *testing.B) {

@@ -75,6 +75,7 @@
 package reseeding
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/atpg"
@@ -132,12 +133,11 @@ type ExactOptions = setcover.ExactOptions
 // searched node count and wall time differ.
 type BoundMode = setcover.BoundMode
 
-// The bound modes: the default Lagrangian dual bound (BoundAuto,
-// BoundLagrangian) and the counting baseline (BoundCounting).
+// The bound modes: the default Lagrangian dual bound (BoundAuto) and the
+// counting baseline (BoundCounting).
 const (
-	BoundAuto       = setcover.BoundAuto
-	BoundLagrangian = setcover.BoundLagrangian
-	BoundCounting   = setcover.BoundCounting
+	BoundAuto     = setcover.BoundAuto
+	BoundCounting = setcover.BoundCounting
 )
 
 // ATPGOptions configures the deterministic test generation step.
@@ -230,8 +230,9 @@ func TPGKinds() []string { return tpg.Kinds() }
 // internal/engine for the cache keying and invalidation rules.
 type Engine = engine.Engine
 
-// EngineOptions configures NewEngine: the default worker-pool degree and
-// the engine-wide ATPG tuning (which is part of the flow cache key).
+// EngineOptions configures NewEngine: the default worker-pool degree, the
+// artifact cache bounds and the optional persistent store. Cancellation is
+// not an option: the Engine's preparing and solving methods take a context.
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of an Engine's cache counters.
@@ -277,9 +278,10 @@ type Response = engine.Response
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // RunGatsby runs the genetic-algorithm baseline on the same target fault
-// list a Flow would use, for comparison tables.
-func RunGatsby(c *Circuit, faults []Fault, gen Generator, cfg GatsbyConfig) (*GatsbyResult, error) {
-	return gatsby.Run(c, faults, gen, cfg)
+// list a Flow would use, for comparison tables. ctx, which must not be
+// nil, cancels the search; a cancelled run returns the context's error.
+func RunGatsby(ctx context.Context, c *Circuit, faults []Fault, gen Generator, cfg GatsbyConfig) (*GatsbyResult, error) {
+	return gatsby.Run(ctx, c, faults, gen, cfg)
 }
 
 // CoverProblem exposes the generic unate covering engine (rows cover
@@ -314,7 +316,9 @@ type ExperimentConfig = experiments.Config
 type CircuitResult = experiments.CircuitResult
 
 // RunExperiments executes the Table 1 / Table 2 flow over the configured
-// circuits; see cmd/tables for the presentation layer.
-func RunExperiments(cfg ExperimentConfig) ([]*CircuitResult, error) {
-	return experiments.Run(cfg)
+// circuits; see cmd/tables for the presentation layer. ctx, which must not
+// be nil, cancels the run: it returns the circuits completed before
+// cancellation together with the context's error.
+func RunExperiments(ctx context.Context, cfg ExperimentConfig) ([]*CircuitResult, error) {
+	return experiments.Run(ctx, cfg)
 }

@@ -138,7 +138,7 @@ func TestRunGatsbyFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, _ := NewTPG("adder", len(scan.Inputs))
-	res, err := RunGatsby(scan, flow.TargetFaults, gen, GatsbyConfig{
+	res, err := RunGatsby(context.Background(), scan, flow.TargetFaults, gen, GatsbyConfig{
 		Seed: 1, Cycles: 64, Population: 6, Generations: 4,
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestRunGatsbyFacade(t *testing.T) {
 }
 
 func TestRunExperimentsFacade(t *testing.T) {
-	results, err := RunExperiments(ExperimentConfig{
+	results, err := RunExperiments(context.Background(), ExperimentConfig{
 		Circuits: []string{"s420"},
 		Cycles:   32,
 		Seed:     1,
