@@ -136,7 +136,8 @@ func BenchmarkTable2(b *testing.B) {
 				for _, row := range m.Rows {
 					p.AddRow(row)
 				}
-				sol, red, err := p.SolveMinimal(setcover.ExactOptions{})
+				red := p.Reduce()
+				sol, err := red.SolveExact(setcover.ExactOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +321,7 @@ func BenchmarkParallelResidualSolve(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				sol, _, err := p.SolveMinimal(setcover.ExactOptions{Parallelism: j})
+				sol, err := p.Reduce().SolveExact(setcover.ExactOptions{Parallelism: j})
 				if err != nil {
 					b.Fatal(err)
 				}

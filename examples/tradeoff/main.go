@@ -25,7 +25,6 @@ func main() {
 	fmt.Println("s1238 + adder accumulator: reseedings vs. test length")
 	fmt.Printf("%8s %10s %12s %10s %8s\n", "T", "triplets", "test length", "ROM bits", "cached")
 	var chart []report.Point
-	var width int
 	for _, t := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
 		resp, err := eng.Solve(ctx, reseeding.Request{
 			Circuit: "s1238",
@@ -37,11 +36,10 @@ func main() {
 			log.Fatal(err)
 		}
 		sol := resp.Solution
-		width = resp.Circuit.Inputs
-		// ROM: 2 seeds of UUT width plus a cycle counter per triplet.
-		romBits := sol.NumTriplets() * (2*width + 16)
+		// ROM: 2 seeds of UUT width plus a cycle counter per triplet, sized
+		// to the longest trimmed run.
 		fmt.Printf("%8d %10d %12d %10d %8v\n",
-			t, sol.NumTriplets(), sol.TestLength, romBits, resp.PrepareCached)
+			t, sol.NumTriplets(), sol.TestLength, sol.ROMBits, resp.PrepareCached)
 		chart = append(chart, report.Point{
 			X: float64(sol.TestLength), Y: float64(sol.NumTriplets()),
 			Label: fmt.Sprintf("%d", sol.NumTriplets()),

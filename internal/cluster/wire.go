@@ -93,8 +93,8 @@ func (w ProblemWire) Fingerprint() string {
 // plans to be equal. Budgets and parallelism are deliberately absent:
 // they are per-lease and never change completed results.
 type SolveOptionsWire struct {
-	// Bound is "", "auto", "lagrangian" or "counting"; the first three
-	// all name the Lagrangian bound (setcover.BoundAuto).
+	// Bound is a setcover.ParseBound name: "", "auto" or "lagrangian"
+	// for the Lagrangian bound (setcover.BoundAuto), or "counting".
 	Bound string `json:"bound,omitempty"`
 	// AscentIters follows setcover.ExactOptions semantics (0 = default,
 	// negative = disabled).
@@ -112,16 +112,11 @@ func EncodeOptions(opts setcover.ExactOptions) SolveOptionsWire {
 
 // Decode rebuilds the options.
 func (w SolveOptionsWire) Decode() (setcover.ExactOptions, error) {
-	opts := setcover.ExactOptions{AscentIters: w.AscentIters}
-	switch w.Bound {
-	case "", "auto", "lagrangian":
-		opts.Bound = setcover.BoundAuto
-	case "counting":
-		opts.Bound = setcover.BoundCounting
-	default:
-		return opts, fmt.Errorf("cluster: unknown bound mode %q", w.Bound)
+	bound, err := setcover.ParseBound(w.Bound)
+	if err != nil {
+		return setcover.ExactOptions{}, fmt.Errorf("cluster: %w", err)
 	}
-	return opts, nil
+	return setcover.ExactOptions{Bound: bound, AscentIters: w.AscentIters}, nil
 }
 
 // DistSolveRequest asks a replica to coordinate one distributed exact

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/atpg"
 	"repro/internal/bitvec"
@@ -365,56 +364,32 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 		sol.DominatedRows = len(red.DominatedRows)
 		sol.ImpliedCols = red.ImpliedCols
 		sol.ReductionIters = red.Iterations
-		// Essential rows are in every cover, so their cost shifts the
-		// residual's incumbents and root bound one-for-one.
-		essCost := len(red.Essential)
-		if weights != nil {
-			essCost = 0
-			for _, r := range red.Essential {
-				essCost += weights[r]
-			}
+		var cover setcover.Solution
+		if solver == SolverGreedy {
+			cover, err = red.SolveGreedy()
+		} else {
+			cover, err = red.SolveExact(opts.Exact)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		sol.SolverNodes, sol.Optimal, sol.RootLB = cover.Nodes, cover.Optimal, cover.RootLB
 		for _, r := range red.Essential {
 			necessary[r] = true
-			chosen = append(chosen, r)
 		}
-		if !red.Empty() {
-			var sub setcover.Solution
-			exact := opts.Exact.WithIncumbentOffset(essCost, len(red.Essential))
-			switch {
-			case solver == SolverGreedy:
-				sub, err = red.Residual.SolveGreedy()
-			case weights == nil:
-				sub, err = red.Residual.SolveExact(exact)
-			default:
-				subWeights := make([]int, len(red.RowMap))
-				for i, r := range red.RowMap {
-					subWeights[i] = weights[r]
+		chosen = cover.Rows
+		if weights == nil {
+			// The triplets objective lists the necessary triplets first,
+			// then the solver's, each in row order; the test-length
+			// objective lists every triplet in row order. assemble breaks
+			// first-detection ties by list position, so the order fixes
+			// each triplet's trimmed length.
+			chosen = append([]int(nil), red.Essential...)
+			for _, r := range cover.Rows {
+				if !necessary[r] {
+					chosen = append(chosen, r)
 				}
-				sub, err = red.Residual.SolveExactWeighted(subWeights, exact)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			for _, r := range sub.Rows {
-				chosen = append(chosen, red.RowMap[r])
-			}
-			sol.SolverNodes = sub.Nodes
-			sol.Optimal = solver == SolverExact && sub.Optimal
-			if solver == SolverExact {
-				sol.RootLB = sub.RootLB + essCost
-			}
-		} else {
-			sol.Optimal = true
-			if solver == SolverExact {
-				sol.RootLB = essCost // essentials alone: the cover is proven
-			}
-		}
-		if weights != nil {
-			// The test-length objective lists its triplets in row order.
-			// assemble breaks first-detection ties by list position, so
-			// the order fixes each triplet's trimmed length.
-			sort.Ints(chosen)
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown solver kind %d", int(opts.Solver))

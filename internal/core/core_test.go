@@ -290,3 +290,73 @@ func TestObjectiveString(t *testing.T) {
 		t.Error("solver names wrong")
 	}
 }
+
+// TestTripletOrderContract pins the order SolveMatrix hands to assemble,
+// which breaks first-detection ties by list position, so the order fixes
+// the trimmed lengths. The triplets objective lists the necessary
+// triplets first, then the solver's, each in row order; the test-length
+// objective lists every triplet in row order. On c499 with a subtracter
+// at the paper tables' seeds, listing the triplets objective's rows in
+// plain row order instead shortens the test from 283 to 268 cycles, and
+// the tables golden moves.
+func TestTripletOrderContract(t *testing.T) {
+	c, err := bench.ScanView("c499")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Prepare(c, atpg.Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := tpg.ByName("subtracter", len(c.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.BuildMatrix(gen, Options{Cycles: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(tr tpg.Triplet) string { return tr.Delta.Hex() + "/" + tr.Theta.Hex() }
+	rowOf := map[string]int{}
+	for i, tr := range m.Triplets {
+		rowOf[key(tr)] = i
+	}
+	if len(rowOf) != m.NumTriplets() {
+		t.Fatalf("%d distinct triplets among %d rows", len(rowOf), m.NumTriplets())
+	}
+	// ascending reports whether the triplets sit in row order.
+	ascending := func(ts []SelectedTriplet) bool {
+		for i := 1; i < len(ts); i++ {
+			if rowOf[key(ts[i-1].Triplet)] >= rowOf[key(ts[i].Triplet)] {
+				return false
+			}
+		}
+		return true
+	}
+
+	sol, err := f.SolveMatrix(m, gen, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.NumTriplets() != 6 || sol.NumNecessary != 3 || sol.TestLength != 283 {
+		t.Errorf("triplets objective: %d triplets (%d necessary), test length %d; want 6 (3), 283",
+			sol.NumTriplets(), sol.NumNecessary, sol.TestLength)
+	}
+	necessary, fromSolver := sol.Triplets[:sol.NumNecessary], sol.Triplets[sol.NumNecessary:]
+	for i, st := range sol.Triplets {
+		if st.Necessary != (i < sol.NumNecessary) {
+			t.Fatalf("triplet %d: Necessary = %v; the necessary triplets must come first", i, st.Necessary)
+		}
+	}
+	if !ascending(necessary) || !ascending(fromSolver) {
+		t.Error("triplets objective: necessary or solver triplets out of row order")
+	}
+
+	byLength, err := f.SolveMatrix(m, gen, Options{Seed: 3, Objective: MinimizeTestLength})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ascending(byLength.Triplets) {
+		t.Error("test-length objective: triplets out of row order")
+	}
+}

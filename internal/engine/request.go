@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"time"
 
@@ -163,6 +162,8 @@ func (e *Engine) circuitRef(req Request) (id string, load func() (*netlist.Circu
 }
 
 // coreOptions maps the request's serialized solver knobs onto core.Options.
+// It is the one table of solver, objective and bound names: each unknown
+// name adds one *RequestError to the joined error, which Validate reports.
 func (req Request) coreOptions() (core.Options, error) {
 	opts := core.Options{
 		Cycles:      req.Cycles,
@@ -170,6 +171,7 @@ func (req Request) coreOptions() (core.Options, error) {
 		NoTrim:      req.NoTrim,
 		Parallelism: req.Parallelism,
 	}
+	var errs []error
 	switch req.Solver {
 	case "", "exact":
 		opts.Solver = core.SolverExact
@@ -178,7 +180,8 @@ func (req Request) coreOptions() (core.Options, error) {
 	case "greedy-noreduce":
 		opts.Solver = core.SolverGreedyNoReduce
 	default:
-		return opts, fmt.Errorf("engine: unknown solver %q", req.Solver)
+		errs = append(errs, badField("solver",
+			"unknown solver %q (known: exact, greedy, greedy-noreduce)", req.Solver))
 	}
 	switch req.Objective {
 	case "", "triplets":
@@ -186,20 +189,18 @@ func (req Request) coreOptions() (core.Options, error) {
 	case "testlength":
 		opts.Objective = core.MinimizeTestLength
 	default:
-		return opts, fmt.Errorf("engine: unknown objective %q", req.Objective)
+		errs = append(errs, badField("objective",
+			"unknown objective %q (known: triplets, testlength)", req.Objective))
 	}
-	switch req.Bound {
-	case "", "auto", "lagrangian":
-		opts.Exact.Bound = setcover.BoundAuto
-	case "counting":
-		opts.Exact.Bound = setcover.BoundCounting
-	default:
-		return opts, fmt.Errorf("engine: unknown bound %q", req.Bound)
+	var err error
+	if opts.Exact.Bound, err = setcover.ParseBound(req.Bound); err != nil {
+		errs = append(errs, badField("bound",
+			"unknown bound %q (known: auto, lagrangian, counting)", req.Bound))
 	}
 	opts.Exact.AscentIters = req.AscentIters
 	opts.Exact.MaxNodes = req.MaxNodes
 	opts.Exact.TimeBudget = req.SolveBudget
-	return opts, nil
+	return opts, errors.Join(errs...)
 }
 
 // atpgOptions derives the request's ATPG options through the same

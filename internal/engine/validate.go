@@ -31,13 +31,15 @@ func badField(field, format string, args ...any) *RequestError {
 	return &RequestError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Validate checks every rule the Engine enforces on a Request before any
-// work starts: exactly one circuit source, a known benchmark name, a known
-// TPG kind, solver and objective, and non-negative numeric knobs (zero
+// Validate checks every rule the Engine enforces on a Request before it
+// solves: exactly one circuit source, a known benchmark name, a known TPG
+// kind, solver, objective and bound, and non-negative numeric knobs (zero
 // always means "use the default"). It returns nil or an error joining one
-// *RequestError per violation; Engine.Solve and Engine.Prepare call it, so
-// callers only need it themselves to fail fast or to map errors without
-// solving.
+// *RequestError per violation. Engine.Solve calls it before any work
+// starts, so callers only need it themselves to fail fast or to map errors
+// without solving. Engine.Prepare checks only the circuit source, the one
+// rule on the fields it reads (the circuit, ATPGSeed and Parallelism), so
+// a request Prepare accepts may still fail Validate.
 func (req Request) Validate() error {
 	errs := req.validateCircuit()
 	switch {
@@ -48,23 +50,8 @@ func (req Request) Validate() error {
 		errs = append(errs, badField("tpg",
 			"unknown TPG kind %q (known: %s)", req.TPG, strings.Join(tpg.Kinds(), ", ")))
 	}
-	switch req.Solver {
-	case "", "exact", "greedy", "greedy-noreduce":
-	default:
-		errs = append(errs, badField("solver",
-			"unknown solver %q (known: exact, greedy, greedy-noreduce)", req.Solver))
-	}
-	switch req.Objective {
-	case "", "triplets", "testlength":
-	default:
-		errs = append(errs, badField("objective",
-			"unknown objective %q (known: triplets, testlength)", req.Objective))
-	}
-	switch req.Bound {
-	case "", "auto", "lagrangian", "counting":
-	default:
-		errs = append(errs, badField("bound",
-			"unknown bound %q (known: auto, lagrangian, counting)", req.Bound))
+	if _, err := req.coreOptions(); err != nil {
+		errs = append(errs, err)
 	}
 	if req.Cycles < 0 {
 		errs = append(errs, badField("cycles", "negative evolution length %d", req.Cycles))

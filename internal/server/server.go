@@ -111,10 +111,6 @@ type Config struct {
 	// process field), so a stitched cross-process trace names which hop
 	// did what. Default "reseedd".
 	ProcessName string
-	// TraceCapacity bounds the traces the in-memory flight recorder
-	// behind GET /v1/traces retains; non-positive means
-	// obs.DefaultRecorderCapacity.
-	TraceCapacity int
 }
 
 func (c Config) withDefaults() Config {
@@ -178,7 +174,7 @@ func New(eng *engine.Engine, cfg Config) *Server {
 		start: time.Now(),
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.recorder = obs.NewRecorder(cfg.TraceCapacity)
+	s.recorder = obs.NewRecorder(0)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.jobs.init(cfg.MaxJobs)
 	s.board = cluster.NewBoard()

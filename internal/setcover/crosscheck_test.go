@@ -1,12 +1,15 @@
 package setcover
 
-// Randomized cross-check of every exact entry point against brute-force
+// Randomized cross-check of every exact entry point, and of the reduce →
+// solve pipeline every reseeding solve runs, against brute-force
 // enumeration on small instances (≤ 12 rows), including the awkward
 // corners: zero weights, duplicate rows, and uncoverable columns.
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -50,11 +53,8 @@ func TestCrossCheckBruteForce(t *testing.T) {
 			if _, err := p.SolveExactWeighted(weights, ExactOptions{}); err == nil {
 				t.Fatalf("trial %d: weighted exact accepted uncoverable instance", trial)
 			}
-			if _, _, err := p.SolveMinimal(ExactOptions{}); err == nil {
-				t.Fatalf("trial %d: SolveMinimal accepted uncoverable instance", trial)
-			}
-			if _, _, err := p.SolveMinimalWeighted(weights, ExactOptions{}); err == nil {
-				t.Fatalf("trial %d: SolveMinimalWeighted accepted uncoverable instance", trial)
+			if err := checkPipelineRejects(p, weights); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
 			}
 			continue
 		}
@@ -66,22 +66,14 @@ func TestCrossCheckBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		minimal, _, err := p.SolveMinimal(ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		wexact, err := p.SolveExactWeighted(weights, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wminimal, _, err := p.SolveMinimalWeighted(weights, ExactOptions{})
-		if err != nil {
-			t.Fatal(err)
+		if err := checkPipeline(p, weights, wantCard, wantWeight); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for name, sol := range map[string]Solution{
-			"SolveExact": exact, "SolveMinimal": minimal,
-			"SolveExactWeighted": wexact, "SolveMinimalWeighted": wminimal,
-		} {
+		for name, sol := range map[string]Solution{"SolveExact": exact, "SolveExactWeighted": wexact} {
 			if !p.Verify(sol.Rows) {
 				t.Fatalf("trial %d: %s returned an invalid cover %v", trial, name, sol.Rows)
 			}
@@ -128,14 +120,8 @@ func TestCrossCheckBruteForce(t *testing.T) {
 		if exact.Cost != wantCard || len(exact.Rows) != wantCard {
 			t.Errorf("trial %d: SolveExact cost %d, brute force %d", trial, exact.Cost, wantCard)
 		}
-		if len(minimal.Rows) != wantCard {
-			t.Errorf("trial %d: SolveMinimal %d rows, brute force %d", trial, len(minimal.Rows), wantCard)
-		}
 		if wexact.Cost != wantWeight {
 			t.Errorf("trial %d: SolveExactWeighted cost %d, brute force %d", trial, wexact.Cost, wantWeight)
-		}
-		if wminimal.Cost != wantWeight {
-			t.Errorf("trial %d: SolveMinimalWeighted cost %d, brute force %d", trial, wminimal.Cost, wantWeight)
 		}
 	}
 	if coverable == 0 || uncoverable == 0 {
@@ -156,14 +142,18 @@ func FuzzCrossCheck(f *testing.F) {
 			if _, err := p.SolveExact(ExactOptions{}); err == nil {
 				t.Fatal("exact accepted uncoverable instance")
 			}
+			if err := checkPipelineRejects(p, weights); err != nil {
+				t.Fatal(err)
+			}
 			return
 		}
 		exact, err := p.SolveExact(ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bruteForceOptimum(p); exact.Cost != want {
-			t.Fatalf("SolveExact cost %d, brute force %d", exact.Cost, want)
+		wantCard := bruteForceOptimum(p)
+		if exact.Cost != wantCard {
+			t.Fatalf("SolveExact cost %d, brute force %d", exact.Cost, wantCard)
 		}
 		wexact, err := p.SolveExactWeighted(weights, ExactOptions{})
 		if err != nil {
@@ -175,6 +165,9 @@ func FuzzCrossCheck(f *testing.F) {
 		}
 		if !p.Verify(exact.Rows) || !p.Verify(wexact.Rows) {
 			t.Fatal("invalid cover")
+		}
+		if err := checkPipeline(p, weights, wantCard, wantWeight); err != nil {
+			t.Fatal(err)
 		}
 		for _, mode := range []BoundMode{BoundCounting, BoundAuto} {
 			got, err := p.SolveExact(ExactOptions{Bound: mode})
@@ -192,4 +185,76 @@ func FuzzCrossCheck(f *testing.F) {
 			t.Fatalf("DualBound %d exceeds optimum %d", lb, wantWeight)
 		}
 	})
+}
+
+// checkPipeline cross-checks the reduce → solve pipeline on a coverable
+// instance against the brute-force optima. Reduce().SolveExact and
+// ReduceWeighted(weights).SolveExact must return valid covers of the
+// optimum's cost, proven optimal, with RootLB between the essential rows'
+// cost and the optimum. Reduce().SolveGreedy must return a valid cover
+// that claims Optimal exactly when reduction alone solved the instance.
+func checkPipeline(p *Problem, weights []int, wantCard, wantWeight int) error {
+	red := p.Reduce()
+	wred, err := p.ReduceWeighted(weights)
+	if err != nil {
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		red  *Reduction
+		want int
+	}{
+		{"Reduce().SolveExact", red, wantCard},
+		{"ReduceWeighted().SolveExact", wred, wantWeight},
+	} {
+		sol, err := c.red.SolveExact(ExactOptions{})
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		ess := coverCost(c.red.weights, c.red.Essential)
+		switch {
+		case !p.Verify(sol.Rows):
+			return fmt.Errorf("%s returned an invalid cover %v", c.name, sol.Rows)
+		case !sol.Optimal:
+			return fmt.Errorf("%s did not prove optimality on a tiny instance", c.name)
+		case sol.Cost != c.want || sol.Cost != coverCost(c.red.weights, sol.Rows):
+			return fmt.Errorf("%s cost %d (rows %v), brute force %d", c.name, sol.Cost, sol.Rows, c.want)
+		case sol.RootLB < ess || sol.RootLB > sol.Cost:
+			return fmt.Errorf("%s RootLB %d outside [%d essential, %d optimum]", c.name, sol.RootLB, ess, sol.Cost)
+		}
+	}
+	greedy, err := red.SolveGreedy()
+	switch {
+	case err != nil:
+		return fmt.Errorf("Reduce().SolveGreedy: %w", err)
+	case !p.Verify(greedy.Rows):
+		return fmt.Errorf("Reduce().SolveGreedy returned an invalid cover %v", greedy.Rows)
+	case greedy.Optimal != red.Empty():
+		return fmt.Errorf("Reduce().SolveGreedy Optimal = %v with an empty residual %v", greedy.Optimal, red.Empty())
+	case greedy.Cost != len(greedy.Rows) || greedy.Cost < wantCard:
+		return fmt.Errorf("Reduce().SolveGreedy cost %d (rows %v) against optimum %d", greedy.Cost, greedy.Rows, wantCard)
+	case greedy.RootLB != 0 || greedy.Nodes != 0:
+		return fmt.Errorf("Reduce().SolveGreedy claims RootLB %d and %d nodes", greedy.RootLB, greedy.Nodes)
+	}
+	return nil
+}
+
+// checkPipelineRejects asserts that every pipeline solve refuses an
+// uncoverable instance, naming its first uncoverable column.
+func checkPipelineRejects(p *Problem, weights []int) error {
+	wred, err := p.ReduceWeighted(weights)
+	if err != nil {
+		return err
+	}
+	want := fmt.Sprintf("column %d uncoverable", p.UncoverableColumns()[0])
+	for name, solve := range map[string]func() (Solution, error){
+		"Reduce().SolveExact":         func() (Solution, error) { return p.Reduce().SolveExact(ExactOptions{}) },
+		"ReduceWeighted().SolveExact": func() (Solution, error) { return wred.SolveExact(ExactOptions{}) },
+		"Reduce().SolveGreedy":        p.Reduce().SolveGreedy,
+	} {
+		if _, err := solve(); err == nil || !strings.Contains(err.Error(), want) {
+			return fmt.Errorf("%s on an uncoverable instance: error %v, want %q", name, err, want)
+		}
+	}
+	return nil
 }

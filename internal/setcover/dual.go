@@ -85,6 +85,19 @@ func (m BoundMode) String() string {
 	}
 }
 
+// ParseBound is the inverse of BoundMode.String for the names requests and
+// the wire carry: "", "auto" and "lagrangian" all name BoundAuto, and
+// "counting" names BoundCounting.
+func ParseBound(name string) (BoundMode, error) {
+	switch name {
+	case "", "auto", "lagrangian":
+		return BoundAuto, nil
+	case "counting":
+		return BoundCounting, nil
+	}
+	return BoundAuto, fmt.Errorf("setcover: unknown bound %q (known: auto, lagrangian, counting)", name)
+}
+
 const (
 	// defaultAscentIters is the root subgradient budget when
 	// ExactOptions.AscentIters is zero.

@@ -162,7 +162,11 @@ func TestRootLBNeverExceedsOptimum(t *testing.T) {
 			}
 			// The reduction pipeline's bound adds the essential rows'
 			// weight to the residual's root bound.
-			pipe, red, err := p.SolveMinimalWeighted(weights, ExactOptions{Bound: mode})
+			red, err := p.ReduceWeighted(weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := red.SolveExact(ExactOptions{Bound: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,7 +79,7 @@ import (
 )
 
 // ExactOptions tunes the branch-and-bound engine shared by SolveExact,
-// SolveExactWeighted and the SolveMinimal pipelines.
+// SolveExactWeighted and Reduction.SolveExact.
 type ExactOptions struct {
 	// MaxNodes bounds the search; 0 means 50 million nodes. The budget is
 	// shared by all workers. If it is exhausted the best cover found so far
@@ -108,8 +108,8 @@ type ExactOptions struct {
 	// costs are non-increasing across them, and the last snapshot always
 	// describes the cover the solve returns. The callback runs on solver
 	// goroutines while an internal lock is held: it must return quickly
-	// and must not call back into the solver. The SolveMinimal pipelines
-	// offset snapshots by the essential rows chosen outside the residual
+	// and must not call back into the solver. Reduction.SolveExact
+	// offsets snapshots by the essential rows chosen outside the residual
 	// solve, so observers see whole-solution totals.
 	OnIncumbent func(Incumbent)
 	// OnSample, when non-nil, observes the search's progress at a coarse,
@@ -121,8 +121,8 @@ type ExactOptions struct {
 	// on solver goroutines and must return quickly without calling back
 	// into the solver. Samples are telemetry only: their values (like
 	// Solution.Nodes) may vary run to run under Parallelism > 1, and
-	// registering the callback never changes the returned Solution. The
-	// SolveMinimal pipelines offset samples like incumbents.
+	// registering the callback never changes the returned Solution.
+	// Reduction.SolveExact offsets samples like incumbents.
 	OnSample func(Sample)
 
 	// Bound selects the lower bound the search prunes with: BoundAuto (the
@@ -155,13 +155,13 @@ func (o ExactOptions) ascentBudget() int {
 	return o.AscentIters
 }
 
-// WithIncumbentOffset returns options whose OnIncumbent and OnSample
+// withIncumbentOffset returns options whose OnIncumbent and OnSample
 // snapshots are shifted by the given cost and cardinality before
-// reaching the original callbacks. The reduction pipelines use it to
+// reaching the original callbacks. Reduction.SolveExact uses it to
 // account for the essential rows committed outside the residual solve,
 // so observers see totals for the whole problem; options without
 // callbacks pass through unchanged.
-func (o ExactOptions) WithIncumbentOffset(cost, rows int) ExactOptions {
+func (o ExactOptions) withIncumbentOffset(cost, rows int) ExactOptions {
 	if (o.OnIncumbent == nil && o.OnSample == nil) || (cost == 0 && rows == 0) {
 		return o
 	}

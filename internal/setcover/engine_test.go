@@ -168,7 +168,11 @@ func TestSolutionCost(t *testing.T) {
 	if w.Cost != 4 || w.Cost != totalWeight(weights, w.Rows) {
 		t.Errorf("weighted Cost = %d (%v), want 4", w.Cost, w.Rows)
 	}
-	m, _, err := p.SolveMinimalWeighted(weights, ExactOptions{})
+	red, err := p.ReduceWeighted(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +301,10 @@ func TestOnIncumbentContract(t *testing.T) {
 	}
 }
 
-// TestOnIncumbentOffsets pins the pipeline wrapping: observers of the
-// SolveMinimal pipelines see whole-solution totals (essential rows
-// included), for both the unit-cost and the weighted variants.
+// TestOnIncumbentOffsets pins the pipeline wrapping: observers of
+// Reduction.SolveExact see whole-solution totals (essential rows
+// included), for both the unit-cost and the weighted reduction, in every
+// incumbent snapshot and every progress sample.
 func TestOnIncumbentOffsets(t *testing.T) {
 	// Column 3 is covered only by row 3 (essential). Columns 0..2 form a
 	// 3-cycle over rows 0..2 — pairwise incomparable, nothing essential,
@@ -319,31 +324,30 @@ func TestOnIncumbentOffsets(t *testing.T) {
 	add(2, 0)
 	add(3)
 
-	var last *Incumbent
-	opts := ExactOptions{OnIncumbent: func(inc Incumbent) { last = &inc }}
-	sol, _, err := p.SolveMinimal(opts)
+	weighted, err := p.ReduceWeighted([]int{3, 1, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last == nil {
-		t.Fatal("no snapshot from SolveMinimal")
-	}
-	if last.Cost != sol.Cost || last.Rows != len(sol.Rows) {
-		t.Errorf("SolveMinimal snapshot %+v does not include essentials (solution cost %d, %d rows)",
-			*last, sol.Cost, len(sol.Rows))
-	}
-
-	weights := []int{3, 1, 2, 2}
-	last = nil
-	wsol, _, err := p.SolveMinimalWeighted(weights, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last == nil {
-		t.Fatal("no snapshot from SolveMinimalWeighted")
-	}
-	if last.Cost != wsol.Cost || last.Rows != len(wsol.Rows) {
-		t.Errorf("SolveMinimalWeighted snapshot %+v does not match solution (cost %d, %d rows)",
-			*last, wsol.Cost, len(wsol.Rows))
+	for name, red := range map[string]*Reduction{"Reduce": p.Reduce(), "ReduceWeighted": weighted} {
+		var last *Incumbent
+		var lastSample *Sample
+		sol, err := red.SolveExact(ExactOptions{
+			OnIncumbent: func(inc Incumbent) { last = &inc },
+			OnSample:    func(s Sample) { lastSample = &s },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == nil || lastSample == nil {
+			t.Fatalf("%s: no snapshot (incumbent %v, sample %v)", name, last, lastSample)
+		}
+		if last.Cost != sol.Cost || last.Rows != len(sol.Rows) {
+			t.Errorf("%s: snapshot %+v does not include essentials (solution cost %d, %d rows)",
+				name, *last, sol.Cost, len(sol.Rows))
+		}
+		if lastSample.RootLB != sol.RootLB || lastSample.Best < sol.Cost {
+			t.Errorf("%s: sample %+v does not include essentials (solution cost %d, root bound %d)",
+				name, *lastSample, sol.Cost, sol.RootLB)
+		}
 	}
 }

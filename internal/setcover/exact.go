@@ -16,47 +16,64 @@ func (p *Problem) SolveExact(opts ExactOptions) (Solution, error) {
 	return p.solveBB(nil, opts)
 }
 
-// SolveMinimal runs the full covering pipeline of the paper: reduction by
-// essentiality and dominance, then an exact solve of the residual. The
-// returned rows are indices into the original problem: the essential rows
-// plus the residual cover. The second return value reports the reduction for
-// analysis (Table 2 of the paper).
-func (p *Problem) SolveMinimal(opts ExactOptions) (Solution, *Reduction, error) {
-	return p.solveMinimal(nil, opts)
+// SolveExact runs the rest of the paper's covering pipeline: it returns
+// the essential rows plus an exact cover of the residual, under the
+// weights the reduction honoured (unit costs after Reduce). Rows index the
+// original problem, sorted ascending. Cost, RootLB and every
+// OnIncumbent/OnSample snapshot are whole-problem totals: the essential
+// rows are in every cover, so their cost shifts the residual solve's
+// one-for-one. When reduction alone solved the instance, the essential
+// rows are returned Optimal, with RootLB equal to their cost.
+func (r *Reduction) SolveExact(opts ExactOptions) (Solution, error) {
+	ess := coverCost(r.weights, r.Essential)
+	opts = opts.withIncumbentOffset(ess, len(r.Essential))
+	sol, err := r.solve(func(res *Problem, weights []int) (Solution, error) {
+		return res.solveBB(weights, opts)
+	})
+	if err != nil {
+		return Solution{}, err
+	}
+	sol.RootLB += ess
+	return sol, nil
 }
 
-// solveMinimal is the reduce → residual pipeline behind SolveMinimal
-// (weights nil) and SolveMinimalWeighted. Essential rows are in every
-// cover, so their cost shifts the residual's incumbents, samples and root
-// bound one-for-one: RootLB is the residual solve's plus the essentials'
-// cost. Callers have validated weights.
-func (p *Problem) solveMinimal(weights []int, opts ExactOptions) (Solution, *Reduction, error) {
-	if bad := p.UncoverableColumns(); bad != nil {
-		return Solution{}, nil, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])
-	}
-	red := p.reduceImpl(weights)
-	essCost := coverCost(weights, red.Essential)
-	sol := Solution{Rows: append([]int(nil), red.Essential...), Optimal: true, RootLB: essCost}
-	if !red.Empty() {
-		var subWeights []int
-		if weights != nil {
-			subWeights = make([]int, len(red.RowMap))
-			for i, r := range red.RowMap {
-				subWeights[i] = weights[r]
+// SolveGreedy is SolveExact with the residual covered by the greedy
+// heuristic (weighted when the reduction was) instead of searched: the
+// ablation that prices the exact solve. It proves nothing the reduction
+// did not: Optimal only when the residual is empty, RootLB and Nodes 0.
+func (r *Reduction) SolveGreedy() (Solution, error) {
+	return r.solve((*Problem).solveGreedyImpl)
+}
+
+// solve covers the residual with cover, under the residual's share of the
+// reduction's weights, and lifts the result to the original problem: the
+// essential rows plus the residual rows mapped through RowMap, sorted and
+// costed. An empty residual needs no cover and is proven optimal. A column
+// no row covers survives reduction (it implies every other column) and is
+// reported here by its original index.
+func (r *Reduction) solve(cover func(res *Problem, weights []int) (Solution, error)) (Solution, error) {
+	sub := Solution{Optimal: true}
+	if !r.Empty() {
+		if bad := r.Residual.UncoverableColumns(); bad != nil {
+			return Solution{}, fmt.Errorf("setcover: column %d uncoverable", r.ColMap[bad[0]])
+		}
+		var weights []int
+		if r.weights != nil {
+			weights = make([]int, len(r.RowMap))
+			for i, row := range r.RowMap {
+				weights[i] = r.weights[row]
 			}
 		}
-		sub, err := red.Residual.solveBB(subWeights, opts.WithIncumbentOffset(essCost, len(red.Essential)))
-		if err != nil {
-			return Solution{}, nil, err
+		var err error
+		if sub, err = cover(r.Residual, weights); err != nil {
+			return Solution{}, err
 		}
-		for _, r := range sub.Rows {
-			sol.Rows = append(sol.Rows, red.RowMap[r])
-		}
-		sol.Optimal = sub.Optimal
-		sol.Nodes = sub.Nodes
-		sol.RootLB += sub.RootLB
 	}
-	sort.Ints(sol.Rows)
-	sol.Cost = coverCost(weights, sol.Rows)
-	return sol, red, nil
+	rows := append([]int(nil), r.Essential...)
+	for _, i := range sub.Rows {
+		rows = append(rows, r.RowMap[i])
+	}
+	sort.Ints(rows)
+	return Solution{Rows: rows, Cost: coverCost(r.weights, rows), Optimal: sub.Optimal,
+		Nodes: sub.Nodes, RootLB: sub.RootLB}, nil
 }

@@ -5,7 +5,6 @@ package setcover_test
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitvec"
 	"repro/internal/setcover"
@@ -20,7 +19,8 @@ func set(universe int, cols ...int) *bitvec.Set {
 }
 
 // ExampleNewProblem builds a tiny covering instance — rows are candidate
-// triplets, columns are faults — and solves it to provable optimality.
+// triplets, columns are faults — reduces it, and solves the residual to
+// provable optimality.
 func ExampleNewProblem() {
 	p := setcover.NewProblem(5)  // five columns (faults) to cover
 	p.AddRow(set(5, 0, 1))       // row 0
@@ -29,14 +29,13 @@ func ExampleNewProblem() {
 	p.AddRow(set(5, 4))          // row 3: the only row covering column 4
 	p.AddRow(set(5, 0, 1, 2, 3)) // row 4: dominates rows 0, 1 and 2
 
-	sol, red, err := p.SolveMinimal(setcover.ExactOptions{})
+	red := p.Reduce()
+	sol, err := red.SolveExact(setcover.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}
-	rows := append([]int(nil), sol.Rows...)
-	sort.Ints(rows)
 	fmt.Println("essential rows:", red.Essential)
-	fmt.Println("minimum cover:", rows)
+	fmt.Println("minimum cover:", sol.Rows)
 	fmt.Println("optimal:", sol.Optimal, "verified:", p.Verify(sol.Rows))
 	// Output:
 	// essential rows: [3 4]
@@ -57,7 +56,7 @@ func ExampleProblem_SolveGreedy() {
 	if err != nil {
 		panic(err)
 	}
-	exact, _, err := p.SolveMinimal(setcover.ExactOptions{})
+	exact, err := p.Reduce().SolveExact(setcover.ExactOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -9,6 +10,7 @@ import (
 // Reduction records the effect of iterated essentiality and dominance on a
 // covering problem, and carries the residual subproblem left for an exact
 // solver. Row/column indices in the report refer to the original problem.
+// SolveExact and SolveGreedy finish the pipeline on it.
 type Reduction struct {
 	// Essential rows must appear in every irredundant cover (each uniquely
 	// covers some column). They are part of the final solution.
@@ -19,9 +21,6 @@ type Reduction struct {
 	// ImpliedCols counts columns deleted because covering some other column
 	// implies covering them (column dominance, including duplicates).
 	ImpliedCols int
-	// CoveredCols counts columns removed because an essential row covers
-	// them.
-	CoveredCols int
 	// Iterations is the number of reduction sweeps until the fixpoint.
 	Iterations int
 
@@ -30,6 +29,10 @@ type Reduction struct {
 	Residual *Problem
 	RowMap   []int
 	ColMap   []int
+
+	// weights are the row weights the reduction honoured, nil for unit
+	// costs; the residual is solved under them.
+	weights []int
 }
 
 // Empty reports whether reduction alone solved the instance (the residual
@@ -40,17 +43,15 @@ func (r *Reduction) Empty() bool {
 
 // Reduce applies essentiality, row dominance and column dominance until none
 // of them changes the table, in the style of classical covering-table
-// minimization. The input problem is not modified.
-//
-// Every column of the input must be coverable; call UncoverableColumns
-// first if that is not guaranteed.
+// minimization. The input problem is not modified. A column no row covers
+// stays in the residual, and solving the Reduction reports it.
 func (p *Problem) Reduce() *Reduction { return p.reduceImpl(nil) }
 
 // reduceImpl is the shared reduction engine. With non-nil weights, row
 // dominance only deletes a row in favour of a dominator that is not
 // heavier, preserving weighted optimality.
 func (p *Problem) reduceImpl(weights []int) *Reduction {
-	red := &Reduction{}
+	red := &Reduction{weights: slices.Clone(weights)}
 	nRows, nCols := len(p.rows), p.numCols
 
 	activeRow := make([]bool, nRows)
@@ -99,7 +100,6 @@ func (p *Problem) reduceImpl(weights []int) *Reduction {
 			}
 			r := cr.First()
 			red.Essential = append(red.Essential, r)
-			red.CoveredCols += p.rows[r].IntersectionLen(activeCol)
 			activeCol.AndNot(p.rows[r])
 			deactivateRow(r)
 			changed = true

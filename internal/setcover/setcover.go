@@ -8,7 +8,10 @@
 // dominated rows and implied columns are deleted — and the residual matrix
 // is solved exactly. The exact solver replaces the commercial ILP package
 // LINGO used in the paper; both deliver a provably minimum cover of the
-// residual, which is all the experiment requires.
+// residual, which is all the experiment requires. Reduce (or
+// ReduceWeighted) followed by Reduction.SolveExact is that pipeline: it
+// maps the residual cover back to the original rows and reports costs,
+// bounds and anytime snapshots for the whole problem.
 //
 // Cardinality (SolveExact) and weighted (SolveExactWeighted) solves share
 // one branch-and-bound engine — cardinality is the nil-weights (unit cost)
@@ -172,10 +175,13 @@ func (p *Problem) SolveGreedy() (Solution, error) {
 	return p.solveGreedyImpl(nil)
 }
 
-// solveGreedyImpl is the greedy heuristic shared by SolveGreedy (weights
-// nil: maximize gain) and SolveGreedyWeighted (minimize weight per newly
-// covered column). Ratio comparisons use cross-multiplication so the
-// outcome is exact. It also seeds the branch-and-bound incumbent.
+// solveGreedyImpl is the greedy heuristic behind SolveGreedy (weights nil:
+// maximize gain) and the weighted residual of Reduction.SolveGreedy. With
+// weights, zero-weight rows with any gain are free and taken up front
+// (highest gain first), then the scan repeatedly takes the row minimizing
+// weight per newly covered column; ties break toward the lower row index.
+// Ratio comparisons use cross-multiplication so the outcome is exact. It
+// also seeds the branch-and-bound incumbent.
 func (p *Problem) solveGreedyImpl(weights []int) (Solution, error) {
 	if bad := p.UncoverableColumns(); bad != nil {
 		return Solution{}, fmt.Errorf("setcover: %d columns uncoverable (first: %d)", len(bad), bad[0])

@@ -52,8 +52,8 @@ func TestUncoverable(t *testing.T) {
 	if _, err := p.SolveExact(ExactOptions{}); err == nil {
 		t.Error("exact must reject uncoverable instance")
 	}
-	if _, _, err := p.SolveMinimal(ExactOptions{}); err == nil {
-		t.Error("SolveMinimal must reject uncoverable instance")
+	if _, err := p.Reduce().SolveExact(ExactOptions{}); err == nil {
+		t.Error("Reduce().SolveExact must reject uncoverable instance")
 	}
 }
 
@@ -200,7 +200,7 @@ func TestReduceColumnDominance(t *testing.T) {
 	if red.ImpliedCols == 0 {
 		t.Errorf("expected implied/duplicate columns: %+v", red)
 	}
-	sol, _, err := p.SolveMinimal(ExactOptions{})
+	sol, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReduceColumnDominance(t *testing.T) {
 	}
 }
 
-func TestSolveMinimalMatchesPlainExact(t *testing.T) {
+func TestReductionSolveExactMatchesPlainExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 40; trial++ {
 		p := randomCoverable(rng, 5+rng.Intn(10), 8+rng.Intn(20))
@@ -217,7 +217,8 @@ func TestSolveMinimalMatchesPlainExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaReduce, red, err := p.SolveMinimal(ExactOptions{})
+		red := p.Reduce()
+		viaReduce, err := red.SolveExact(ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,14 +245,17 @@ func TestReductionAloneSolvesDisjointMatrix(t *testing.T) {
 	// Disjoint rows: every column has a unique covering row, so the whole
 	// solution is essential (the paper's "empty matrix after reduction").
 	p := mk(6, []int{0, 1}, []int{2, 3}, []int{4, 5})
-	sol, red, err := p.SolveMinimal(ExactOptions{})
+	red := p.Reduce()
+	sol, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !red.Empty() || len(red.Essential) != 3 {
 		t.Errorf("reduction should solve outright: %+v", red)
 	}
-	if len(sol.Rows) != 3 || sol.Nodes != 0 {
+	// The essential rows alone are the proven optimum, and their cost is
+	// the root bound.
+	if len(sol.Rows) != 3 || sol.Nodes != 0 || !sol.Optimal || sol.RootLB != 3 {
 		t.Errorf("solution = %+v", sol)
 	}
 }
@@ -264,7 +268,8 @@ func TestCyclicCoreNeedsSolver(t *testing.T) {
 		[]int{1, 2},
 		[]int{2, 0},
 	)
-	sol, red, err := p.SolveMinimal(ExactOptions{})
+	red := p.Reduce()
+	sol, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +348,8 @@ func TestDuplicateHeavyMatrices(t *testing.T) {
 			}
 			p.AddRow(s)
 		}
-		sol, red, err := p.SolveMinimal(ExactOptions{})
+		red := p.Reduce()
+		sol, err := red.SolveExact(ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +397,7 @@ func BenchmarkExactMediumInstance(b *testing.B) {
 func TestSolutionRowsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := randomCoverable(rng, 10, 20)
-	sol, _, err := p.SolveMinimal(ExactOptions{})
+	sol, err := p.Reduce().SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,17 +22,6 @@ func (p *Problem) validateWeights(weights []int) error {
 	return nil
 }
 
-// SolveGreedyWeighted runs the weighted Chvátal heuristic: zero-weight rows
-// with any gain are free and taken up front (highest gain first), then the
-// scan repeatedly takes the row minimizing weight per newly covered column.
-// Ties break toward the lower row index.
-func (p *Problem) SolveGreedyWeighted(weights []int) (Solution, error) {
-	if err := p.validateWeights(weights); err != nil {
-		return Solution{}, err
-	}
-	return p.solveGreedyImpl(weights)
-}
-
 // SolveExactWeighted finds a minimum-total-weight cover with the
 // branch-and-bound engine. The incumbent starts from the weighted greedy
 // cover; the lower bound sums, over a greedily built set of pairwise
@@ -56,20 +45,11 @@ func totalWeight(weights []int, rows []int) int {
 // ReduceWeighted is Reduce with weight-aware row dominance: a row may only
 // be deleted in favour of a superset row that is not heavier, preserving
 // weighted optimality. Essentiality and column dominance are weight
-// independent.
+// independent. The Reduction keeps a copy of the weights, and its
+// SolveExact and SolveGreedy minimize total weight.
 func (p *Problem) ReduceWeighted(weights []int) (*Reduction, error) {
 	if err := p.validateWeights(weights); err != nil {
 		return nil, err
 	}
 	return p.reduceImpl(weights), nil
-}
-
-// SolveMinimalWeighted runs the full weighted pipeline: weight-aware
-// reduction followed by an exact weighted solve of the residual. Row
-// indices in the result refer to the original problem.
-func (p *Problem) SolveMinimalWeighted(weights []int, opts ExactOptions) (Solution, *Reduction, error) {
-	if err := p.validateWeights(weights); err != nil {
-		return Solution{}, nil, err
-	}
-	return p.solveMinimal(weights, opts)
 }

@@ -37,7 +37,7 @@ func TestWeightedGreedyRatioRule(t *testing.T) {
 		[]int{1, 2},    // ratio 1
 	)
 	weights := []int{9, 1, 2}
-	sol, err := p.SolveGreedyWeighted(weights)
+	sol, err := p.solveGreedyImpl(weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestWeightedGreedyRatioRule(t *testing.T) {
 
 func TestWeightedValidation(t *testing.T) {
 	p := mk(2, []int{0, 1})
-	if _, err := p.SolveGreedyWeighted([]int{1, 2}); err == nil {
+	if _, err := p.SolveExactWeighted([]int{1, 2}, ExactOptions{}); err == nil {
 		t.Error("wrong weight count accepted")
 	}
 	if _, err := p.SolveExactWeighted([]int{-1}, ExactOptions{}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, _, err := p.SolveMinimalWeighted([]int{1, 2}, ExactOptions{}); err == nil {
-		t.Error("wrong weight count accepted by pipeline")
+	if _, err := p.ReduceWeighted([]int{1, 2}); err == nil {
+		t.Error("wrong weight count accepted by the reduction")
 	}
 }
 
@@ -83,7 +83,11 @@ func TestWeightedExactMatchesBruteForce(t *testing.T) {
 			t.Errorf("trial %d: cost %d, brute force %d", trial, got, want)
 		}
 		// The full pipeline (weighted reduction + exact) must agree.
-		pipe, _, err := p.SolveMinimalWeighted(weights, ExactOptions{})
+		red, err := p.ReduceWeighted(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, err := red.SolveExact(ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +134,7 @@ func TestWeightedReductionSafety(t *testing.T) {
 			t.Errorf("cheap row %d deleted under a heavier dominator", r)
 		}
 	}
-	sol, _, err := p.SolveMinimalWeighted(weights, ExactOptions{})
+	sol, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,11 @@ func TestWeightedEqualRowsKeepLighter(t *testing.T) {
 		[]int{0, 1}, // weight 3: identical coverage, cheaper
 	)
 	weights := []int{5, 3}
-	sol, _, err := p.SolveMinimalWeighted(weights, ExactOptions{})
+	red, err := p.ReduceWeighted(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := red.SolveExact(ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +162,7 @@ func TestWeightedEqualRowsKeepLighter(t *testing.T) {
 	}
 }
 
-// Regression for the free-row bug: SolveGreedyWeighted documented "take
+// Regression for the free-row bug: the weighted greedy documented "take
 // zero-weight rows immediately" but scanned them by ratio, where every free
 // row ties at 0 and the lowest index wins regardless of gain. Free rows are
 // now taken up front, highest gain first, so the big free row 1 preempts
@@ -167,7 +175,7 @@ func TestWeightedGreedyTakesFreeRowsByGain(t *testing.T) {
 		[]int{4},       // weight 1
 	)
 	weights := []int{0, 0, 5, 1}
-	sol, err := p.SolveGreedyWeighted(weights)
+	sol, err := p.solveGreedyImpl(weights)
 	if err != nil {
 		t.Fatal(err)
 	}
