@@ -1,18 +1,24 @@
 package corpus
 
 import (
+	"context"
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/setcover"
 )
 
-// boundCounts is the deterministic outcome of one serial solve.
+// boundCounts is the deterministic outcome of one serial solve: its nodes,
+// cost, optimality and root lower bound, then the bb span's dual_evals,
+// pruned_counting and pruned_dual (all zero when the root resolves the
+// solve and records no bb span).
 type boundCounts struct {
-	nodes   int64
-	cost    int
-	optimal bool
-	rootLB  int
+	nodes                                 int64
+	cost                                  int
+	optimal                               bool
+	rootLB                                int
+	dualEvals, prunedCounting, prunedDual int64
 }
 
 // bounds are the two lower bounds every corpus instance is solved under.
@@ -24,23 +30,25 @@ var bounds = [2]struct {
 // pinnedBounds is every corpus instance solved at Parallelism 1 under each
 // of bounds, the open tier under DefaultOpenNodeBudget. Summed over the
 // hard tier that is 25 937 nodes against 1 768; over all tiers 137 735
-// against 103 531. A change that moves the search tree updates this table
-// and says why.
+// against 103 531. The bb span's counters pin the search more finely than
+// its node count: an ascent that stops one evaluation early moves
+// dual_evals before it moves a node. A change that moves the search tree
+// updates this table and says why.
 var pinnedBounds = map[string][2]boundCounts{
-	"easy-1":   {{1, 5, true, 5}, {1, 5, true, 5}},
-	"easy-2":   {{107, 5, true, 3}, {9, 5, true, 4}},
-	"easy-3":   {{98, 28, true, 14}, {14, 28, true, 26}},
-	"easy-4":   {{57, 33, true, 5}, {24, 33, true, 28}},
-	"medium-1": {{6579, 5, true, 2}, {823, 5, true, 4}},
-	"medium-2": {{1731, 4, true, 1}, {134, 4, true, 3}},
-	"medium-3": {{1125, 31, true, 3}, {279, 31, true, 28}},
-	"medium-4": {{2098, 48, true, 10}, {477, 48, true, 40}},
-	"hard-1":   {{22525, 3, true, 1}, {1412, 3, true, 2}},
-	"hard-2":   {{1415, 3, true, 1}, {40, 3, true, 2}},
-	"hard-3":   {{477, 17, true, 2}, {273, 17, true, 15}},
-	"hard-4":   {{1520, 3, true, 1}, {43, 3, true, 2}},
-	"open-1":   {{50001, 7, false, 1}, {50001, 7, false, 3}},
-	"open-2":   {{50001, 38, false, 2}, {50001, 38, false, 26}},
+	"easy-1":   {{1, 5, true, 5, 0, 0, 0}, {1, 5, true, 5, 0, 0, 0}},
+	"easy-2":   {{107, 5, true, 3, 0, 85, 0}, {9, 5, true, 4, 9, 2, 5}},
+	"easy-3":   {{98, 28, true, 14, 0, 79, 0}, {14, 28, true, 26, 11, 8, 3}},
+	"easy-4":   {{57, 33, true, 5, 0, 50, 0}, {24, 33, true, 28, 15, 18, 3}},
+	"medium-1": {{6579, 5, true, 2, 0, 5892, 0}, {823, 5, true, 4, 1025, 195, 480}},
+	"medium-2": {{1731, 4, true, 1, 0, 1587, 0}, {134, 4, true, 3, 175, 12, 111}},
+	"medium-3": {{1125, 31, true, 3, 0, 1049, 0}, {279, 31, true, 28, 99, 225, 35}},
+	"medium-4": {{2098, 48, true, 10, 0, 1984, 0}, {477, 48, true, 40, 181, 401, 52}},
+	"hard-1":   {{22525, 3, true, 1, 0, 21568, 0}, {1412, 3, true, 2, 2023, 455, 908}},
+	"hard-2":   {{1415, 3, true, 1, 0, 1375, 0}, {40, 3, true, 2, 79, 0, 39}},
+	"hard-3":   {{477, 17, true, 2, 0, 456, 0}, {273, 17, true, 15, 27, 254, 4}},
+	"hard-4":   {{1520, 3, true, 1, 0, 1477, 0}, {43, 3, true, 2, 98, 0, 42}},
+	"open-1":   {{50001, 7, false, 1, 0, 49082, 0}, {50001, 7, false, 3, 101244, 0, 49024}},
+	"open-2":   {{50001, 38, false, 2, 0, 49270, 0}, {50001, 38, false, 26, 7533, 46168, 3100}},
 }
 
 // boundOptions are the options of one serial solve under one bound, the
@@ -55,7 +63,8 @@ func boundOptions(tier Tier, bound setcover.BoundMode) setcover.ExactOptions {
 
 // solveBounds solves one corpus instance serially under both bounds and
 // requires what holds for every instance: each solve's nodes, cost,
-// optimality and root lower bound equal its pinnedBounds row, a proven
+// optimality, root lower bound and bb span counters, read through an obs
+// trace, equal its pinnedBounds row, a proven
 // cost is the golden.json optimum, and where both bounds complete they
 // return the same rows (the bound only prunes).
 func solveBounds(t *testing.T, spec Spec, golden map[string]Golden) [2]setcover.Solution {
@@ -70,8 +79,13 @@ func solveBounds(t *testing.T, spec Spec, golden map[string]Golden) [2]setcover.
 	}
 	var sols [2]setcover.Solution
 	for k, bound := range bounds {
-		sol := solveInstance(t, inst, boundOptions(spec.Tier, bound.mode))
-		if got := (boundCounts{sol.Nodes, sol.Cost, sol.Optimal, sol.RootLB}); got != want[k] {
+		tr := obs.NewTrace("test")
+		opts := boundOptions(spec.Tier, bound.mode)
+		opts.Context = obs.ContextWithTrace(context.Background(), tr)
+		sol := solveInstance(t, inst, opts)
+		bb := bbCounters(tr)
+		got := boundCounts{sol.Nodes, sol.Cost, sol.Optimal, sol.RootLB, bb["dual_evals"], bb["pruned_counting"], bb["pruned_dual"]}
+		if got != want[k] {
 			t.Errorf("%s %s: got %+v, pinned %+v", spec.Name, bound.name, got, want[k])
 		}
 		if g := golden[spec.Name].Optimal; g != nil && sol.Optimal && sol.Cost != *g {
@@ -84,6 +98,20 @@ func solveBounds(t *testing.T, spec Spec, golden map[string]Golden) [2]setcover.
 		t.Errorf("%s: bounds disagree: counting %v (cost %d), lagrangian %v (cost %d)", spec.Name, c.Rows, c.Cost, l.Rows, l.Cost)
 	}
 	return sols
+}
+
+// bbCounters returns the integer attributes of tr's bb span, empty when
+// the trace holds none.
+func bbCounters(tr *obs.Trace) map[string]int64 {
+	got := make(map[string]int64)
+	for _, sd := range tr.Snapshot() {
+		if sd.Name == "bb" {
+			for _, a := range sd.Attrs {
+				got[a.Key] = a.Int
+			}
+		}
+	}
+	return got
 }
 
 // goldenManifest is GoldenManifest for a test.
