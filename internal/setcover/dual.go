@@ -125,14 +125,16 @@ func dualRound(l float64) int {
 
 // dualScratch is the reusable workspace of one dual evaluation site (the
 // root ascent, or one bbTask): multipliers, subgradient and the ascent's
-// best multipliers sized to the column universe, and one evaluation's
-// reduced costs and negative rows sized to the rows.
+// best multipliers sized to the column universe, one evaluation's reduced
+// costs and negative rows sized to the rows, and the count of matrix cells
+// its evaluations priced.
 type dualScratch struct {
-	u    []float64   // per-column multipliers
-	g    []float64   // subgradient workspace
-	best []float64   // multipliers of the ascent's best value so far
-	rc   []float64   // per-row reduced costs
-	neg  *bitvec.Set // available rows of negative reduced cost
+	u     []float64   // per-column multipliers
+	g     []float64   // subgradient workspace
+	best  []float64   // multipliers of the ascent's best value so far
+	rc    []float64   // per-row reduced costs
+	neg   *bitvec.Set // available rows of negative reduced cost
+	cells int64       // (row, column) subtractions made, summed over evaluations
 }
 
 func (pl *ExactPlan) newDualScratch() *dualScratch {
@@ -162,6 +164,7 @@ func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, gra
 		for _, r := range pl.colRows[j] {
 			rc[r] -= uj
 		}
+		s.cells += int64(len(pl.colRows[j]))
 	})
 	neg.Clear()
 	for r, c := range rc {

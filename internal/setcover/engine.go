@@ -656,12 +656,13 @@ func (s *search) runBranch(i int) (SubtreeResult, bbCounts) {
 }
 
 // bbCounts are the counters that explain a search's time, summed over its
-// branches into the bb span: the Lagrangian evaluations made at its nodes,
-// the nodes the counting bound pruned, and the nodes the dual bound pruned
-// after counting did not. Like nodes, they repeat exactly at Parallelism 1
-// and depend on pruning races above it.
+// branches into the bb span: the Lagrangian evaluations made at its nodes
+// and the matrix cells they priced, the nodes the counting bound pruned,
+// and the nodes the dual bound pruned after counting did not. Like nodes,
+// they repeat exactly at Parallelism 1 and depend on pruning races above
+// it.
 type bbCounts struct {
-	dualEvals, prunedCounting, prunedDual int64
+	dualEvals, pricedCells, prunedCounting, prunedDual int64
 }
 
 // bbTask is one top-level branch explored serially by one worker.
@@ -696,8 +697,10 @@ func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 		t.ds = pl.newDualScratch()
 	}
 	copy(t.ds.u, pl.rootMult)
+	cells := t.ds.cells
 	best, evals := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
 	t.counts.dualEvals += int64(evals)
+	t.counts.pricedCells += t.ds.cells - cells
 	return dualRound(best)
 }
 
@@ -821,11 +824,13 @@ func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	var total bbCounts
 	for _, c := range counts {
 		total.dualEvals += c.dualEvals
+		total.pricedCells += c.pricedCells
 		total.prunedCounting += c.prunedCounting
 		total.prunedDual += c.prunedDual
 	}
 	bsp.SetInt("nodes", sol.Nodes)
 	bsp.SetInt("dual_evals", total.dualEvals)
+	bsp.SetInt("priced_cells", total.pricedCells)
 	bsp.SetInt("pruned_counting", total.prunedCounting)
 	bsp.SetInt("pruned_dual", total.prunedDual)
 	bsp.SetInt("cost", int64(sol.Cost))

@@ -10,15 +10,16 @@ import (
 )
 
 // TestBBSpanCounters pins the bb span's search counters on corpus hard-1:
-// two serial solves record the same dual_evals, pruned_counting and
-// pruned_dual, no more nodes are pruned than were expanded, and no node
-// runs more Lagrangian evaluations than its ascent budget allows.
+// two serial solves record the same dual_evals, priced_cells,
+// pruned_counting and pruned_dual, each positive, no more nodes are pruned
+// than were expanded, and no node runs more Lagrangian evaluations than
+// its ascent budget allows.
 func TestBBSpanCounters(t *testing.T) {
 	inst, err := corpus.Load("hard-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{"nodes", "dual_evals", "pruned_counting", "pruned_dual"}
+	keys := []string{"nodes", "dual_evals", "priced_cells", "pruned_counting", "pruned_dual"}
 	var first map[string]int64
 	for run := 0; run < 2; run++ {
 		tr := obs.NewTrace("test")
@@ -46,8 +47,10 @@ func TestBBSpanCounters(t *testing.T) {
 		if e := got["dual_evals"]; e > (setcover.AscentPerNode+1)*nodes {
 			t.Errorf("%d dual evaluations over %d nodes, more than %d per node", e, nodes, setcover.AscentPerNode+1)
 		}
-		if got["dual_evals"] == 0 || got["pruned_counting"] == 0 || got["pruned_dual"] == 0 {
-			t.Errorf("a counter reads zero on hard-1: %v", got)
+		for _, k := range keys {
+			if got[k] <= 0 {
+				t.Errorf("%s reads %d on hard-1: %v", k, got[k], got)
+			}
 		}
 		if first == nil {
 			first = got
