@@ -37,19 +37,19 @@ var bounds = [2]struct {
 // updates this table and says why.
 var pinnedBounds = map[string][2]boundCounts{
 	"easy-1":   {{1, 5, true, 5, 0, 0, 0, 0}, {1, 5, true, 5, 0, 0, 0, 0}},
-	"easy-2":   {{107, 5, true, 3, 0, 85, 0, 0}, {9, 5, true, 4, 9, 2, 5, 1110}},
-	"easy-3":   {{98, 28, true, 14, 0, 79, 0, 0}, {14, 28, true, 26, 11, 8, 3, 1046}},
-	"easy-4":   {{57, 33, true, 5, 0, 50, 0, 0}, {24, 33, true, 28, 15, 18, 3, 2352}},
-	"medium-1": {{6579, 5, true, 2, 0, 5892, 0, 0}, {823, 5, true, 4, 1025, 195, 480, 235644}},
-	"medium-2": {{1731, 4, true, 1, 0, 1587, 0, 0}, {134, 4, true, 3, 175, 12, 111, 70312}},
-	"medium-3": {{1125, 31, true, 3, 0, 1049, 0, 0}, {279, 31, true, 28, 99, 225, 35, 38964}},
-	"medium-4": {{2098, 48, true, 10, 0, 1984, 0, 0}, {477, 48, true, 40, 181, 401, 52, 75281}},
-	"hard-1":   {{22525, 3, true, 1, 0, 21568, 0, 0}, {1412, 3, true, 2, 2023, 455, 908, 1587279}},
-	"hard-2":   {{1415, 3, true, 1, 0, 1375, 0, 0}, {40, 3, true, 2, 79, 0, 39, 135188}},
-	"hard-3":   {{477, 17, true, 2, 0, 456, 0, 0}, {273, 17, true, 15, 27, 254, 4, 25469}},
-	"hard-4":   {{1520, 3, true, 1, 0, 1477, 0, 0}, {43, 3, true, 2, 98, 0, 42, 200821}},
-	"open-1":   {{50001, 7, false, 1, 0, 49082, 0, 0}, {50001, 7, false, 3, 101244, 0, 49024, 155175159}},
-	"open-2":   {{50001, 38, false, 2, 0, 49270, 0, 0}, {50001, 38, false, 26, 7533, 46168, 3100, 16006877}},
+	"easy-2":   {{107, 5, true, 3, 0, 85, 0, 0}, {9, 5, true, 4, 9, 2, 5, 477}},
+	"easy-3":   {{98, 28, true, 14, 0, 79, 0, 0}, {14, 28, true, 26, 11, 8, 3, 647}},
+	"easy-4":   {{57, 33, true, 5, 0, 50, 0, 0}, {24, 33, true, 28, 15, 18, 3, 1650}},
+	"medium-1": {{6579, 5, true, 2, 0, 5892, 0, 0}, {823, 5, true, 4, 1025, 195, 480, 117405}},
+	"medium-2": {{1731, 4, true, 1, 0, 1587, 0, 0}, {134, 4, true, 3, 175, 12, 111, 26052}},
+	"medium-3": {{1125, 31, true, 3, 0, 1049, 0, 0}, {279, 31, true, 28, 99, 225, 35, 19779}},
+	"medium-4": {{2098, 48, true, 10, 0, 1984, 0, 0}, {477, 48, true, 40, 181, 401, 52, 43976}},
+	"hard-1":   {{22525, 3, true, 1, 0, 21568, 0, 0}, {1412, 3, true, 2, 2023, 455, 908, 843548}},
+	"hard-2":   {{1415, 3, true, 1, 0, 1375, 0, 0}, {40, 3, true, 2, 79, 0, 39, 67263}},
+	"hard-3":   {{477, 17, true, 2, 0, 456, 0, 0}, {273, 17, true, 15, 27, 254, 4, 16079}},
+	"hard-4":   {{1520, 3, true, 1, 0, 1477, 0, 0}, {43, 3, true, 2, 98, 0, 42, 113667}},
+	"open-1":   {{50001, 7, false, 1, 0, 49082, 0, 0}, {50001, 7, false, 3, 101244, 0, 49024, 79765458}},
+	"open-2":   {{50001, 38, false, 2, 0, 49270, 0, 0}, {50001, 38, false, 26, 7533, 46168, 3100, 7954782}},
 }
 
 // boundOptions are the options of one serial solve under one bound, the

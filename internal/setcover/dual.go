@@ -32,21 +32,49 @@ package setcover
 //
 // # Pricing column by column
 //
-// dualEval prices the residual column by column. Each row's reduced cost
-// starts from the row's cost, and every uncovered column j, in ascending
-// order, subtracts u_j from each row of its static list colRows[j]; banned
-// rows are priced too and skipped when the value is folded. Float
-// subtraction is not associative, so the order matters: a row-major sweep,
-// one chain per row over the row's uncovered columns in ascending order,
-// applies to every row exactly these subtractions in exactly this order,
-// so each reduced cost is the same float either way. The value then folds
-// the multipliers in ascending column order and the negative reduced costs
-// in ascending row order, as the row-major sweep did, and the subgradient
-// is a small integer count, exact however it is taken. So every value,
-// multiplier, prune and node count is what the row-major sweep gives
+// The root ascent, and every node evaluation after a node's first, price
+// the residual column by column. Each row's reduced cost starts from the
+// row's cost, and every uncovered column j, in ascending order, subtracts
+// u_j from each row of its static list colRows[j]; banned rows are priced
+// too and skipped when the value is folded. Float subtraction is not
+// associative, so the order matters: a row-major sweep, one chain per row
+// over the row's uncovered columns in ascending order, applies to every
+// row exactly these subtractions in exactly this order, so each reduced
+// cost is the same float either way. The value then folds the multipliers
+// in ascending column order and the negative reduced costs in ascending
+// row order, as the row-major sweep did, and the subgradient is a small
+// integer count, exact however it is taken. So every value, multiplier,
+// prune and node count is what the row-major sweep gives
 // (TestDualEvalMatchesRowMajor keeps that sweep as the reference), while
 // independent rows no longer wait on one another's chains and no closure
 // runs per matrix element.
+//
+// # The root filter
+//
+// A node's first evaluation prices its residual at the root multipliers,
+// and only a row negative in the root residual at those multipliers can
+// be negative there. Take one row and u >= 0. Its reduced cost is a chain
+// of rounded subtractions over its uncovered columns in ascending order;
+// let the root's chain run over the columns j_1 < … < j_m and let G(k) be
+// its value after k of them, so G(0) is the row's cost. The node's
+// uncovered set is a subset of the root's (a node only ever covers more),
+// so the node's chain applies a subsequence of the same subtractions in
+// the same order; let H(k) be its value once the first k root columns are
+// passed. H(0) = G(0), and H(k) >= G(k) carries from k to k+1: a kept
+// subtraction gives H(k+1) = fl(H(k) − u_j) >= fl(G(k) − u_j) = G(k+1),
+// since round-to-nearest is monotone; a dropped one gives H(k+1) = H(k) >=
+// G(k) >= fl(G(k) − u_j) = G(k+1), since u_j >= 0. So the node's reduced
+// cost is at least the root's, and a row that is not negative at the root
+// is not negative at the node. Bans only remove rows from the fold. plan
+// therefore keeps the root's negative rows at rootMult (rootNeg, a handful
+// on every corpus instance), and the first evaluation of every node prices
+// only those not banned, each by its own chain over row ∩ uncovered in
+// ascending order: the very subtractions the column sweep would apply to
+// that row, in its order. The value folds the multipliers and then the
+// negative rows in the sweep's order, and the subgradient is counted from
+// the negative rows, so the result is the sweep's to the bit. Once a step
+// has moved the multipliers the argument no longer holds, and later
+// evaluations sweep every row.
 
 import (
 	"fmt"
@@ -149,14 +177,49 @@ func (pl *ExactPlan) newDualScratch() *dualScratch {
 }
 
 // dualEval computes the Lagrangian value of the residual (uncovered,
-// banned) at the multipliers s.u, priced column by column in s's row
-// scratch (see the file comment). When grad is non-nil it also fills the
-// projected subgradient — g_j = 1 − (negative-reduced-cost available rows
-// covering j) for uncovered j, one word-level intersection per column —
-// and returns its squared norm; grad entries of covered columns are left
-// alone. The result is a pure deterministic function of its inputs.
-func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
-	u, rc, neg := s.u, s.rc, s.neg
+// banned) at the multipliers s.u and leaves its available rows of
+// negative reduced cost in s.neg. cand, when non-nil, lists in ascending
+// order every row that can price negative here, and only cand's available
+// rows are priced, each by its own chain (see "The root filter" in the
+// file comment); a nil cand prices every row column by column in s's row
+// scratch. When grad is non-nil it also fills the projected subgradient —
+// g_j = 1 − (negative-reduced-cost available rows covering j) for
+// uncovered j — and returns its squared norm; grad entries of covered
+// columns are left alone. The result is a pure deterministic function of
+// its inputs.
+func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, grad []float64) (val, gnorm2 float64) {
+	u, neg := s.u, s.neg
+	neg.Clear()
+	if cand != nil {
+		uncovered.ForEach(func(j int) {
+			val += u[j]
+			if grad != nil {
+				grad[j] = 1
+			}
+		})
+		for _, r := range cand {
+			if banned.Contains(r) {
+				continue
+			}
+			row, c := pl.p.rows[r], pl.costs[r]
+			row.ForEachIn(uncovered, func(j int) {
+				c -= u[j]
+				s.cells++
+			})
+			if c < 0 {
+				val += c
+				neg.Add(r)
+				if grad != nil {
+					row.ForEachIn(uncovered, func(j int) { grad[j]-- })
+				}
+			}
+		}
+		if grad != nil {
+			uncovered.ForEach(func(j int) { gnorm2 += grad[j] * grad[j] })
+		}
+		return val, gnorm2
+	}
+	rc := s.rc
 	copy(rc, pl.costs)
 	uncovered.ForEach(func(j int) {
 		uj := u[j]
@@ -166,7 +229,6 @@ func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, gra
 		}
 		s.cells += int64(len(pl.colRows[j]))
 	})
-	neg.Clear()
 	for r, c := range rc {
 		if c < 0 && !banned.Contains(r) {
 			val += c
@@ -203,7 +265,9 @@ func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 
 // dualAscend runs projected subgradient ascent from the multipliers in
 // s.u, mutating them in place, and returns the best Lagrangian value seen
-// and the number of dualEval calls it made.
+// and the number of dualEval calls it made. cand is dualEval's candidate
+// list for the first evaluation, at the starting multipliers (nil prices
+// every row); every later evaluation prices every row.
 // target is the upper bound the Held–Karp step size aims at (the residual's
 // incumbent cost); agility is the initial step scale, decayed by 5% per
 // iteration. The ascent stops early when the subgradient vanishes (u is
@@ -214,13 +278,18 @@ func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 // it, the rounded bound is target either way. Stopping there moves no
 // prune, bound or node count, and saves the evaluations. s.u holds the
 // multipliers of the best value when it returns.
-func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, target float64, iters int, agility float64) (best float64, evals int) {
+func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, target float64, iters int, agility float64) (best float64, evals int) {
 	best = math.Inf(-1)
 	saved := false // s.best holds the multipliers of best
 	f := agility
 	for it := 0; it <= iters; it++ {
 		evals++
-		val, gnorm2 := pl.dualEval(s, uncovered, banned, s.g)
+		grad := s.g
+		if it == iters {
+			grad = nil // the loop breaks before it reads a last gradient
+		}
+		val, gnorm2 := pl.dualEval(s, uncovered, banned, cand, grad)
+		cand = nil
 		if val > best {
 			best = val
 			if iters > 0 {
@@ -281,7 +350,7 @@ func (p *Problem) DualBound(weights []int, iters int) (int, error) {
 	banned := bitvec.NewSet(p.NumRows())
 	s := pl.newDualScratch()
 	pl.dualInit(s.u, uncovered, banned)
-	best, _ := pl.dualAscend(s, uncovered, banned, float64(greedy.Cost), iters, rootAgility)
+	best, _ := pl.dualAscend(s, uncovered, banned, nil, float64(greedy.Cost), iters, rootAgility)
 	b := dualRound(best)
 	if b > greedy.Cost {
 		// Cannot happen (the ascent stops at target), but never report a

@@ -1,8 +1,9 @@
 package setcover
 
 // Unit tests of the Lagrangian dual bound: validity, determinism, the
-// option conventions, the RootLB report, and dualEval's pricing against
-// the row-major reference it must match bit for bit. The corpus-level
+// option conventions, the RootLB report, and dualEval's two pricing paths
+// (every row, and the rows negative at a root) against the row-major
+// reference they must match bit for bit. The corpus-level
 // properties (golden costs, node reduction, cross-mode identity at scale)
 // live in internal/setcover/corpus.
 
@@ -219,11 +220,13 @@ func TestLagrangianTighterRoot(t *testing.T) {
 // dualEvalRowMajor is the row-major pricing the engine used before it priced
 // column by column: every available row's reduced cost is one chain of
 // subtractions over the row's uncovered columns. It is kept as the
-// reference dualEval must match bit for bit.
-func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64) {
+// reference dualEval must match bit for bit, and also returns the available
+// rows of negative reduced cost.
+func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64, neg *bitvec.Set) {
 	if grad != nil {
 		uncovered.ForEach(func(j int) { grad[j] = 1 })
 	}
+	neg = bitvec.NewSet(len(pl.p.rows))
 	uncovered.ForEach(func(j int) { val += u[j] })
 	for r, row := range pl.p.rows {
 		if banned.Contains(r) {
@@ -233,6 +236,7 @@ func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set
 		row.ForEachIn(uncovered, func(j int) { rc -= u[j] })
 		if rc < 0 {
 			val += rc
+			neg.Add(r)
 			if grad != nil {
 				row.ForEachIn(uncovered, func(j int) { grad[j]-- })
 			}
@@ -241,14 +245,17 @@ func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set
 	if grad != nil {
 		uncovered.ForEach(func(j int) { gnorm2 += grad[j] * grad[j] })
 	}
-	return val, gnorm2
+	return val, gnorm2, neg
 }
 
 // randomDualCase draws one dualEval input: 1–130 rows and columns (so sets
 // span up to three words) at density 0.05–0.6, unit or weighted costs with
-// zero weights, random uncovered and banned sets, and non-negative
-// multipliers of mixed magnitude with some exact zeros.
-func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, banned *bitvec.Set) {
+// zero weights, random uncovered and banned sets, a root state whose
+// uncovered set contains the node's and which bans nothing, and
+// non-negative multipliers. One case in three draws every multiplier from
+// {0, 1/4, 1/3, 1/2, 1}, so reduced costs land exactly on zero or within
+// rounding of it; the others are of mixed magnitude with some exact zeros.
+func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
 	nRows, nCols := 1+rng.Intn(130), 1+rng.Intn(130)
 	density := 0.05 + 0.55*rng.Float64()
 	p := NewProblem(nCols)
@@ -283,40 +290,60 @@ func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, bann
 			banned.Add(r)
 		}
 	}
+	rootUncovered = uncovered.Clone()
+	grow := rng.Float64()
+	for j := 0; j < nCols; j++ {
+		if rng.Float64() < grow {
+			rootUncovered.Add(j)
+		}
+	}
 	u = make([]float64, nCols)
+	edges := rng.Intn(3) == 0
 	for j := range u {
-		if rng.Intn(5) > 0 { // one in five stays an exact zero
+		switch {
+		case edges:
+			u[j] = []float64{0, 0.25, 1.0 / 3, 0.5, 1}[rng.Intn(5)]
+		case rng.Intn(5) > 0: // one in five stays an exact zero
 			u[j] = rng.Float64() * math.Pow(10, float64(rng.Intn(4)-2))
 		}
 	}
-	return pl, u, uncovered, banned
+	return pl, u, uncovered, banned, rootUncovered
 }
 
-// checkDualEvalMatchesRowMajor evaluates one case both ways, with and
-// without a subgradient, and requires val, gnorm2 and every grad entry to
-// be the same float bits. Both gradient buffers start from the same
-// sentinel, so an entry outside the uncovered set must be left alone.
-func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, uncovered, banned *bitvec.Set) {
+// checkDualEvalMatchesRowMajor evaluates one case by both of dualEval's
+// paths — every row priced column by column, and only the rows negative
+// at u over the root state — each with and without a subgradient, and
+// requires val, gnorm2, every grad entry and the negative rows to be what
+// the row-major reference gives, to the float bit. Both gradient buffers
+// start from the same sentinel, so an entry outside the uncovered set must
+// be left alone.
+func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, withGrad := range []bool{false, true} {
-		var got, want []float64
-		if withGrad {
-			got, want = make([]float64, len(u)), make([]float64, len(u))
-			for j := range got {
-				got[j], want[j] = -7.25, -7.25
+	_, _, rootNeg := pl.dualEvalRowMajor(u, rootUncovered, bitvec.NewSet(len(pl.p.rows)), nil)
+	for _, cand := range [][]int{nil, rootNeg.Elements()} {
+		for _, withGrad := range []bool{false, true} {
+			var got, want []float64
+			if withGrad {
+				got, want = make([]float64, len(u)), make([]float64, len(u))
+				for j := range got {
+					got[j], want[j] = -7.25, -7.25
+				}
 			}
-		}
-		ds := pl.newDualScratch()
-		copy(ds.u, u)
-		val, gnorm2 := pl.dualEval(ds, uncovered, banned, got)
-		wval, wgnorm2 := pl.dualEvalRowMajor(u, uncovered, banned, want)
-		if !same(val, wval) || !same(gnorm2, wgnorm2) {
-			t.Fatalf("grad=%v: dualEval (%v, %v), row-major (%v, %v)", withGrad, val, gnorm2, wval, wgnorm2)
-		}
-		for j := range got {
-			if !same(got[j], want[j]) {
-				t.Fatalf("grad[%d] = %v, row-major %v", j, got[j], want[j])
+			ds := pl.newDualScratch()
+			copy(ds.u, u)
+			val, gnorm2 := pl.dualEval(ds, uncovered, banned, cand, got)
+			wval, wgnorm2, wneg := pl.dualEvalRowMajor(u, uncovered, banned, want)
+			if !same(val, wval) || !same(gnorm2, wgnorm2) {
+				t.Fatalf("cand=%v grad=%v: dualEval (%v, %v), row-major (%v, %v)", cand, withGrad, val, gnorm2, wval, wgnorm2)
+			}
+			for j := range got {
+				if !same(got[j], want[j]) {
+					t.Fatalf("cand=%v: grad[%d] = %v, row-major %v", cand, j, got[j], want[j])
+				}
+			}
+			if !ds.neg.Equal(wneg) {
+				t.Fatalf("cand=%v grad=%v: negative rows %v, row-major %v", cand, withGrad, ds.neg, wneg)
 			}
 		}
 	}
@@ -325,8 +352,8 @@ func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, unco
 func TestDualEvalMatchesRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 400; trial++ {
-		pl, u, uncovered, banned := randomDualCase(rng)
-		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned)
+		pl, u, uncovered, banned, rootUncovered := randomDualCase(rng)
+		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned, rootUncovered)
 	}
 }
 
@@ -335,7 +362,7 @@ func FuzzDualEvalMatchesRowMajor(f *testing.F) {
 	f.Add(int64(18))
 	f.Add(int64(-3))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		pl, u, uncovered, banned := randomDualCase(rand.New(rand.NewSource(seed)))
-		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned)
+		pl, u, uncovered, banned, rootUncovered := randomDualCase(rand.New(rand.NewSource(seed)))
+		checkDualEvalMatchesRowMajor(t, pl, u, uncovered, banned, rootUncovered)
 	})
 }

@@ -22,13 +22,14 @@ package setcover
 //
 // Every exact solve takes one path. The ExactPlan is the read-only half:
 // the problem, its static column view, the root-forced rows, the root
-// multipliers and the canonical top-level branch list, computed once by
-// the root node. A search is the per-run half: budgets, the stop flag, the
-// shared incumbent cost and the observers. runBranch explores one
-// top-level branch on a search and returns its SubtreeResult; Merge folds
-// the results into the Solution. solveBB runs every branch on the
-// internal/parallel pool against one shared search, and a subtree lease
-// (distributed.go) runs one branch on a search of its own.
+// multipliers with the rows they price negative, and the canonical
+// top-level branch list, computed once by the root node. A search is the
+// per-run half: budgets, the stop flag, the shared incumbent cost and the
+// observers. runBranch explores one top-level branch on a search and
+// returns its SubtreeResult; Merge folds the results into the Solution.
+// solveBB runs every branch on the internal/parallel pool against one
+// shared search, and a subtree lease (distributed.go) runs one branch on a
+// search of its own.
 //
 // # Determinism
 //
@@ -241,12 +242,21 @@ type ExactPlan struct {
 	costs   []float64 // every row's cost as the dual prices it
 	colRows [][]int   // static column view: colRows[j] = rows covering j
 	colSets []*bitvec.Set
+	// byCost is colRows with each list ordered by (weight, row), so a
+	// column's cheapest available row is the first one not banned; nil for
+	// unit weights.
+	byCost  [][]int
 	exclude bool // sibling-row exclusion enabled
 	dual    bool // Lagrangian bound enabled
 
 	greedy   Solution
 	rootMult []float64 // root multipliers every node re-prices with
-	rootLB   int       // root cost + root lower bound: a global LB on the optimum
+	// rootNeg lists, ascending, the rows of negative reduced cost in the
+	// root residual at rootMult: the only rows that can price negative in
+	// a node's first evaluation (see "The root filter" in dual.go). It is
+	// non-nil when the bound is Lagrangian, even when empty.
+	rootNeg []int
+	rootLB  int // root cost + root lower bound: a global LB on the optimum
 
 	// The root-forced rows (in every cover) and their total cost, the
 	// residual columns, and the top-level branch rows in canonical order.
@@ -279,6 +289,13 @@ func newPlan(p *Problem, weights []int) *ExactPlan {
 			s.Add(r)
 		}
 		pl.colSets[j] = s
+	}
+	if weights != nil {
+		pl.byCost = make([][]int, p.numCols)
+		for j, rows := range pl.colRows {
+			pl.byCost[j] = slices.Clone(rows)
+			slices.SortStableFunc(pl.byCost[j], func(a, b int) int { return cmp.Compare(weights[a], weights[b]) })
+		}
 	}
 	return pl
 }
@@ -319,15 +336,18 @@ func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *sea
 		pl.terminal = &Solution{Rows: chosen, Cost: cost, Optimal: true, Nodes: 1, RootLB: cost}
 		return pl
 	}
-	rootBound := pl.lowerBound(infos, banned, bitvec.NewSet(p.NumRows()))
+	rootBound := pl.lowerBound(infos, banned, pl.newCountScratch())
 	if pl.dual {
 		// Root multiplier ascent: warm-start from the cheapest-row shares,
 		// climb toward the greedy upper bound, and publish the multipliers
-		// for every branch to re-price its residuals with.
+		// for every branch to re-price its residuals with, together with
+		// the rows they price negative here.
 		ds := pl.newDualScratch()
 		pl.dualInit(ds.u, uncovered, banned)
-		best, _ := pl.dualAscend(ds, uncovered, banned, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
+		best, _ := pl.dualAscend(ds, uncovered, banned, nil, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
 		pl.rootMult = ds.u
+		pl.dualEval(ds, uncovered, banned, nil, nil)
+		pl.rootNeg = ds.neg.Elements()
 		if d := dualRound(best); d > rootBound {
 			rootBound = d
 		}
@@ -422,29 +442,62 @@ func (pl *ExactPlan) propagate(chosen []int, cost int, uncovered, banned *bitvec
 	}
 }
 
+// countScratch is the counting bound's reusable workspace, sized once to
+// the plan: the rows of the picked columns, the counting sort's per-count
+// offsets and its output.
+type countScratch struct {
+	usedRows *bitvec.Set
+	next     []int      // next[a]: the next output slot of a column of availability a
+	sorted   []colAvail // the residual's columns, rare columns first
+}
+
+func (pl *ExactPlan) newCountScratch() *countScratch {
+	return &countScratch{
+		usedRows: bitvec.NewSet(pl.p.NumRows()),
+		next:     make([]int, pl.p.NumRows()+2),
+		sorted:   make([]colAvail, pl.p.numCols),
+	}
+}
+
 // lowerBound greedily accumulates pairwise row-disjoint uncovered columns;
 // each demands a distinct available row, so summing every picked column's
 // cheapest available row bounds the remaining cost from below (with unit
 // weights: the number of rows still required). Rare columns are visited
 // first to maximize the disjoint set.
-// lowerBound consumes the stable residual's availability counts computed by
-// the final propagation scan (no recount) and sorts a scratch copy rare
-// columns first. The cheapest available row of a picked column is computed
-// lazily — and is the constant 1 for unit weights. usedRows is the
-// caller's scratch set over the rows; its contents are overwritten.
-func (pl *ExactPlan) lowerBound(infos []colAvail, banned, usedRows *bitvec.Set) int {
-	slices.SortFunc(infos, func(a, b colAvail) int {
-		if c := cmp.Compare(a.avail, b.avail); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.col, b.col)
-	})
+//
+// lowerBound consumes the stable residual's availability counts computed
+// by the final propagation scan (no recount), which lists the columns in
+// ascending order. A stable counting sort by availability into cs's
+// scratch therefore visits them in (availability, column) order, in time
+// linear in the columns plus the largest availability. A picked column's
+// cheapest available row is the first one of its byCost list not banned
+// — and the constant 1 for unit weights. cs's contents are overwritten,
+// and nothing is allocated.
+func (pl *ExactPlan) lowerBound(infos []colAvail, banned *bitvec.Set, cs *countScratch) int {
+	maxAvail := 0
+	for _, ci := range infos {
+		maxAvail = max(maxAvail, ci.avail)
+	}
+	next := cs.next[:maxAvail+2]
+	clear(next)
+	for _, ci := range infos {
+		next[ci.avail+1]++
+	}
+	for a := 1; a < len(next); a++ {
+		next[a] += next[a-1]
+	}
+	sorted := cs.sorted[:len(infos)]
+	for _, ci := range infos {
+		sorted[next[ci.avail]] = ci
+		next[ci.avail]++
+	}
 	// usedRows accumulates the available rows of picked columns, so it
 	// never contains a banned row and one Intersects call per column is an
 	// exact available-row disjointness test.
+	usedRows := cs.usedRows
 	usedRows.Clear()
 	lb := 0
-	for _, ci := range infos {
+	for _, ci := range sorted {
 		if usedRows.Intersects(pl.colSets[ci.col]) {
 			continue
 		}
@@ -454,16 +507,12 @@ func (pl *ExactPlan) lowerBound(infos []colAvail, banned, usedRows *bitvec.Set) 
 			lb++
 			continue
 		}
-		min, first := 0, true
-		for _, r := range pl.colRows[ci.col] {
-			if banned.Contains(r) {
-				continue
-			}
-			if w := pl.weights[r]; first || w < min {
-				min, first = w, false
+		for _, r := range pl.byCost[ci.col] {
+			if !banned.Contains(r) {
+				lb += pl.weights[r]
+				break
 			}
 		}
-		lb += min
 	}
 	return lb
 }
@@ -633,7 +682,7 @@ func lowerCost(v *atomic.Int64, x int64) {
 // bit-identical trees.
 func (s *search) runBranch(i int) (SubtreeResult, bbCounts) {
 	pl := s.pl
-	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost, usedRows: bitvec.NewSet(pl.p.NumRows())}
+	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost, cs: pl.newCountScratch()}
 	banned := bitvec.NewSet(pl.p.NumRows())
 	if pl.exclude {
 		for _, row := range pl.branchRows[:i] {
@@ -680,17 +729,18 @@ type bbTask struct {
 	// infos is the column-scan scratch, reused across the task's DFS: a
 	// node is done with it before its children run.
 	infos []colAvail
-	// usedRows is the counting bound's scratch row set.
-	usedRows *bitvec.Set
+	// cs is the counting bound's scratch.
+	cs *countScratch
 	// ds is the task's dual workspace (Lagrangian modes only, allocated on
 	// first use): a private multiplier copy refined per node.
 	ds *dualScratch
 }
 
 // dualBound re-prices the node's residual with the shared root multipliers,
-// refines a task-private copy with a few conservative ascent steps, and
-// returns the rounded dual value. It depends only on the node's state and
-// the task-local incumbent, so serial node counts are deterministic.
+// over the root's negative rows only, refines a task-private copy with a
+// few conservative ascent steps, and returns the rounded dual value. It
+// depends only on the node's state and the task-local incumbent, so serial
+// node counts are deterministic.
 func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 	pl := t.s.pl
 	if t.ds == nil {
@@ -698,7 +748,7 @@ func (t *bbTask) dualBound(cost int, uncovered, banned *bitvec.Set) int {
 	}
 	copy(t.ds.u, pl.rootMult)
 	cells := t.ds.cells
-	best, evals := pl.dualAscend(t.ds, uncovered, banned, float64(t.localBound-cost), ascentPerNode, nodeAgility)
+	best, evals := pl.dualAscend(t.ds, uncovered, banned, pl.rootNeg, float64(t.localBound-cost), ascentPerNode, nodeAgility)
 	t.counts.dualEvals += int64(evals)
 	t.counts.pricedCells += t.ds.cells - cells
 	return dualRound(best)
@@ -747,7 +797,7 @@ func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
 	}
 	// The counting bound is cheap; the dual bound is evaluated only when
 	// counting fails to prune, and the stronger of the two rules the node.
-	lb := pl.lowerBound(t.infos, banned, t.usedRows)
+	lb := pl.lowerBound(t.infos, banned, t.cs)
 	if cost+lb >= t.localBound || int64(cost+lb) > s.sharedCost.Load() {
 		t.counts.prunedCounting++
 		return

@@ -1,13 +1,16 @@
 package setcover
 
 // Tests of the unified branch-and-bound engine: the parallel determinism
-// guarantee, the anytime budgets, and the sibling-exclusion pruning fix.
+// guarantee, the anytime budgets, the sibling-exclusion pruning fix, and
+// the counting bound against a sort-and-scan reference.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +20,61 @@ import (
 // engineDegrees is the acceptance sweep: serial, two explicit pool sizes,
 // and one worker per processor.
 var engineDegrees = []int{1, 2, 4, 0}
+
+// lowerBoundBySort is the counting bound written the plain way: sort the
+// columns by (availability, column) and take each picked column's
+// cheapest available row by scanning all its rows. lowerBound must give
+// the same value.
+func (pl *ExactPlan) lowerBoundBySort(infos []colAvail, banned *bitvec.Set) int {
+	infos = slices.Clone(infos)
+	slices.SortFunc(infos, func(a, b colAvail) int {
+		return cmp.Or(cmp.Compare(a.avail, b.avail), cmp.Compare(a.col, b.col))
+	})
+	used := bitvec.NewSet(pl.p.NumRows())
+	lb := 0
+	for _, ci := range infos {
+		if used.Intersects(pl.colSets[ci.col]) {
+			continue
+		}
+		used.Or(pl.colSets[ci.col])
+		used.AndNot(banned)
+		cheapest := -1
+		for _, r := range pl.colRows[ci.col] {
+			if !banned.Contains(r) && (cheapest < 0 || pl.rowCost(r) < cheapest) {
+				cheapest = pl.rowCost(r)
+			}
+		}
+		lb += cheapest
+	}
+	return lb
+}
+
+// TestLowerBoundMatchesSortedScan checks the counting bound's counting
+// sort and cheapest-row lists against lowerBoundBySort on random residuals
+// of unit and weighted instances, reusing one scratch across them as a
+// search task does.
+func TestLowerBoundMatchesSortedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		pl, _, uncovered, banned, _ := randomDualCase(rng)
+		cs := pl.newCountScratch()
+		for pass := 0; pass < 2; pass++ {
+			var infos []colAvail
+			if bad, _, _ := pl.scanColumns(uncovered, banned, &infos); bad {
+				break
+			}
+			if got, want := pl.lowerBound(infos, banned, cs), pl.lowerBoundBySort(infos, banned); got != want {
+				t.Fatalf("trial %d pass %d: lowerBound %d, sort-and-scan %d", trial, pass, got, want)
+			}
+			checked++
+			banned = bitvec.NewSet(pl.p.NumRows())
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d residuals checked", checked)
+	}
+}
 
 // TestExactParallelEquivalence pins the determinism contract: Rows, Cost
 // and Optimal are bit-identical for every Parallelism value, for both the
