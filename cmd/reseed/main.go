@@ -50,7 +50,7 @@ func main() {
 		kind    = flag.String("tpg", "adder", "TPG kind: adder, subtracter, multiplier, lfsr")
 		cycles  = flag.Int("cycles", 64, "evolution length T per candidate triplet")
 		seed    = flag.Int64("seed", 1, "random seed")
-		solver  = flag.String("solver", "exact", "covering solver: exact, greedy, greedy-noreduce")
+		solver  = flag.String("solver", "exact", "covering solver: exact, greedy, greedy-noreduce (each minimizes -objective)")
 		objectv = flag.String("objective", "triplets", "minimize: triplets (ROM area) or testlength")
 		noTrim  = flag.Bool("notrim", false, "keep full-length triplets (skip trailing-pattern deletion)")
 		jsonOut = flag.String("json", "",

@@ -39,6 +39,9 @@ const (
 	// SolverGreedyNoReduce covers the raw matrix greedily with no
 	// reduction at all (ablation: value of essentiality/dominance).
 	SolverGreedyNoReduce
+	// Under MinimizeTestLength each of the three minimizes the weighted
+	// cost: the weighted reduction, the weighted exact search, and the
+	// weighted greedy.
 )
 
 func (k SolverKind) String() string {
@@ -91,9 +94,10 @@ type Options struct {
 	Cycles int
 	// Seed drives θ selection.
 	Seed int64
-	// Solver selects the covering strategy (default SolverExact). Ignored
-	// when Objective is MinimizeTestLength, which always uses the weighted
-	// reduction + exact pipeline.
+	// Solver selects the covering strategy (default SolverExact). Every
+	// solver honours Objective: under MinimizeTestLength it minimizes the
+	// summed test-length weights, and only SolverExact can prove the cover
+	// optimal.
 	Solver SolverKind
 	// Objective selects the quantity minimized (default MinimizeTriplets).
 	Objective Objective
@@ -323,21 +327,24 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 
 	var chosen []int
 	necessary := map[int]bool{}
-	solver := opts.Solver
 	var weights []int // nil: every triplet costs 1
 	if opts.Objective == MinimizeTestLength {
 		// Weight each candidate by the trimmed length it would contribute
-		// if it had to cover everything it detects. This objective is
-		// always solved exactly.
-		solver = SolverExact
+		// if it had to cover everything it detects.
 		weights = make([]int, m.NumTriplets())
 		for i, row := range m.Rows {
 			weights[i] = m.EffectiveLength(i, row.Elements())
 		}
 	}
-	switch solver {
+	switch opts.Solver {
 	case SolverGreedyNoReduce:
-		g, err := problem.SolveGreedy()
+		var g setcover.Solution
+		var err error
+		if weights == nil {
+			g, err = problem.SolveGreedy()
+		} else {
+			g, err = problem.SolveGreedyWeighted(weights)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -365,7 +372,7 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 		sol.ImpliedCols = red.ImpliedCols
 		sol.ReductionIters = red.Iterations
 		var cover setcover.Solution
-		if solver == SolverGreedy {
+		if opts.Solver == SolverGreedy {
 			cover, err = red.SolveGreedy()
 		} else {
 			cover, err = red.SolveExact(opts.Exact)

@@ -360,3 +360,65 @@ func TestTripletOrderContract(t *testing.T) {
 		t.Error("test-length objective: triplets out of row order")
 	}
 }
+
+// TestSolversHonourTestLength solves one s820 matrix (adder, T = 32, ATPG
+// seed 1 and θ seed 2, as `reseed -circuit s820 -cycles 32` runs it) under
+// the test-length objective with each solver. Every cover detects every target fault; the exact one is proven
+// optimal in the weights the objective prices, and no greedy cover weighs
+// less. The greedy solves run no search: Optimal only when reduction
+// leaves no residual, no nodes and no root bound.
+func TestSolversHonourTestLength(t *testing.T) {
+	c, err := bench.ScanView("s820")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Prepare(c, atpg.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := tpg.NewAdder(len(c.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.BuildMatrix(gen, Options{Cycles: 32, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowOf := map[string]int{}
+	for i, tr := range m.Triplets {
+		rowOf[tr.Delta.Hex()+"/"+tr.Theta.Hex()] = i
+	}
+	// weight is the cover's cost in the objective's weights.
+	weight := func(sol *Solution) int {
+		w := 0
+		for _, st := range sol.Triplets {
+			i := rowOf[st.Triplet.Delta.Hex()+"/"+st.Triplet.Theta.Hex()]
+			w += m.EffectiveLength(i, m.Rows[i].Elements())
+		}
+		return w
+	}
+	var exactWeight int
+	for _, solver := range []SolverKind{SolverExact, SolverGreedy, SolverGreedyNoReduce} {
+		sol, err := f.SolveMatrix(m, gen, Options{Seed: 2, Solver: solver, Objective: MinimizeTestLength})
+		if err != nil {
+			t.Fatalf("%v: %v", solver, err)
+		}
+		verifyDetectsAll(t, f, sol)
+		w := weight(sol)
+		t.Logf("%v: %d triplets, weight %d, test length %d, optimal %v", solver, sol.NumTriplets(), w, sol.TestLength, sol.Optimal)
+		if solver == SolverExact {
+			if !sol.Optimal {
+				t.Fatal("exact: not proven optimal")
+			}
+			exactWeight = w
+			continue
+		}
+		if w < exactWeight {
+			t.Errorf("%v: weight %d below the exact optimum %d", solver, w, exactWeight)
+		}
+		if sol.Optimal != (sol.ResidualRows == 0) || sol.SolverNodes != 0 || sol.RootLB != 0 {
+			t.Errorf("%v: optimal %v with %d residual rows, %d nodes, root bound %d; a greedy cover proves nothing the reduction did not",
+				solver, sol.Optimal, sol.ResidualRows, sol.SolverNodes, sol.RootLB)
+		}
+	}
+}

@@ -38,7 +38,7 @@ type Request struct {
 	// key.
 	ATPGSeed int64 `json:"atpg_seed,omitempty"`
 	// Solver selects the covering strategy: "" or "exact" (default),
-	// "greedy", "greedy-noreduce".
+	// "greedy", "greedy-noreduce". Each minimizes the chosen Objective.
 	Solver string `json:"solver,omitempty"`
 	// Objective selects the minimized quantity: "" or "triplets"
 	// (default), "testlength".
@@ -297,7 +297,7 @@ func (e *Engine) SolveWithObserver(ctx context.Context, req Request, watch Solve
 	// Only the exact covering path is anytime (greedy solves ignore the
 	// context and are non-optimal by construction), so only there does a
 	// cancelled context mean "this result was cut short".
-	exactPath := opts.Objective == core.MinimizeTestLength || opts.Solver == core.SolverExact
+	exactPath := opts.Solver == core.SolverExact
 	resp := &Response{
 		Solution: sol,
 		Circuit: CircuitInfo{

@@ -176,7 +176,8 @@ func (p *Problem) SolveGreedy() (Solution, error) {
 }
 
 // solveGreedyImpl is the greedy heuristic behind SolveGreedy (weights nil:
-// maximize gain) and the weighted residual of Reduction.SolveGreedy. With
+// maximize gain), SolveGreedyWeighted and the weighted residual of
+// Reduction.SolveGreedy. With
 // weights, zero-weight rows with any gain are free and taken up front
 // (highest gain first), then the scan repeatedly takes the row minimizing
 // weight per newly covered column; ties break toward the lower row index.

@@ -34,6 +34,17 @@ func (p *Problem) SolveExactWeighted(weights []int, opts ExactOptions) (Solution
 	return p.solveBB(weights, opts)
 }
 
+// SolveGreedyWeighted covers the problem with the weighted greedy
+// heuristic that SolveGreedy runs with unit costs: zero-weight rows with
+// any gain first, then repeatedly the row of least weight per newly
+// covered column, ties toward the lower row index.
+func (p *Problem) SolveGreedyWeighted(weights []int) (Solution, error) {
+	if err := p.validateWeights(weights); err != nil {
+		return Solution{}, err
+	}
+	return p.solveGreedyImpl(weights)
+}
+
 func totalWeight(weights []int, rows []int) int {
 	t := 0
 	for _, r := range rows {

@@ -60,6 +60,9 @@ func TestWeightedValidation(t *testing.T) {
 	if _, err := p.ReduceWeighted([]int{1, 2}); err == nil {
 		t.Error("wrong weight count accepted by the reduction")
 	}
+	if _, err := p.SolveGreedyWeighted([]int{1, 2}); err == nil {
+		t.Error("wrong weight count accepted by the weighted greedy")
+	}
 }
 
 // Exact weighted must match brute force on random instances.
