@@ -14,12 +14,11 @@ import (
 // pruned_counting, pruned_dual and priced_cells (all zero when the root
 // resolves the solve and records no bb span).
 type boundCounts struct {
-	nodes                                 int64
-	cost                                  int
-	optimal                               bool
-	rootLB                                int
-	dualEvals, prunedCounting, prunedDual int64
-	pricedCells                           int64
+	nodes                                              int64
+	cost                                               int
+	optimal                                            bool
+	rootLB                                             int
+	dualEvals, prunedCounting, prunedDual, pricedCells int64
 }
 
 // bounds are the two lower bounds every corpus instance is solved under.
