@@ -51,7 +51,7 @@ func main() {
 		cycles  = flag.Int("cycles", 64, "evolution length T per candidate triplet")
 		seed    = flag.Int64("seed", 1, "random seed")
 		solver  = flag.String("solver", "exact", "covering solver: exact, greedy, greedy-noreduce (each minimizes -objective)")
-		objectv = flag.String("objective", "triplets", "minimize: triplets (ROM area) or testlength")
+		objectv = flag.String("objective", "triplets", "minimize: triplets (ROM area) or testlength (summed weights: each triplet priced at the length its whole row needs, so optimal=true bounds the weights, not the trimmed test length printed)")
 		noTrim  = flag.Bool("notrim", false, "keep full-length triplets (skip trailing-pattern deletion)")
 		jsonOut = flag.String("json", "",
 			"also write the full Engine Response (solution, circuit/ATPG summaries, cache and interrupt flags) as JSON to this file")

@@ -201,6 +201,11 @@ func (s *Set) ForEachIn(o *Set, fn func(i int)) {
 	}
 }
 
+// Words returns the set's storage, element i at bit i%64 of word i/64,
+// with every bit at or past the universe clear. It is a read-only view
+// for word-at-a-time consumers: writing through it changes the set.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Elements returns the elements in ascending order.
 func (s *Set) Elements() []int {
 	out := make([]int, 0, s.Len())

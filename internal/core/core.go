@@ -225,7 +225,16 @@ type Solution struct {
 	ImpliedCols    int
 	ReductionIters int
 	SolverNodes    int64
-	Optimal        bool
+	// Optimal reports that the covering solve proved its cover minimum in
+	// the weights the objective prices: the triplet count under
+	// MinimizeTriplets, the summed row weights under MinimizeTestLength.
+	// There a triplet weighs the length it needs to detect every fault of
+	// its row, while assembly trims each selected triplet to the faults it
+	// keeps, so Optimal proves nothing about TestLength: a heavier cover
+	// may print a shorter one. On s820 (adder, T = 32, ATPG seed 1, θ seed
+	// 2) the proven cover weighs 253 and prints test length 194; the
+	// unreduced greedy cover weighs 282 and prints 183.
+	Optimal bool
 	// RootLB is the exact solver's root lower bound on the covering cost
 	// of the whole solution (essential rows included): triplet count for
 	// MinimizeTriplets, total weight for MinimizeTestLength. Cost-RootLB
@@ -332,8 +341,8 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 		// Weight each candidate by the trimmed length it would contribute
 		// if it had to cover everything it detects.
 		weights = make([]int, m.NumTriplets())
-		for i, row := range m.Rows {
-			weights[i] = m.EffectiveLength(i, row.Elements())
+		for i := range weights {
+			weights[i] = m.RowLength(i)
 		}
 	}
 	switch opts.Solver {
@@ -362,9 +371,13 @@ func (f *Flow) SolveMatrix(m *dmatrix.Matrix, gen tpg.Generator, opts Options) (
 			rsp.End()
 			return nil, fmt.Errorf("core: %w", err)
 		}
+		rsp.SetInt("cells", int64(m.NumTriplets())*int64(m.NumFaults))
+		rsp.SetInt("iterations", int64(red.Iterations))
+		rsp.SetInt("essential", int64(len(red.Essential)))
+		rsp.SetInt("dominated_rows", int64(len(red.DominatedRows)))
+		rsp.SetInt("implied_cols", int64(red.ImpliedCols))
 		rsp.SetInt("residual_rows", int64(red.Residual.NumRows()))
 		rsp.SetInt("residual_cols", int64(red.Residual.NumCols()))
-		rsp.SetInt("essential", int64(len(red.Essential)))
 		rsp.End()
 		sol.ResidualRows = red.Residual.NumRows()
 		sol.ResidualCols = red.Residual.NumCols()
@@ -428,35 +441,15 @@ func b2i(b bool) int64 {
 func (f *Flow) assemble(sol *Solution, m *dmatrix.Matrix, chosen []int,
 	necessary map[int]bool, opts Options) (*Solution, error) {
 
-	covered := make([]bool, m.NumFaults)
-	for _, row := range chosen {
-		m.Rows[row].ForEach(func(fi int) { covered[fi] = true })
-	}
-	for fi, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("core: internal error: fault %d uncovered by computed solution", fi)
-		}
-	}
-
 	// Assign each fault to the selected triplet that detects it earliest
-	// (ties to the lower triplet index); the assignment defines each
+	// (ties to the earlier position in chosen); the assignment defines each
 	// triplet's ΔFC and its trimmed test length.
 	assigned := make([][]int, len(chosen))
-	for fi := 0; fi < m.NumFaults; fi++ {
-		bestT, bestAt := -1, int32(1)<<30
-		for ti, row := range chosen {
-			if !m.Rows[row].Contains(fi) {
-				continue
-			}
-			at := m.FirstDetection[row][fi]
-			if at < bestAt {
-				bestT, bestAt = ti, at
-			}
+	for fi, ti := range m.FirstDetectors(chosen) {
+		if ti < 0 {
+			return nil, fmt.Errorf("core: internal error: fault %d uncovered by computed solution", fi)
 		}
-		if bestT < 0 {
-			return nil, fmt.Errorf("core: internal error: fault %d unassigned", fi)
-		}
-		assigned[bestT] = append(assigned[bestT], fi)
+		assigned[ti] = append(assigned[ti], fi)
 	}
 
 	maxEff := 0

@@ -13,7 +13,10 @@
 // generation of its genetic search through Grade too, against the faults
 // it has yet to detect. Every matrix records, for each detection, the
 // index of the earliest detecting pattern: the covering flow trims its
-// triplets with it, and GATSBY takes a candidate's length from it.
+// triplets with it, and GATSBY takes a candidate's length from it. The
+// FirstTable holding them takes one byte a cell for T ≤ 255, two up to
+// 65 535 and four beyond, so at the paper's lengths it is as large as
+// eight copies of the matrix's rows, not thirty-two.
 //
 // # Packing
 //
@@ -84,10 +87,11 @@ type Matrix struct {
 	NumFaults int
 	// Rows[i] is the set of fault indices detected by triplet i's test set.
 	Rows []*bitvec.Set
-	// FirstDetection[i][j] is the earliest pattern index (0..Cycles-1) at
-	// which triplet i detects fault j, or -1. It costs 4 bytes per matrix
-	// cell.
-	FirstDetection [][]int32
+	// FirstDetection records, for every triplet i and fault j, the earliest
+	// pattern index (0..Cycles-1) at which i detects j: At(i, j), or -1.
+	// It costs one byte per matrix cell for T ≤ 255, two up to 65 535 and
+	// four beyond.
+	FirstDetection FirstTable
 	// Stats
 	GateEvals         int64 // fault-simulation effort
 	PatternsSimulated int
@@ -159,7 +163,7 @@ func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triple
 	v := netlist.NewView(c)
 	targets := fsim.NewTargets(v, faults)
 	m.Rows = make([]*bitvec.Set, len(triplets))
-	m.FirstDetection = make([][]int32, len(triplets))
+	m.FirstDetection = NewFirstTable(len(triplets), len(faults), opts.Cycles)
 	// One fsim span covers the whole phase and carries its totals.
 	fctx, fsp := obs.StartSpan(ctx, "fsim")
 	defer fsp.End()
@@ -224,11 +228,6 @@ type packStats struct {
 func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, per, cycles int) (packStats, error) {
 	for i := lo; i < hi; i++ {
 		m.Rows[i] = bitvec.NewSet(len(w.live))
-		fd := make([]int32, len(w.live))
-		for fi := range fd {
-			fd[fi] = -1
-		}
-		m.FirstDetection[i] = fd
 	}
 	open := uint8(1)<<((hi-lo+per-1)/per) - 1 // lanes in use
 	for fi := range w.live {
@@ -256,31 +255,47 @@ func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo
 		}
 		st.GateEvals += e.GateEvals
 		st.Stems += e.Stems
-		field := ^uint64(0) >> (64 - width)
-		open = 0
-		for fi := range w.masks {
-			for l, mask := range w.masks[fi] {
-				if w.live[fi]>>l&1 == 0 {
-					continue
-				}
-				if mask == 0 {
-					open |= 1 << l
-					continue
-				}
-				// Detected in this pass: the lane's later segments, which
-				// only a lane of one triplet has, no longer need the fault.
-				w.live[fi] &^= 1 << l
-				first := lo + l*per
-				for mask != 0 {
-					j := bits.TrailingZeros64(mask) / width
-					m.Rows[first+j].Add(fi)
-					m.FirstDetection[first+j][fi] = int32(base + bits.TrailingZeros64(mask>>(j*width)))
-					mask &^= field << (j * width)
-				}
-			}
+		switch c := m.FirstDetection.cells.(type) {
+		case []uint8:
+			open = record(c, m, w, lo, per, width, base)
+		case []uint16:
+			open = record(c, m, w, lo, per, width, base)
+		default:
+			open = record(c.([]int32), m, w, lo, per, width, base)
 		}
 	}
 	return st, nil
+}
+
+// record writes one pass's detections of a group into m: lane l of the
+// pass holds per triplets from lo+l·per on, each in a field of width
+// patterns starting at pattern base of its test set. A fault detected in
+// a lane leaves the lane's live set; the returned mask has a bit for
+// every lane that still has a live fault it did not detect.
+func record[E cell](cells []E, m *Matrix, w *packer, lo, per, width, base int) (open uint8) {
+	field := ^uint64(0) >> (64 - width)
+	for fi := range w.masks {
+		for l, mask := range w.masks[fi] {
+			if w.live[fi]>>l&1 == 0 {
+				continue
+			}
+			if mask == 0 {
+				open |= 1 << l
+				continue
+			}
+			// Detected in this pass: the lane's later segments, which
+			// only a lane of one triplet has, no longer need the fault.
+			w.live[fi] &^= 1 << l
+			first := lo + l*per
+			for mask != 0 {
+				j := bits.TrailingZeros64(mask) / width
+				m.Rows[first+j].Add(fi)
+				cells[(first+j)*m.NumFaults+fi] = E(base + bits.TrailingZeros64(mask>>(j*width)) + 1)
+				mask &^= field << (j * width)
+			}
+		}
+	}
+	return open
 }
 
 // NumTriplets returns the number of rows.
@@ -325,17 +340,19 @@ func (m *Matrix) Density() float64 {
 // nothing). It falls back to the full cycle count when the fault set is
 // empty.
 func (m *Matrix) EffectiveLength(i int, responsibleFaults []int) int {
-	if len(responsibleFaults) == 0 {
-		return m.Triplets[i].Cycles
+	if last := m.FirstDetection.latest(i, responsibleFaults); last > 0 {
+		return last
 	}
-	maxIdx := int32(-1)
-	for _, fi := range responsibleFaults {
-		if fd := m.FirstDetection[i][fi]; fd > maxIdx {
-			maxIdx = fd
-		}
+	return m.Triplets[i].Cycles
+}
+
+// RowLength returns the trimmed test length of triplet i when it is
+// responsible for every fault it detects, EffectiveLength(i,
+// m.Rows[i].Elements()), read off the first-detection table without
+// listing the row.
+func (m *Matrix) RowLength(i int) int {
+	if last := m.FirstDetection.rowLatest(i); last > 0 {
+		return last
 	}
-	if maxIdx < 0 {
-		return m.Triplets[i].Cycles
-	}
-	return int(maxIdx) + 1
+	return m.Triplets[i].Cycles
 }

@@ -120,12 +120,12 @@ func TestFirstDetectionAndEffectiveLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.FirstDetection == nil {
-		t.Fatal("FirstDetection not recorded")
+	if m.FirstDetection.CellBytes() != 1 {
+		t.Fatalf("T=8 first detections take %d bytes a cell, want 1", m.FirstDetection.CellBytes())
 	}
 	for i, row := range m.Rows {
 		row.ForEach(func(fi int) {
-			fd := m.FirstDetection[i][fi]
+			fd := m.FirstDetection.At(i, fi)
 			if fd < 0 || fd >= 8 {
 				t.Errorf("triplet %d fault %d: first detection %d out of range", i, fi, fd)
 			}
@@ -135,6 +135,9 @@ func TestFirstDetectionAndEffectiveLength(t *testing.T) {
 		el := m.EffectiveLength(i, row.Elements())
 		if el < 1 || el > 8 {
 			t.Errorf("triplet %d: effective length %d", i, el)
+		}
+		if rl := m.RowLength(i); rl != el {
+			t.Errorf("triplet %d: row length %d, effective length over its row %d", i, rl, el)
 		}
 		// Trimming with no responsibility keeps full length.
 		if m.EffectiveLength(i, nil) != 8 {
@@ -244,8 +247,8 @@ func TestParallelBuildIdentical(t *testing.T) {
 		if !serial.Triplets[i].Theta.Equal(parallel.Triplets[i].Theta) {
 			t.Fatalf("θ %d differs between serial and parallel build", i)
 		}
-		for fi := range serial.FirstDetection[i] {
-			if serial.FirstDetection[i][fi] != parallel.FirstDetection[i][fi] {
+		for fi := range serial.NumFaults {
+			if serial.FirstDetection.At(i, fi) != parallel.FirstDetection.At(i, fi) {
 				t.Fatalf("first detection (%d,%d) differs", i, fi)
 			}
 		}
@@ -258,7 +261,9 @@ func TestParallelBuildIdentical(t *testing.T) {
 // cross every packing boundary: several triplets per 64-pattern block with
 // and without unused high bits (T = 1, 3, 5, 21, 32), one triplet per block
 // (33, 64), and one triplet over several blocks, ending on a block boundary
-// or one pattern past it (65, 128, 129, 256, 257).
+// or one pattern past it (65, 128, 129, 256, 257). T = 255 is the longest
+// whose first detections fit a one-byte cell, and T = 256 the shortest that
+// needs two.
 func TestLanesMatchPerTripletRows(t *testing.T) {
 	c, err := bench.ScanView("s420")
 	if err != nil {
@@ -281,14 +286,20 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65, 128, 129, 256, 257} {
+	for _, cycles := range []int{1, 3, 5, 21, 32, 33, 64, 65, 128, 129, 255, 256, 257} {
 		for _, j := range []int{1, 2} {
 			m, err := Build(context.Background(), c, faults, res.Patterns, gen,
 				Options{Cycles: cycles, Seed: 9, Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if want := 1 + cycles/256; m.FirstDetection.CellBytes() != want {
+				t.Fatalf("T=%d: first detections take %d bytes a cell, want %d", cycles, m.FirstDetection.CellBytes(), want)
+			}
 			for i, tr := range m.Triplets {
+				if rl, el := m.RowLength(i), m.EffectiveLength(i, m.Rows[i].Elements()); rl != el {
+					t.Fatalf("T=%d triplet %d: row length %d, effective length over its row %d", cycles, i, rl, el)
+				}
 				ts, err := tpg.Expand(gen, tr)
 				if err != nil {
 					t.Fatal(err)
@@ -298,9 +309,9 @@ func TestLanesMatchPerTripletRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				for fi := range faults {
-					if m.Rows[i].Contains(fi) != ref.Detected[fi] || int(m.FirstDetection[i][fi]) != ref.FirstPattern[fi] {
+					if m.Rows[i].Contains(fi) != ref.Detected[fi] || m.FirstDetection.At(i, fi) != ref.FirstPattern[fi] {
 						t.Fatalf("T=%d j%d triplet %d fault %d: row %v first %d, reference %v first %d",
-							cycles, j, i, fi, m.Rows[i].Contains(fi), m.FirstDetection[i][fi],
+							cycles, j, i, fi, m.Rows[i].Contains(fi), m.FirstDetection.At(i, fi),
 							ref.Detected[fi], ref.FirstPattern[fi])
 					}
 				}

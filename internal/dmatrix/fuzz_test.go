@@ -85,10 +85,10 @@ func FuzzLanesMatchPerTripletRows(f *testing.F) {
 				}
 				ref := want[i]
 				for fi := range faults {
-					if m.Rows[i].Contains(fi) != ref.Detected[fi] || int(m.FirstDetection[i][fi]) != ref.FirstPattern[fi] {
+					if m.Rows[i].Contains(fi) != ref.Detected[fi] || m.FirstDetection.At(i, fi) != ref.FirstPattern[fi] {
 						t.Fatalf("T=%d j%d triplet %d of %d fault %s: row %v first %d, alone %v first %d",
 							T, j, i, len(patterns), faults[fi].String(c), m.Rows[i].Contains(fi),
-							m.FirstDetection[i][fi], ref.Detected[fi], ref.FirstPattern[fi])
+							m.FirstDetection.At(i, fi), ref.Detected[fi], ref.FirstPattern[fi])
 					}
 				}
 			}

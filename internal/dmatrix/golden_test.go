@@ -27,9 +27,9 @@ func matrixDigest(m *Matrix) string {
 		fmt.Fprintf(h, "r %s\n", r.Hex())
 	}
 	var b [4]byte
-	for _, fd := range m.FirstDetection {
-		for _, x := range fd {
-			binary.LittleEndian.PutUint32(b[:], uint32(x))
+	for i := range m.Triplets {
+		for fi := range m.NumFaults {
+			binary.LittleEndian.PutUint32(b[:], uint32(int32(m.FirstDetection.At(i, fi))))
 			h.Write(b[:])
 		}
 	}

@@ -132,6 +132,44 @@ func TestFsimSpanCountsStems(t *testing.T) {
 	}
 }
 
+// The reduce span explains its duration: the cells of the table it
+// reduced, the sweeps to the fixpoint and what each technique removed,
+// the same figures the solution reports.
+func TestReduceSpanCountsTheReduction(t *testing.T) {
+	req := Request{Circuit: "s820", TPG: "adder", Cycles: 32, Seed: 1, Parallelism: 1}
+	ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("test"))
+	resp, err := New(Options{}).Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := map[string]int64{}
+	for _, sp := range resp.Timing.Spans {
+		if sp.Name == "reduce" {
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Int
+			}
+		}
+	}
+	sol := resp.Solution
+	want := map[string]int{
+		"cells":          sol.MatrixRows * sol.MatrixCols,
+		"iterations":     sol.ReductionIters,
+		"essential":      sol.NumNecessary,
+		"dominated_rows": sol.DominatedRows,
+		"implied_cols":   sol.ImpliedCols,
+		"residual_rows":  sol.ResidualRows,
+		"residual_cols":  sol.ResidualCols,
+	}
+	for key, w := range want {
+		if got, ok := attrs[key]; !ok || got != int64(w) {
+			t.Errorf("reduce span %s = %d (recorded %v), want %d", key, got, ok, w)
+		}
+	}
+	if attrs["cells"] == 0 || attrs["iterations"] == 0 || attrs["dominated_rows"] == 0 || attrs["implied_cols"] == 0 {
+		t.Errorf("reduce span %v: want a reduction that deletes rows and columns", attrs)
+	}
+}
+
 // spanAttrs solves req at Parallelism j on a fresh Engine with tracing on
 // and returns the integer attributes of its span called name.
 func spanAttrs(t *testing.T, req Request, j int, name string) map[string]int64 {

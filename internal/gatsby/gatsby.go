@@ -164,7 +164,7 @@ func Run(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, gen tpg.
 			ind.row = m.Rows[i]
 			ind.fitness = ind.row.Len()
 			if ind.fitness > 0 {
-				ind.length = m.EffectiveLength(i, ind.row.Elements())
+				ind.length = m.RowLength(i)
 			}
 		}
 		return nil

@@ -1,8 +1,9 @@
 package setcover
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bitvec"
 )
@@ -50,39 +51,27 @@ func (p *Problem) Reduce() *Reduction { return p.reduceImpl(nil) }
 // reduceImpl is the shared reduction engine. With non-nil weights, row
 // dominance only deletes a row in favour of a dominator that is not
 // heavier, preserving weighted optimality.
+//
+// It works a word at a time. The table is transposed once into a column
+// view, one ⌈rows/64⌉-word row set per column in a flat slab, and the
+// active rows and columns are bit masks: deactivating a row clears one
+// bit, and a column's active rows are its slab words ANDed with the row
+// mask. Each sweep writes the active rows restricted to the active
+// columns, and the active columns restricted to the active rows, into
+// two arenas allocated once per call.
 func (p *Problem) reduceImpl(weights []int) *Reduction {
 	red := &Reduction{weights: slices.Clone(weights)}
 	nRows, nCols := len(p.rows), p.numCols
+	rw, cw := wordsFor(nRows), wordsFor(nCols)
 
-	activeRow := make([]bool, nRows)
-	for i := range activeRow {
-		activeRow[i] = true
-	}
-	activeCol := bitvec.NewSet(nCols)
-	activeCol.Fill()
-
-	// Column view: colRows[j] = set of rows covering column j.
-	colRows := make([]*bitvec.Set, nCols)
-	for j := range colRows {
-		colRows[j] = bitvec.NewSet(nRows)
-	}
-	for i, r := range p.rows {
-		r.ForEach(func(j int) { colRows[j].Add(i) })
-	}
-
-	// masked returns row i's coverage restricted to active columns.
-	scratch := bitvec.NewSet(nCols)
-	masked := func(i int) *bitvec.Set {
-		scratch.Clear()
-		scratch.Or(p.rows[i])
-		scratch.And(activeCol)
-		return scratch
-	}
-
-	deactivateRow := func(i int) {
-		activeRow[i] = false
-		p.rows[i].ForEach(func(j int) { colRows[j].Remove(i) })
-	}
+	cols := p.columnView()
+	col := func(j int) []uint64 { return cols[j*rw:][:rw] }
+	activeRow, activeCol := fullMask(nRows), fullMask(nCols)
+	rowArena, colArena := make([]uint64, nRows*cw), make([]uint64, nCols*rw)
+	maskedRow := func(i int) []uint64 { return rowArena[i*cw:][:cw] }
+	maskedCol := func(j int) []uint64 { return colArena[j*rw:][:rw] }
+	masked := make([]sized, 0, max(nRows, nCols))
+	kept := make([]sized, 0, nCols)
 
 	for changed := true; changed; {
 		changed = false
@@ -90,161 +79,263 @@ func (p *Problem) reduceImpl(weights []int) *Reduction {
 
 		// Essentiality: a column covered by exactly one active row forces
 		// that row into the solution; all columns it covers disappear.
-		for _, j := range activeCol.Elements() {
-			if !activeCol.Contains(j) {
-				continue // removed by an earlier essential this sweep
+		for k := range activeCol {
+			for w := activeCol[k]; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				if activeCol[k]>>b&1 == 0 {
+					continue // removed by an earlier essential this sweep
+				}
+				r := soleRow(col(k*64+b), activeRow)
+				if r < 0 {
+					continue // 0 rows would mean an uncoverable column; left for the solver to report
+				}
+				red.Essential = append(red.Essential, r)
+				andNot(activeCol, p.rows[r].Words())
+				clearBit(activeRow, r)
+				changed = true
 			}
-			cr := colRows[j]
-			if cr.Len() != 1 {
-				continue // 0 would mean an uncoverable column; left for the solver to report
-			}
-			r := cr.First()
-			red.Essential = append(red.Essential, r)
-			activeCol.AndNot(p.rows[r])
-			deactivateRow(r)
-			changed = true
 		}
-		if activeCol.Empty() {
+		if isEmpty(activeCol) {
 			break
 		}
 
 		// Row dominance: drop any active row whose active coverage is a
-		// subset of another active row's. Group by hash first so identical
-		// rows collapse cheaply; ties keep the lower index.
-		type rowInfo struct {
-			idx  int
-			set  *bitvec.Set
-			size int
-		}
-		var infos []rowInfo
-		for i := range p.rows {
-			if !activeRow[i] {
-				continue
-			}
-			m := masked(i).Clone()
-			infos = append(infos, rowInfo{idx: i, set: m, size: m.Len()})
-		}
+		// subset of another active row's; ties keep the lower index.
+		masked = masked[:0]
+		forEach(activeRow, func(i int) {
+			masked = append(masked, sized{i, andInto(maskedRow(i), p.rows[i].Words(), activeCol)})
+		})
 		// A row with empty active coverage is useless.
-		for _, ri := range infos {
+		for _, ri := range masked {
 			if ri.size == 0 {
-				deactivateRow(ri.idx)
+				clearBit(activeRow, ri.idx)
 				red.DominatedRows = append(red.DominatedRows, ri.idx)
 				changed = true
 			}
 		}
-		sort.Slice(infos, func(a, b int) bool {
-			if infos[a].size != infos[b].size {
-				return infos[a].size < infos[b].size
+		slices.SortFunc(masked, func(a, b sized) int {
+			if a.size != b.size {
+				return cmp.Compare(a.size, b.size)
 			}
-			return infos[a].idx > infos[b].idx
+			return cmp.Compare(b.idx, a.idx)
 		})
-		for a := 0; a < len(infos); a++ {
-			ra := infos[a]
-			if !activeRow[ra.idx] || ra.size == 0 {
+		for a := 0; a < len(masked); a++ {
+			ra := masked[a]
+			if !has(activeRow, ra.idx) || ra.size == 0 {
 				continue
 			}
-			for b := len(infos) - 1; b > a; b-- {
-				rb := infos[b]
-				if !activeRow[rb.idx] || rb.size < ra.size {
+			for b := len(masked) - 1; b > a; b-- {
+				rb := masked[b]
+				if !has(activeRow, rb.idx) || !subsetOf(maskedRow(ra.idx), maskedRow(rb.idx)) {
 					continue
 				}
-				if rb.idx == ra.idx {
-					continue
+				victim := dominanceVictim(ra.idx, rb.idx, ra.size == rb.size, weights)
+				if victim < 0 {
+					continue // dominator is heavier: deletion unsafe
 				}
-				if ra.set.SubsetOf(rb.set) {
-					victim := dominanceVictim(ra.idx, rb.idx, ra.size == rb.size, weights)
-					if victim < 0 {
-						continue // dominator is heavier: deletion unsafe
-					}
-					deactivateRow(victim)
-					red.DominatedRows = append(red.DominatedRows, victim)
-					changed = true
-					if victim == ra.idx {
-						break
-					}
+				clearBit(activeRow, victim)
+				red.DominatedRows = append(red.DominatedRows, victim)
+				changed = true
+				if victim == ra.idx {
+					break
 				}
 			}
 		}
 
 		// Column dominance: if every row covering column l also covers
 		// column j (l's row set ⊆ j's), then any cover of l covers j, so j
-		// is implied and removed. Duplicate columns collapse to one.
-		// Group columns by row-set hash to keep this near-linear: matrices
-		// from fault simulation contain large plateaus of identical columns.
-		groups := make(map[uint64][]int)
-		for _, j := range activeCol.Elements() {
-			groups[colRows[j].Hash()] = append(groups[colRows[j].Hash()], j)
-		}
-		var uniq []int
-		for _, g := range groups {
-			// Collapse duplicates within the hash group.
-			for len(g) > 0 {
-				rep := g[0]
-				rest := g[:0]
-				for _, j := range g[1:] {
-					if colRows[j].Equal(colRows[rep]) {
-						activeCol.Remove(j)
-						red.ImpliedCols++
-						changed = true
-					} else {
-						rest = append(rest, j)
-					}
-				}
-				uniq = append(uniq, rep)
-				g = rest
+		// is implied and removed. Exactly the duplicates and the
+		// non-minimal row sets go, whatever the order they are examined
+		// in. Sorted by size, then row set, then index, equal columns are
+		// adjacent behind the lowest index, which survives unless a
+		// smaller row set kept before it is a subset of its own.
+		masked = masked[:0]
+		forEach(activeCol, func(j int) {
+			masked = append(masked, sized{j, andInto(maskedCol(j), col(j), activeRow)})
+		})
+		slices.SortFunc(masked, func(a, b sized) int {
+			if a.size != b.size {
+				return cmp.Compare(a.size, b.size)
 			}
-		}
-		sort.Ints(uniq)
-		for a := 0; a < len(uniq); a++ {
-			ja := uniq[a]
-			if !activeCol.Contains(ja) {
-				continue
+			if c := slices.Compare(maskedCol(a.idx), maskedCol(b.idx)); c != 0 {
+				return c
 			}
-			for b := 0; b < len(uniq); b++ {
-				jb := uniq[b]
-				if a == b || !activeCol.Contains(jb) || !activeCol.Contains(ja) {
-					continue
-				}
-				// ja implied by jb: rows(jb) ⊆ rows(ja) and not equal.
-				if colRows[jb].Len() < colRows[ja].Len() && colRows[jb].SubsetOf(colRows[ja]) {
-					activeCol.Remove(ja)
-					red.ImpliedCols++
-					changed = true
+			return cmp.Compare(a.idx, b.idx)
+		})
+		kept = kept[:0]
+		for x, c := range masked {
+			set := maskedCol(c.idx)
+			implied := x > 0 && c.size == masked[x-1].size && slices.Equal(set, maskedCol(masked[x-1].idx))
+			for _, l := range kept {
+				if implied || l.size >= c.size {
 					break
 				}
+				implied = subsetOf(maskedCol(l.idx), set)
+			}
+			if implied {
+				clearBit(activeCol, c.idx)
+				red.ImpliedCols++
+				changed = true
+			} else {
+				kept = append(kept, c)
 			}
 		}
 	}
 
-	// Assemble the residual problem.
-	red.ColMap = assembleColMap(activeCol)
-	colIndex := make(map[int]int, len(red.ColMap))
+	// Assemble the residual problem from the surviving columns' active rows.
+	red.ColMap = make([]int, 0, count(activeCol))
+	forEach(activeCol, func(j int) { red.ColMap = append(red.ColMap, j) })
+	resRows := make([]*bitvec.Set, nRows)
 	for k, j := range red.ColMap {
-		colIndex[j] = k
+		andInto(maskedCol(j), col(j), activeRow)
+		forEach(maskedCol(j), func(i int) {
+			if resRows[i] == nil {
+				resRows[i] = bitvec.NewSet(len(red.ColMap))
+			}
+			resRows[i].Add(k)
+		})
 	}
 	red.Residual = NewProblem(len(red.ColMap))
-	for i := range p.rows {
-		if !activeRow[i] {
-			continue
+	for i, s := range resRows {
+		if s != nil {
+			red.RowMap = append(red.RowMap, i)
+			red.Residual.rows = append(red.Residual.rows, s)
 		}
-		s := bitvec.NewSet(len(red.ColMap))
-		p.rows[i].ForEach(func(j int) {
-			if k, ok := colIndex[j]; ok {
-				s.Add(k)
-			}
-		})
-		if s.Empty() {
-			continue
-		}
-		red.RowMap = append(red.RowMap, i)
-		red.Residual.AddRow(s)
 	}
-	sort.Ints(red.Essential)
-	sort.Ints(red.DominatedRows)
+	slices.Sort(red.Essential)
+	slices.Sort(red.DominatedRows)
 	return red
 }
 
-func assembleColMap(activeCol *bitvec.Set) []int { return activeCol.Elements() }
+// columnView transposes the table into one flat slab of ⌈rows/64⌉ words
+// per column, column j's row set at [j*⌈rows/64⌉, (j+1)*⌈rows/64⌉). It
+// moves 64×64-bit blocks: 64 rows' k-th words in, 64 columns' words out.
+func (p *Problem) columnView() []uint64 {
+	rw := wordsFor(len(p.rows))
+	cols := make([]uint64, p.numCols*rw)
+	var block [64]uint64
+	for rb := range rw {
+		rows := p.rows[rb*64 : min(len(p.rows), (rb+1)*64)]
+		for k := range wordsFor(p.numCols) {
+			var or uint64
+			for r, row := range rows {
+				block[r] = row.Words()[k]
+				or |= block[r]
+			}
+			if or == 0 {
+				continue
+			}
+			clear(block[len(rows):])
+			transpose64(&block)
+			for c, w := range block[:min(64, p.numCols-k*64)] {
+				cols[(k*64+c)*rw+rb] = w
+			}
+		}
+	}
+	return cols
+}
+
+// transpose64 transposes a 64×64 bit matrix in place, bit c of word r
+// trading places with bit r of word c: it swaps the off-diagonal halves
+// of every 2j×2j block, for j = 32 down to 1.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF) // the low j bits of every 2j
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << j
+		}
+		m ^= m << (j >> 1)
+	}
+}
+
+// sized is a row or column of a sweep and the size of its masked set.
+type sized struct{ idx, size int }
+
+func wordsFor(n int) int { return (n + 63) / 64 }
+
+// fullMask returns a mask of n bits, all set.
+func fullMask(n int) []uint64 {
+	m := make([]uint64, wordsFor(n))
+	for k := range m {
+		m[k] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		m[len(m)-1] = 1<<r - 1
+	}
+	return m
+}
+
+func has(m []uint64, i int) bool { return m[i/64]>>(i%64)&1 == 1 }
+
+func clearBit(m []uint64, i int) { m[i/64] &^= 1 << (i % 64) }
+
+// forEach calls fn for every set bit of m in ascending order.
+func forEach(m []uint64, fn func(i int)) {
+	for k, w := range m {
+		for ; w != 0; w &= w - 1 {
+			fn(k*64 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+func count(m []uint64) int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func isEmpty(m []uint64) bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// andInto stores a AND b into dst and returns its size.
+func andInto(dst, a, b []uint64) int {
+	n := 0
+	for k := range dst {
+		dst[k] = a[k] & b[k]
+		n += bits.OnesCount64(dst[k])
+	}
+	return n
+}
+
+func andNot(dst, src []uint64) {
+	for k := range dst {
+		dst[k] &^= src[k]
+	}
+}
+
+func subsetOf(a, b []uint64) bool {
+	for k, w := range a {
+		if w&^b[k] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// soleRow returns the one active row of a column, or -1 when the column
+// has none or several.
+func soleRow(col, activeRow []uint64) int {
+	r := -1
+	for k, w := range col {
+		if w &= activeRow[k]; w != 0 {
+			if r >= 0 || w&(w-1) != 0 {
+				return -1
+			}
+			r = k*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return r
+}
 
 // dominanceVictim decides which of two rows (a ⊆ b as column sets) may be
 // deleted. equal reports set equality. It returns -1 when no deletion is

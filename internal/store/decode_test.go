@@ -145,6 +145,77 @@ func TestDecodeMatrixRejectsMalformed(t *testing.T) {
 	}
 }
 
+// The decoder sizes the first-detection cells by the record's longest
+// evolution length, whichever triplet has it, and reads the same
+// detections at every width.
+func TestDecodeSizesCellsByLongestCycles(t *testing.T) {
+	good := sampleMatrix(t, smallFlow(t), "k") // T = 8
+	want, err := DecodeMatrix("k", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ cycles, bytes int }{{8, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4}} {
+		rec := editRecord(t, good, func(rec map[string]any) {
+			ts := rec["triplets"].([]any)
+			ts[len(ts)-1].(map[string]any)["cycles"] = tc.cycles
+		})
+		m, err := DecodeMatrix("k", rec)
+		if err != nil {
+			t.Fatalf("last triplet at %d cycles: %v", tc.cycles, err)
+		}
+		if got := m.FirstDetection.CellBytes(); got != tc.bytes {
+			t.Errorf("last triplet at %d cycles: %d-byte cells, want %d", tc.cycles, got, tc.bytes)
+		}
+		for i := range m.Triplets {
+			for j := range m.NumFaults {
+				if g, w := m.FirstDetection.At(i, j), want.FirstDetection.At(i, j); g != w {
+					t.Fatalf("last triplet at %d cycles: first detection (%d, %d) = %d, want %d", tc.cycles, i, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// At T = 65 536 first detections need four-byte cells. The record is the
+// same int32 blob as at any other T, and it round-trips byte for byte.
+func TestWideMatrixRoundTrip(t *testing.T) {
+	f := smallFlow(t)
+	gen, err := tpg.ByName("adder", len(f.Circuit.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.BuildMatrix(gen, core.Options{Cycles: 1 << 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.FirstDetection.CellBytes(); got != 4 {
+		t.Fatalf("T = 65536 first detections take %d bytes a cell, want 4", got)
+	}
+	data, err := EncodeMatrix("k", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeMatrix("k", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.FirstDetection, m.FirstDetection) {
+		t.Fatal("first-detection table changed in the round trip")
+	}
+	for i := range m.Rows {
+		if !back.Rows[i].Equal(m.Rows[i]) {
+			t.Fatalf("row %d changed in the round trip", i)
+		}
+	}
+	again, err := EncodeMatrix("k", back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatal("re-encoding the decoded matrix changed the record")
+	}
+}
+
 // withoutFirstDetection drops a matrix record's first-detection table.
 // Unchecked, such a record decodes, and a test-length solve on it panics
 // assembling the cover.

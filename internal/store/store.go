@@ -423,9 +423,11 @@ type tripletStoreJSON struct {
 // matrixJSON is the on-disk form of a dmatrix.Matrix. Rows are hex-encoded
 // fault sets (bitvec.Set.Hex); the dense FirstDetection table — by far the
 // largest part of the record — is stored as one base64 blob of row-major
-// little-endian int32s, which decodes an order of magnitude faster than a
-// JSON integer array (the warm-restart path is latency-sensitive: it is
-// what a daemon's first request waits on).
+// little-endian int32s, -1 for no detection, which decodes an order of
+// magnitude faster than a JSON integer array (the warm-restart path is
+// latency-sensitive: it is what a daemon's first request waits on). The
+// blob is four bytes a cell whatever width the table has in memory; the
+// decoder sizes the cells by the record's longest evolution length.
 type matrixJSON struct {
 	Format         int                `json:"format"`
 	Key            string             `json:"key"`
@@ -439,28 +441,24 @@ type matrixJSON struct {
 	TripletSims    int                `json:"triplet_sims"`
 }
 
-// encodeFirstDetection packs the row-major table into the base64 blob.
-func encodeFirstDetection(fd [][]int32) string {
-	if fd == nil {
-		return ""
-	}
-	var buf []byte
-	for _, row := range fd {
-		for _, v := range row {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+// encodeFirstDetection packs the table's rows × cols cells into the base64
+// blob, -1 for no detection: the same bytes whatever the cell width.
+func encodeFirstDetection(fd dmatrix.FirstTable, rows, cols int) string {
+	buf := make([]byte, 0, rows*cols*4)
+	for i := range rows {
+		for j := range cols {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(fd.At(i, j))))
 		}
 	}
 	return base64.StdEncoding.EncodeToString(buf)
 }
 
-// decodeFirstDetection unpacks the blob into rows × cols int32s. A
-// matrix with rows needs the table: test-length trimming reads it.
-func decodeFirstDetection(blob string, rows, cols int) ([][]int32, error) {
+// decodeFirstDetection unpacks the blob into its rows × cols little-endian
+// int32s. A matrix with rows needs the table: test-length trimming reads
+// it.
+func decodeFirstDetection(blob string, rows, cols int) ([]byte, error) {
 	if blob == "" && rows > 0 && cols > 0 {
 		return nil, fmt.Errorf("%d rows without a first-detection table", rows)
-	}
-	if blob == "" && rows == 0 {
-		return nil, nil
 	}
 	buf, err := base64.StdEncoding.DecodeString(blob)
 	if err != nil {
@@ -469,15 +467,7 @@ func decodeFirstDetection(blob string, rows, cols int) ([][]int32, error) {
 	if len(buf) != rows*cols*4 {
 		return nil, fmt.Errorf("first-detection blob holds %d bytes, want %d", len(buf), rows*cols*4)
 	}
-	out := make([][]int32, rows)
-	for i := range out {
-		row := make([]int32, cols)
-		for j := range row {
-			row[j] = int32(binary.LittleEndian.Uint32(buf[(i*cols+j)*4:]))
-		}
-		out[i] = row
-	}
-	return out, nil
+	return buf, nil
 }
 
 // SaveMatrix persists a Detection Matrix under its Engine cache key.
@@ -495,7 +485,7 @@ func EncodeMatrix(key string, m *dmatrix.Matrix) ([]byte, error) {
 		Format:         formatVersion,
 		Key:            key,
 		NumFaults:      m.NumFaults,
-		FirstDetection: encodeFirstDetection(m.FirstDetection),
+		FirstDetection: encodeFirstDetection(m.FirstDetection, len(m.Rows), m.NumFaults),
 		GateEvals:      m.GateEvals,
 		PatternsSim:    m.PatternsSimulated,
 		TripletSims:    m.TripletSims,
@@ -579,7 +569,6 @@ func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 	}
 	m := &dmatrix.Matrix{
 		NumFaults:         rec.NumFaults,
-		FirstDetection:    fd,
 		GateEvals:         rec.GateEvals,
 		PatternsSimulated: rec.PatternsSim,
 		TripletSims:       rec.TripletSims,
@@ -603,14 +592,21 @@ func DecodeMatrix(key string, data []byte) (*dmatrix.Matrix, error) {
 		m.Rows = append(m.Rows, row)
 	}
 	// A first detection names a pattern of the triplet's test set exactly
-	// where its row detects the fault, and is -1 elsewhere.
-	for i, row := range fd {
-		cycles := m.Triplets[i].Cycles
-		for j, x := range row {
-			if x < -1 || int(x) >= cycles || (x >= 0) != m.Rows[i].Contains(j) {
+	// where its row detects the fault, and is -1 elsewhere. The table's
+	// cells are as wide as the record's longest evolution length needs.
+	maxCycles := 0
+	for _, t := range m.Triplets {
+		maxCycles = max(maxCycles, t.Cycles)
+	}
+	m.FirstDetection = dmatrix.NewFirstTable(len(m.Triplets), rec.NumFaults, maxCycles)
+	for i, t := range m.Triplets {
+		for j := range rec.NumFaults {
+			x := int32(binary.LittleEndian.Uint32(fd[(i*rec.NumFaults+j)*4:]))
+			if x < -1 || int(x) >= t.Cycles || (x >= 0) != m.Rows[i].Contains(j) {
 				return nil, fmt.Errorf("store: matrix %s: first detection (%d, %d) = %d for %d cycles and row bit %v",
-					key, i, j, x, cycles, m.Rows[i].Contains(j))
+					key, i, j, x, t.Cycles, m.Rows[i].Contains(j))
 			}
+			m.FirstDetection.Set(i, j, int(x))
 		}
 	}
 	return m, nil

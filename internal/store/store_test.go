@@ -90,9 +90,9 @@ func TestFlowRoundTripBitIdenticalMatrix(t *testing.T) {
 		if !got.Rows[i].Equal(want.Rows[i]) {
 			t.Fatalf("matrix row %d differs after flow round trip", i)
 		}
-		if !reflect.DeepEqual(got.FirstDetection[i], want.FirstDetection[i]) {
-			t.Fatalf("first-detection row %d differs after flow round trip", i)
-		}
+	}
+	if !reflect.DeepEqual(got.FirstDetection, want.FirstDetection) {
+		t.Fatal("first-detection table differs after flow round trip")
 	}
 }
 
