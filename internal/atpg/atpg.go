@@ -10,22 +10,29 @@
 //
 // The deterministic phase classifies each fault in two steps, over a flat,
 // level-ordered view of the circuit built once per Run. First a SAT-based
-// prover (Larrabee 1992) encodes the fault's miter in CNF and solves it
-// within a budget of conflicts; UNSAT proves the fault untestable with no
-// search. Many of the faults the random phase leaves are redundant, which
-// PODEM can only show by exhausting its search; the prover settles nearly
-// all of them by unit propagation and a handful of conflicts. Every other
-// fault goes to PODEM, which evaluates the good and the faulty machine
-// together (each line holds both values as dual rails in one byte) and
-// returns a test cube, untestable, or aborted at the backtrack limit. The
-// prover never supplies a test: a detected fault's cube is always PODEM's,
-// so the only classification the prover changes is that of a fault PODEM
-// would abort, which becomes untestable.
+// prover (Larrabee 1992) decides whether the fault has a test within a
+// budget of conflicts; UNSAT proves the fault untestable with no search.
+// It encodes one miter per fanout-free region, in CNF, and decides each
+// fault of the region on it under assumptions: the fault's activation and
+// the sensitization of its one path up to the region's root. Many of the
+// faults the random phase leaves are redundant, which PODEM can only show
+// by exhausting its search; the prover settles nearly all of them by unit
+// propagation and a handful of conflicts. Every other fault goes to PODEM,
+// which evaluates the good and the faulty machine together (each line
+// holds both values as dual rails in one byte) and returns a test cube,
+// untestable, or aborted at the backtrack limit. The prover never supplies
+// a test: a detected fault's cube is always PODEM's, so the only
+// classification the prover changes is that of a fault PODEM would abort,
+// which becomes untestable.
 //
 // A fault's outcome (status, test cube, backtracks, the prover's
-// conflicts) depends only on the circuit, the fault and the backtrack
-// limit, so with Parallelism > 1 workers, each with its own search state
-// and solver, classify ahead along the undetected-fault list while a
+// conflicts) depends only on the circuit, the faults the random phase left
+// in the fault's region and the limits. The prover decides a region's
+// faults all at once, in the order of the deterministic phase's initial
+// target list, on one fresh solver that keeps what it learns from fault to
+// fault; the first worker to need one of them does it, and the others read
+// its verdicts. So with Parallelism > 1 workers, each with its own search
+// state and solver, classify ahead along the undetected-fault list while a
 // single consumer walks it in order: it takes each outcome, X-fills each
 // test cube from the run's random source, and closes a batch at 64
 // patterns. The consumer sees the outcomes in the serial order and the
@@ -186,7 +193,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	// many faults at the cost of one parallel-pattern pass. Searches may run
 	// ahead on several workers, but outcomes are consumed — classified and
 	// X-filled from rng — strictly in undetected-list order.
-	pool := newOutcomes(v, faults, opts)
+	pool := newOutcomes(v, faults, undetected, opts)
 	classified := make([]bool, len(faults)) // untestable or aborted
 	for len(undetected) > 0 {
 		var batch []bitvec.Vector
@@ -251,6 +258,7 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 		sp.AddInt("podem_wasted", pool.ran-pool.consumed)
 		sp.AddInt("prover_untestable", pool.proved)
 		sp.AddInt("prover_conflicts", pool.conflicts)
+		sp.AddInt("prover_regions", pool.encoded)
 	}
 
 	// Phase 3: reverse-order compaction. Simulating the sequence backwards

@@ -82,7 +82,7 @@ func TestPodemDirectOnAllC17Faults(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sim, _ := fsim.New(c)
 	for _, f := range faults {
-		out := gen.generate(f)
+		out := gen.generate(f, proof{}) // no verdict: PODEM searches
 		if out.status != statusDetected {
 			t.Errorf("PODEM failed on testable fault %s (status %d)", f.String(c), out.status)
 			continue
@@ -111,9 +111,9 @@ q = AND(z, b)
 	c := mustParse(t, "red", src)
 	gz, _ := c.GateByName("z")
 	faults := []fault.Fault{{Gate: gz.ID, Pin: fault.OutputPin, StuckAt1: true}}
-	gen := newPodem(newView(c), 1000)
-	if st := gen.generate(faults[0]).status; st != statusUntestable {
-		t.Errorf("redundant fault classified %d, want untestable", st)
+	o := newOutcomes(newView(c), faults, []int{0}, Options{Parallelism: 1}.WithDefaults())
+	if out := o.classify(o.gens[0], 0); out.status != statusUntestable || !out.proved {
+		t.Errorf("redundant fault classified %d (proved %v), want untestable by the prover", out.status, out.proved)
 	}
 
 	res, err := Run(c, faults, Options{Seed: 1})

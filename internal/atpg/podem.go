@@ -297,9 +297,10 @@ func inverts(t netlist.GateType) bool {
 // podem is one worker's test generator for single stuck-at faults, using
 // the PODEM algorithm: decisions are made only on primary inputs, with
 // three-valued event-driven implication of the good and faulty machines
-// (packed, one evaluation for both) and trail-based backtracking. Before
-// it searches a fault, its prover tries to show the fault untestable. It
-// owns all of its mutable state, so workers share nothing but the view.
+// (packed, one evaluation for both) and trail-based backtracking. Its
+// prover decides the regions its worker is first to need (outcomes.go). It
+// owns all of its mutable state, so workers share nothing but the view and
+// the regions' proofs.
 type podem struct {
 	v     *view
 	limit int // backtrack limit
@@ -362,17 +363,16 @@ func newPodem(v *view, limit int) *podem {
 	}
 }
 
-// generate classifies one fault: untestable if the prover shows it, else
-// by a PODEM search. The outcome depends only on the view, the fault and
-// the backtrack limit.
-func (p *podem) generate(f fault.Fault) *outcome {
-	p.setFault(f)
-	vd, conflicts := p.pr.prove(p.site, p.pin, p.stuck, proverBudget)
-	if vd == unsatisfiable {
-		return &outcome{status: statusUntestable, proved: true, conflicts: conflicts}
+// generate classifies one fault from the prover's proof of it: untestable
+// if the prover proved it, else by a PODEM search, which depends only on
+// the view, the fault and the backtrack limit.
+func (p *podem) generate(f fault.Fault, pf proof) *outcome {
+	if pf.verdict == unsatisfiable {
+		return &outcome{status: statusUntestable, proved: true, conflicts: pf.conflicts}
 	}
+	p.setFault(f)
 	out := p.search()
-	out.conflicts = conflicts
+	out.conflicts = pf.conflicts
 	return out
 }
 
@@ -431,12 +431,21 @@ func (p *podem) search() *outcome {
 }
 
 func (p *podem) setFault(f fault.Fault) {
-	p.gate, p.site = f.Gate, p.v.Line[f.Gate]
-	p.pin = f.Pin
-	p.stuck, p.stuckRail = v0, faulty0
+	p.gate = f.Gate
+	p.site, p.pin, p.stuck = p.v.site(f)
+	p.stuckRail = faulty0
 	if f.StuckAt1 {
-		p.stuck, p.stuckRail = v1, faulty1
+		p.stuckRail = faulty1
 	}
+}
+
+// site returns the line of a fault's gate, its pin (fault.OutputPin or a
+// fanin pin) and its stuck value, v0 or v1.
+func (v *view) site(f fault.Fault) (int32, int, byte) {
+	if f.StuckAt1 {
+		return v.Line[f.Gate], f.Pin, v1
+	}
+	return v.Line[f.Gate], f.Pin, v0
 }
 
 // reset rebuilds the starting state for the current fault: all primary

@@ -2,37 +2,54 @@ package atpg
 
 import (
 	"math/bits"
+	"slices"
 
+	"repro/internal/fault"
 	"repro/internal/netlist"
 )
 
 // proverBudget bounds the conflicts the prover spends on one fault. A
 // fault it neither proves untestable nor finds a test for within the
 // budget goes to PODEM as if the prover had not run. On the bundled
-// circuits up to s13207 (seed 1) no fault's miter takes more than 85
-// conflicts, so the budget only stops miters far harder than those.
+// circuits up to s13207 (seed 1) no fault's solve takes more than 238
+// conflicts (one on s13207; 85 on s838, 17 or fewer on every other), so
+// the budget only stops miters far harder than those. A fault's conflicts
+// depend on the faults its region's solver decided before it (see
+// decide), never on the worker or the time.
 const proverBudget = 1000
 
 // prover settles redundant faults before PODEM searches them, by SAT-based
-// test generation (Larrabee, IEEE TCAD 1992): it encodes a fault's miter
-// in CNF and solves it. UNSAT proves the fault untestable.
+// test generation (Larrabee, IEEE TCAD 1992) over one miter per fanout-free
+// region (netlist.View.Root). A fault whose site lies in the region of root
+// r can reach the rest of the circuit only through r, along the one path
+// from its site up to r; so it has a test exactly when some input pattern
+// activates it, sensitizes that path, and makes the flip of r observable.
 //
-// The miter has a good copy of every line in the input support of the
-// observable outputs of the fault site's fanout cone, a faulty copy of the
-// cone lines that reach one of those outputs (a line outside the cone has
-// the same value in both machines and shares its good variable), the
-// activation literal, and an active variable per cone line with Larrabee's
-// active-path clauses: an active line carries the fault effect (its good
-// and faulty values differ), an active line that is not a primary output
-// has an active fanout, and the fault site is active. Each clause is one
-// way: a line may differ in the two machines and still be inactive, since
-// its effect may be masked further on. A satisfying assignment therefore
-// holds a chain of active lines from the site to an output where the two
-// machines differ, a test; and every test has one, the path its effect
-// takes, so UNSAT means no test exists.
+// The miter of root r has a good copy of every line in the input support
+// of the observable outputs of r's fanout cone, a faulty copy of the cone
+// lines that reach one of those outputs with r inverted (a line outside
+// the cone has the same value in both machines and shares its good
+// variable), and an active variable per cone line with Larrabee's
+// active-path clauses: an active line carries the flip (its good and
+// faulty values differ), an active line that is not a primary output has
+// an active fanout, and r is active. Each clause is one way: a line may
+// differ in the two machines and still be inactive, since its effect may
+// be masked further on. A satisfying assignment therefore holds a chain of
+// active lines from r to an output where the two machines differ; and every
+// pattern that makes r's flip observable has one, the path the flip takes,
+// so UNSAT means no such pattern exists.
 //
-// A prover belongs to one worker. Its solver and its line maps are reset
-// for every fault, so the verdict depends only on the view and the fault.
+// A fault of the region is the miter under assumptions, all of them
+// good-copy literals: the activation value on the faulted line, and the
+// non-controlling value on every other input of each AND-family gate the
+// path enters, from the faulted pin or the site up to r (the condition
+// netlist.View.Sensitivity gives the fault simulator; XOR, BUF and NOT add
+// none). A line feeding two pins of one gate is itself a root, so the path
+// enters each gate on one pin.
+//
+// A prover belongs to one worker. decide resets its solver for every
+// region, so a verdict depends only on the view, the region's faults and
+// their order.
 type prover struct {
 	v *view
 	s sat
@@ -48,6 +65,8 @@ type prover struct {
 	cone    []int32  // observable cone lines, descending
 	support []int32  // good-copy lines, descending
 	ins     []lit    // clause or gate input literals, scratch
+	assumps []lit    // a fault's assumptions, scratch
+	tested  []bool   // decide's: by list position, a model tests the fault
 	tru     lit      // a literal fixed true
 }
 
@@ -64,19 +83,120 @@ func newProver(v *view) *prover {
 	}
 }
 
-// prove decides whether a test exists for the stuck-at fault at line site
-// (fault.OutputPin or a fanin pin) with the given stuck value, spending at
-// most budget conflicts. The returned conflicts are those of this solve.
-func (pr *prover) prove(site int32, pin int, stuck byte, budget int) (verdict, int) {
+// proof is the prover's verdict on one fault and the conflicts it took.
+type proof struct {
+	verdict   verdict
+	conflicts int
+}
+
+// decide encodes the miter of region root r and decides, in order on its
+// one solver, each fault of list, whose sites all lie in the region:
+// proofs[fi] is fault fi's. A model is a test for every fault of the
+// region whose assumptions it satisfies, so each model settles the later
+// faults it tests as satisfiable, with no solve. decide reports whether it
+// encoded a miter; it does not when r reaches no primary output, and every
+// fault is then untestable with no conflict.
+func (pr *prover) decide(r int32, faults []fault.Fault, list []int32, proofs []proof) bool {
+	if !pr.encodeRegion(r) {
+		for _, fi := range list {
+			proofs[fi] = proof{verdict: unsatisfiable}
+		}
+		return false
+	}
+	tested := slices.Grow(pr.tested[:0], len(list))[:len(list)]
+	clear(tested)
+	pr.tested = tested
+	for i, fi := range list {
+		if tested[i] {
+			proofs[fi] = proof{verdict: satisfiable}
+			continue
+		}
+		vd, n := pr.prove(r, faults[fi], proverBudget)
+		proofs[fi] = proof{verdict: vd, conflicts: n}
+		if vd != satisfiable {
+			continue
+		}
+		for j := i + 1; j < len(list); j++ {
+			if !tested[j] {
+				pr.assume(r, faults[list[j]])
+				tested[j] = pr.holds()
+			}
+		}
+	}
+	return true
+}
+
+// encodeRegion resets the solver and adds the miter of region root r. It
+// reports false, adding nothing, when r reaches no primary output.
+func (pr *prover) encodeRegion(r int32) bool {
 	pr.epoch++
 	pr.s.reset()
-	if !pr.markCone(site) {
-		return unsatisfiable, 0 // no output to observe the fault at
+	if !pr.markCone(r) {
+		return false
 	}
 	pr.markSupport()
-	pr.encode(site, pin, stuck)
-	vd := pr.s.solve(budget)
+	pr.encodeGood()
+	pr.encodeFaulty(r, pr.good[r].not())
+	pr.encodeActive(r)
+	return true
+}
+
+// prove decides fault f on the encoded miter of its region root r,
+// spending at most budget conflicts. The returned conflicts are those of
+// this solve. After satisfiable, the solver holds the model until its next
+// solve.
+func (pr *prover) prove(r int32, f fault.Fault, budget int) (verdict, int) {
+	pr.assume(r, f)
+	vd := pr.s.solve(pr.assumps, budget)
 	return vd, pr.s.conflicts
+}
+
+// assume sets pr.assumps to fault f's assumptions on the miter of its
+// region root r: its activation, and the sensitization of every gate its
+// path enters up to r.
+func (pr *prover) assume(r int32, f fault.Fault) {
+	v := pr.v
+	site, pin, stuck := v.site(f)
+	act := site
+	if pin >= 0 {
+		act = v.FaninOf(site)[pin]
+	}
+	pr.assumps = append(pr.assumps[:0], pr.good[act].flip(stuck == v1))
+	for l := site; ; {
+		if pin >= 0 {
+			pr.sensitize(l, pin)
+		}
+		if l == r {
+			return
+		}
+		fo := v.FanoutOf(l)[0]
+		pin = slices.Index(v.FaninOf(fo), l)
+		l = fo
+	}
+}
+
+// holds reports whether the solver's model satisfies every assumption.
+func (pr *prover) holds() bool {
+	for _, a := range pr.assumps {
+		if pr.s.val[a] != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// sensitize appends to the assumptions the non-controlling value on every
+// input of line l other than pin, if l is an AND-family gate.
+func (pr *prover) sensitize(l int32, pin int) {
+	c := controlling(pr.v.Nodes[l].Type)
+	if c == vX {
+		return
+	}
+	for q, f := range pr.v.FaninOf(l) {
+		if q != pin {
+			pr.assumps = append(pr.assumps, pr.good[f].flip(c == v1))
+		}
+	}
 }
 
 // markCone collects into pr.cone, descending, the lines of site's fanout
@@ -141,10 +261,10 @@ func (pr *prover) markSupport() {
 	}
 }
 
-// encode adds the miter of the fault over the marked lines to the solver.
-// Lines are encoded in ascending order, so every fanin has its literal
-// first.
-func (pr *prover) encode(site int32, pin int, stuck byte) {
+// encodeGood adds the literal fixed true and the good copy of the lines
+// in pr.support. Lines are encoded in ascending order, so every fanin has
+// its literal first.
+func (pr *prover) encodeGood() {
 	v := pr.v
 	pr.tru = pr.s.newVar()
 	pr.s.addClause(pr.tru)
@@ -156,13 +276,20 @@ func (pr *prover) encode(site int32, pin int, stuck byte) {
 		}
 		pr.good[l] = pr.gate(v.Nodes[l].Type, pr.ins)
 	}
+}
 
-	// The faulty copy. The site's faulty value is the stuck constant on
-	// its output, or its gate over the good fanin values with the stuck
-	// constant on the faulted pin.
-	stuckLit := pr.tru.flip(stuck == v0)
+// encodeFaulty adds the faulty copy of the lines in pr.cone, whose lowest
+// line is site: site's faulty literal is fs, and every other cone line is
+// its gate over its fanins' faulty literals, or good ones outside the
+// cone.
+func (pr *prover) encodeFaulty(site int32, fs lit) {
+	v := pr.v
 	for i := len(pr.cone) - 1; i >= 0; i-- {
 		l := pr.cone[i]
+		if l == site {
+			pr.faulty[l] = fs
+			continue
+		}
 		pr.ins = pr.ins[:0]
 		for _, f := range v.FaninOf(l) {
 			if pr.stamp[f] == pr.epoch {
@@ -171,26 +298,14 @@ func (pr *prover) encode(site int32, pin int, stuck byte) {
 				pr.ins = append(pr.ins, pr.good[f])
 			}
 		}
-		switch {
-		case l != site:
-			pr.faulty[l] = pr.gate(v.Nodes[l].Type, pr.ins)
-		case pin < 0:
-			pr.faulty[l] = stuckLit
-		default:
-			pr.ins[pin] = stuckLit
-			pr.faulty[l] = pr.gate(v.Nodes[l].Type, pr.ins)
-		}
+		pr.faulty[l] = pr.gate(v.Nodes[l].Type, pr.ins)
 	}
+}
 
-	// Activation: the faulted line carries the opposite of the stuck value
-	// in the good machine.
-	act := site
-	if pin >= 0 {
-		act = v.FaninOf(site)[pin]
-	}
-	pr.s.addClause(pr.good[act].flip(stuck == v1))
-
-	// Active-path clauses, one way only (see the type's doc).
+// encodeActive adds the active-path clauses over pr.cone from site, one
+// way only (see the type's doc).
+func (pr *prover) encodeActive(site int32) {
+	v := pr.v
 	for i := len(pr.cone) - 1; i >= 0; i-- {
 		l := pr.cone[i]
 		a := pr.s.newVar()

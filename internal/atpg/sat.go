@@ -3,9 +3,13 @@ package atpg
 // A small conflict-driven clause-learning (CDCL) SAT solver for the
 // redundancy prover (prover.go): two watched literals per clause, first-UIP
 // learning with local minimization, a VSIDS activity heap, phase saving and
-// Luby restarts. Its effort is bounded by a count of conflicts, never by
-// time, and it starts from the same state on every reset, so its verdict
-// depends only on the clauses it was given and the budget.
+// Luby restarts. It solves incrementally under assumptions (Eén & Sörensson,
+// MiniSat 2003): the clauses are added once, each solve decides them under
+// its own assumption literals, and what one solve learns stays for the
+// next. Its effort is bounded by a count of conflicts, never by time, and it
+// starts from the same state on every reset, so its verdicts depend only on
+// the clauses it was given and the sequence of solves since the reset: their
+// assumptions and budgets.
 
 // lit is a literal: variable v as 2v, its negation as 2v+1.
 type lit int32
@@ -45,11 +49,15 @@ type watch struct {
 const noReason = -1
 
 // sat holds one problem at a time in a flat arena: each clause is a length
-// header followed by its literals. reset empties it for the next problem
-// and keeps every buffer's capacity.
+// header followed by its literals, the problem's clauses first and then
+// the learnt ones. reset empties it for the next problem and keeps every
+// buffer's capacity.
 type sat struct {
 	arena   []lit
 	watches [][]watch // by literal: the clauses watching it
+	loaded  bool      // the problem's clauses are attached
+	refuted bool      // the clauses alone are unsatisfiable
+	assumps []lit     // the current solve's assumptions
 
 	// By literal: 1 true, −1 false, 0 unassigned. The rest by variable.
 	val      []int8
@@ -59,10 +67,12 @@ type sat struct {
 	phase    []bool // saved polarity: true assigns the negative literal
 	seen     []bool // analyze's marks
 
-	// Decision order. Until the first conflict every activity is 0, so the
-	// next decision is the unassigned variable of least index: next scans
-	// for it. The first bump builds heap, which then holds every
-	// unassigned variable by descending activity.
+	// Decision order. Until the first conflict of a solve, the next
+	// decision is the unassigned variable of least index: next scans for
+	// it. The solve's first bump builds heap, which then holds every
+	// unassigned variable by descending activity; activities carry over
+	// from solve to solve. A solve without conflicts, as most of the
+	// prover's are, so never pays for the heap.
 	next   int32
 	heaped bool
 	heap   []int32
@@ -82,6 +92,7 @@ type sat struct {
 // reset empties the solver.
 func (s *sat) reset() {
 	s.arena = s.arena[:0]
+	s.loaded, s.refuted, s.assumps = false, false, nil
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
@@ -114,26 +125,28 @@ func (s *sat) newVar() lit {
 	return posLit(v)
 }
 
-// addClause adds a clause over existing variables. It must be called before
-// solve.
+// addClause adds a clause over existing variables. Every clause must be
+// added before the first solve after a reset.
 func (s *sat) addClause(lits ...lit) {
 	s.arena = append(s.arena, lit(len(lits)))
 	s.arena = append(s.arena, lits...)
 }
 
-// solve decides the clauses added since the last reset, giving up with
-// unknown at the first conflict past budget. After satisfiable, val holds
-// a model: 1 for each true literal.
-func (s *sat) solve(budget int) verdict {
+// load attaches the problem's clauses and propagates its unit clauses,
+// recording in refuted a conflict among them.
+func (s *sat) load() {
+	s.loaded = true
 	end := int32(len(s.arena))
 	for c := int32(0); c < end; c += int32(s.arena[c]) + 1 {
 		switch n := s.arena[c]; n {
 		case 0:
-			return unsatisfiable
+			s.refuted = true
+			return
 		case 1:
 			switch s.val[s.arena[c+1]] {
 			case -1:
-				return unsatisfiable
+				s.refuted = true
+				return
 			case 0:
 				s.enqueue(s.arena[c+1], noReason)
 			}
@@ -141,9 +154,33 @@ func (s *sat) solve(budget int) verdict {
 			s.attach(c)
 		}
 	}
-	if s.propagate() != noReason {
+	s.refuted = s.propagate() != noReason
+}
+
+// solve decides the clauses added since the last reset under the
+// assumptions, literals it takes as decisions before any other, giving up
+// with unknown at the first conflict past budget. unsatisfiable means no
+// model makes every assumption true. After satisfiable, val holds a model
+// until the next solve: 1 for each true literal. conflicts counts this
+// solve's conflicts. The clauses a solve learns follow from the problem's
+// clauses alone, so they stay for the solves after it.
+func (s *sat) solve(assumps []lit, budget int) verdict {
+	s.conflicts = 0
+	if s.heaped {
+		s.heaped, s.next = false, 0
+		for _, v := range s.heap {
+			s.hpos[v] = -1
+		}
+		s.heap = s.heap[:0]
+	}
+	s.cancelUntil(0)
+	if !s.loaded {
+		s.load()
+	}
+	if s.refuted {
 		return unsatisfiable
 	}
+	s.assumps = assumps
 	for restart := 1; ; restart++ {
 		switch v := s.search(int(luby(restart))*restartUnit, budget); v {
 		case satisfiable, unsatisfiable:
@@ -163,13 +200,16 @@ const restartUnit = 64
 // search runs CDCL until a verdict, limit conflicts in this restart, or the
 // budget runs out; the last two return unknown. A conflict at level 0
 // completes a proof and is never refused; any other conflict past the
-// budget is.
+// budget is. The first decision levels take the assumptions in order, an
+// assumption already true opening an empty level; one already false ends
+// the search with unsatisfiable.
 func (s *sat) search(limit, budget int) verdict {
 	for n := 0; ; {
 		confl := s.propagate()
 		if confl != noReason {
 			if len(s.trailLim) == 0 {
 				s.conflicts++
+				s.refuted = true
 				return unsatisfiable
 			}
 			if s.conflicts >= budget {
@@ -194,12 +234,26 @@ func (s *sat) search(limit, budget int) verdict {
 		if n >= limit {
 			return unknown
 		}
-		v := s.pickBranch()
-		if v < 0 {
-			return satisfiable
+		next := lit(-1)
+		for next < 0 && len(s.trailLim) < len(s.assumps) {
+			switch a := s.assumps[len(s.trailLim)]; s.val[a] {
+			case 1:
+				s.trailLim = append(s.trailLim, int32(len(s.trail)))
+			case -1:
+				return unsatisfiable
+			default:
+				next = a
+			}
+		}
+		if next < 0 {
+			v := s.pickBranch()
+			if v < 0 {
+				return satisfiable
+			}
+			next = posLit(v).flip(s.phase[v])
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.enqueue(posLit(v).flip(s.phase[v]), noReason)
+		s.enqueue(next, noReason)
 	}
 }
 
@@ -417,7 +471,11 @@ func (s *sat) bump(v int32) {
 	if !s.heaped {
 		s.heaped = true
 		for u := range int32(len(s.level)) {
-			s.heapInsert(u) // equal activities: no sifting
+			s.hpos[u] = u
+			s.heap = append(s.heap, u)
+		}
+		for i := len(s.heap)/2 - 1; i >= 0; i-- {
+			s.heapDown(i)
 		}
 	}
 	s.activity[v] += s.varInc

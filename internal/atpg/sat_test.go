@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,18 +16,25 @@ func solveCNF(s *sat, nvars int, clauses [][]lit, budget int) verdict {
 	for _, c := range clauses {
 		s.addClause(c...)
 	}
-	return s.solve(budget)
+	return s.solve(nil, budget)
 }
 
 // bruteForce reports whether some assignment of nvars variables satisfies
 // every clause.
 func bruteForce(nvars int, clauses [][]lit) bool {
+	return len(models(nvars, clauses)) > 0
+}
+
+// models returns every assignment of nvars variables that satisfies every
+// clause, variable v as bit v.
+func models(nvars int, clauses [][]lit) []int {
+	var out []int
 	for m := 0; m < 1<<nvars; m++ {
 		if satisfies(clauses, func(l lit) bool { return m>>l.vr()&1 == 1 != l.neg() }) {
-			return true
+			out = append(out, m)
 		}
 	}
-	return false
+	return out
 }
 
 func satisfies(clauses [][]lit, truth func(lit) bool) bool {
@@ -42,14 +50,27 @@ func satisfies(clauses [][]lit, truth func(lit) bool) bool {
 	return true
 }
 
+// assumptionSets returns a fixed sequence of assumption lists over nvars
+// variables, one repeated so that a solve can reuse the model before it.
+func assumptionSets(nvars int) [][]lit {
+	x := func(v int) lit { return posLit(int32(v % nvars)) }
+	return [][]lit{
+		{x(0)}, {x(0)}, {x(0).not()}, {x(0), x(1)}, {x(1).not(), x(2)},
+		{x(2), x(0).not(), x(3).not()}, {x(nvars - 1), x(0).not()}, nil, {x(1), x(1).not()},
+	}
+}
+
 // checkAgainstBruteForce solves clauses with a budget no instance of at
 // most 12 variables exhausts, and with a budget of budget conflicts. The
 // first must agree with brute force, with a model that satisfies every
-// clause when satisfiable; the second may only give up. It returns brute
-// force's answer.
+// clause when satisfiable; the second may only give up. Between them, the
+// first solver solves on under each of assumptionSets in turn, keeping
+// what it learnt, and must agree with brute force over the models that
+// make the assumptions true. It returns brute force's answer.
 func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, budget int) bool {
 	t.Helper()
-	want := bruteForce(nvars, clauses)
+	all := models(nvars, clauses)
+	want := len(all) > 0
 	switch got := solveCNF(s, nvars, clauses, 1<<30); {
 	case got == unknown:
 		t.Fatalf("unknown on %d variables, %v", nvars, clauses)
@@ -57,6 +78,23 @@ func checkAgainstBruteForce(t *testing.T, s *sat, nvars int, clauses [][]lit, bu
 		t.Fatalf("verdict %d, brute force satisfiable=%v on %d variables, %v", got, want, nvars, clauses)
 	case got == satisfiable && !satisfies(clauses, func(l lit) bool { return s.val[l] == 1 }):
 		t.Fatalf("model does not satisfy %v", clauses)
+	}
+	for _, as := range assumptionSets(nvars) {
+		units := make([][]lit, len(as))
+		for i, l := range as {
+			units[i] = []lit{l}
+		}
+		holds := slices.ContainsFunc(all, func(m int) bool {
+			return satisfies(units, func(l lit) bool { return m>>l.vr()&1 == 1 != l.neg() })
+		})
+		switch got := s.solve(as, 1<<30); {
+		case got == unknown:
+			t.Fatalf("unknown under %v on %d variables, %v", as, nvars, clauses)
+		case (got == satisfiable) != holds:
+			t.Fatalf("verdict %d under %v, brute force satisfiable=%v on %d variables, %v", got, as, holds, nvars, clauses)
+		case got == satisfiable && !satisfies(slices.Concat(clauses, units), func(l lit) bool { return s.val[l] == 1 }):
+			t.Fatalf("model under %v does not satisfy %v", as, clauses)
+		}
 	}
 	switch got := solveCNF(s, nvars, clauses, budget); {
 	case got == unknown:

@@ -99,19 +99,24 @@ func TestTraceSpanTreeShape(t *testing.T) {
 }
 
 // The atpg span explains its duration with PODEM's and the prover's
-// effort: the searches, backtracks, proofs and conflicts behind the
-// outcomes the run used are the same at every Parallelism, and no search
-// is wasted when there are no workers to run ahead.
+// effort: the searches, backtracks, proofs, conflicts and region miters
+// behind the outcomes the run used are the same at every Parallelism, and
+// no search is wasted when there are no workers to run ahead.
 func TestATPGSpanCountsPodemEffort(t *testing.T) {
-	req := Request{Circuit: "s838", TPG: "adder", Cycles: 32, Seed: 1}
-	serial, fanned := spanAttrs(t, req, 1, "atpg"), spanAttrs(t, req, 4, "atpg")
-	for _, key := range []string{"podem_searches", "podem_backtracks", "prover_untestable", "prover_conflicts"} {
-		if serial[key] == 0 || serial[key] != fanned[key] {
-			t.Errorf("%s = %d at Parallelism 1, %d at 4; want equal and non-zero", key, serial[key], fanned[key])
+	for _, circuit := range []string{"s838", "s1238"} {
+		req := Request{Circuit: circuit, TPG: "adder", Cycles: 32, Seed: 1}
+		serial := spanAttrs(t, req, 1, "atpg")
+		if w := serial["podem_wasted"]; w != 0 {
+			t.Errorf("%s: podem_wasted = %d at Parallelism 1, want 0", circuit, w)
 		}
-	}
-	if w := serial["podem_wasted"]; w != 0 {
-		t.Errorf("podem_wasted = %d at Parallelism 1, want 0", w)
+		for _, j := range []int{2, 4, 0} {
+			fanned := spanAttrs(t, req, j, "atpg")
+			for _, key := range []string{"podem_searches", "podem_backtracks", "prover_untestable", "prover_conflicts", "prover_regions"} {
+				if serial[key] == 0 || serial[key] != fanned[key] {
+					t.Errorf("%s: %s = %d at Parallelism 1, %d at %d; want equal and non-zero", circuit, key, serial[key], fanned[key], j)
+				}
+			}
+		}
 	}
 }
 
