@@ -41,12 +41,14 @@
 // Grade fault-simulates the groups of four lanes concurrently: groups are
 // handed out to Options.Parallelism workers by the internal/parallel pool,
 // and every worker owns a private fsim.Simulator and buffers on one
-// circuit view and fault list shared by the whole build. Build's θ
-// selection (a single rand stream) and Grade's triplet expansion stay
-// sequential, and each worker writes only its own groups' row slots, so
-// the finished Matrix — Triplets, Rows, FirstDetection, GateEvals,
-// PatternsSimulated — is bit-identical for every Parallelism value,
-// including the serial value 1.
+// circuit view and fault list shared by the whole build. A worker expands
+// the test sets of its group's triplets just before it simulates them, so
+// only the groups in flight hold their patterns; the generator is
+// stateful, so the expansions take turns on it. Build's θ selection (a
+// single rand stream) stays sequential, and each worker writes only its
+// own groups' row slots, so the finished Matrix — Triplets, Rows,
+// FirstDetection, GateEvals, PatternsSimulated — is bit-identical for
+// every Parallelism value, including the serial value 1.
 // The dmatrix tests assert this equivalence on benchmark circuits.
 package dmatrix
 
@@ -55,6 +57,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/fault"
@@ -118,10 +121,10 @@ func Build(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, patter
 // triplet's Cycles must equal opts.Cycles, the packing unit; opts.Seed is
 // not used. The generator's width must equal the circuit's input count.
 //
-// ctx, which must not be nil, cancels the grading: it is checked per
-// triplet during expansion and per group during the parallel fill. A
-// cancelled grading returns the context's error — there is no partial
-// matrix. The fsim span that carries the simulation totals opens on ctx.
+// ctx, which must not be nil, cancels the grading: it is checked before
+// each group is expanded and simulated. A cancelled grading returns the
+// context's error — there is no partial matrix. The fsim span that
+// carries the simulation totals opens on ctx.
 func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triplets []tpg.Triplet,
 	gen tpg.Generator, opts Options) (*Matrix, error) {
 
@@ -136,26 +139,17 @@ func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triple
 		return nil, fmt.Errorf("dmatrix: circuit %q must be finalized and combinational", c.Name)
 	}
 
-	// Phase 1 (sequential): expand every triplet's test set.
-	m := &Matrix{NumFaults: len(faults), Triplets: triplets}
-	testSets := make([][]bitvec.Vector, len(triplets))
 	for i, t := range triplets {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dmatrix: %w", err)
-		}
 		if t.Cycles != opts.Cycles {
 			return nil, fmt.Errorf("dmatrix: triplet %d has %d cycles, want %d", i, t.Cycles, opts.Cycles)
 		}
-		ts, err := tpg.Expand(gen, t)
-		if err != nil {
-			return nil, fmt.Errorf("dmatrix: triplet %d: %w", i, err)
-		}
-		testSets[i] = ts
 	}
 
-	// Phase 2 (parallel): fault-simulate the groups. Each group's rows and
-	// effort land at its own indices and are folded serially afterwards,
-	// so the matrix and its statistics are independent of scheduling.
+	// Fault-simulate the groups in parallel, each worker expanding the
+	// test sets of its own group first. Each group's rows and effort land
+	// at its own indices and are folded serially afterwards, so the matrix
+	// and its statistics are independent of scheduling.
+	m := &Matrix{NumFaults: len(faults), Triplets: triplets}
 	per := max(1, 64/opts.Cycles) // triplets per lane
 	span := fsim.Lanes * per      // triplets per group
 	groups := (len(triplets) + span - 1) / span
@@ -170,6 +164,7 @@ func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triple
 	fsp.SetInt("rows", int64(len(triplets)))
 	packers := make([]*packer, workers)
 	stats := make([]packStats, groups)
+	var genMu sync.Mutex // gen is stateful: one expansion at a time
 	err := parallel.ForEach(workers, groups, func(worker, k int) error {
 		if err := fctx.Err(); err != nil {
 			return fmt.Errorf("dmatrix: %w", err)
@@ -184,8 +179,13 @@ func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triple
 			packers[worker] = w
 		}
 		lo, hi := k*span, min((k+1)*span, len(triplets))
-		var err error
-		if stats[k], err = w.fill(m, targets, testSets, lo, hi, per, opts.Cycles); err != nil {
+		genMu.Lock()
+		err := w.expand(gen, triplets, lo, hi)
+		genMu.Unlock()
+		if err != nil {
+			return err
+		}
+		if stats[k], err = w.fill(m, targets, lo, hi, per, opts.Cycles); err != nil {
 			return fmt.Errorf("dmatrix: triplets %d-%d: %w", lo, hi-1, err)
 		}
 		return nil
@@ -210,10 +210,24 @@ func Grade(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, triple
 
 // packer is one worker's simulator and buffers.
 type packer struct {
-	sim   *fsim.Simulator
-	lanes [fsim.Lanes][]bitvec.Vector
-	live  []uint8 // per fault, the lanes whose triplets have not detected it
-	masks [][4]uint64
+	sim      *fsim.Simulator
+	testSets [][]bitvec.Vector // the current group's, by triplet from lo
+	lanes    [fsim.Lanes][]bitvec.Vector
+	live     []uint8 // per fault, the lanes whose triplets have not detected it
+	masks    [][4]uint64
+}
+
+// expand fills w.testSets with the test sets of triplets lo..hi-1.
+func (w *packer) expand(gen tpg.Generator, triplets []tpg.Triplet, lo, hi int) error {
+	w.testSets = w.testSets[:0]
+	for i := lo; i < hi; i++ {
+		ts, err := tpg.Expand(gen, triplets[i])
+		if err != nil {
+			return fmt.Errorf("dmatrix: triplet %d: %w", i, err)
+		}
+		w.testSets = append(w.testSets, ts)
+	}
+	return nil
 }
 
 // packStats is the work one group took.
@@ -223,9 +237,10 @@ type packStats struct {
 	patterns int // summed over the group's triplets
 }
 
-// fill simulates the group of triplets lo..hi-1, per of them to a lane,
-// and writes their rows and first detections into m.
-func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo, hi, per, cycles int) (packStats, error) {
+// fill simulates the group of triplets lo..hi-1, whose test sets expand
+// put in w.testSets, per of them to a lane, and writes their rows and first
+// detections into m.
+func (w *packer) fill(m *Matrix, t *fsim.Targets, lo, hi, per, cycles int) (packStats, error) {
 	for i := lo; i < hi; i++ {
 		m.Rows[i] = bitvec.NewSet(len(w.live))
 	}
@@ -244,7 +259,7 @@ func (w *packer) fill(m *Matrix, t *fsim.Targets, testSets [][]bitvec.Vector, lo
 				continue
 			}
 			for i := lo + l*per; i < min(lo+(l+1)*per, hi); i++ {
-				w.lanes[l] = append(w.lanes[l], testSets[i][base:base+width]...)
+				w.lanes[l] = append(w.lanes[l], w.testSets[i-lo][base:base+width]...)
 			}
 			st.blocks++
 			st.patterns += len(w.lanes[l])

@@ -47,7 +47,7 @@ func All(c *netlist.Circuit) ([]Fault, error) {
 	if !c.IsCombinational() {
 		return nil, fmt.Errorf("fault: circuit %q is sequential; apply FullScan first", c.Name)
 	}
-	var out []Fault
+	out := make([]Fault, 0, newSlots(c).n())
 	for _, g := range c.Gates {
 		for _, sa1 := range []bool{false, true} {
 			out = append(out, Fault{Gate: g.ID, Pin: OutputPin, StuckAt1: sa1})
@@ -59,6 +59,34 @@ func All(c *netlist.Circuit) ([]Fault, error) {
 		}
 	}
 	return out, nil
+}
+
+// slots numbers every fault of a circuit densely: gate g's output faults
+// take slots base[g] and base[g]+1 (stuck-at-0, stuck-at-1), and its pin
+// p's faults base[g]+2p+2 and base[g]+2p+3.
+type slots []int32
+
+func newSlots(c *netlist.Circuit) slots {
+	base := make(slots, len(c.Gates)+1)
+	for i, g := range c.Gates {
+		base[i+1] = base[i] + 2*int32(1+len(g.Fanin))
+	}
+	return base
+}
+
+// n returns the number of slots.
+func (base slots) n() int { return int(base[len(base)-1]) }
+
+// of returns f's slot, or −1 if f names no fault site of the circuit.
+func (base slots) of(f Fault) int32 {
+	if f.Gate < 0 || f.Gate >= len(base)-1 || f.Pin < OutputPin || f.Pin >= int(base[f.Gate+1]-base[f.Gate])/2-1 {
+		return -1
+	}
+	s := base[f.Gate] + 2*int32(f.Pin+1)
+	if f.StuckAt1 {
+		s++
+	}
+	return s
 }
 
 // CollapseStats reports the effect of equivalence collapsing.
@@ -83,16 +111,18 @@ func Collapse(c *netlist.Circuit, faults []Fault) ([]Fault, CollapseStats, error
 	if !c.IsCombinational() {
 		return nil, CollapseStats{}, fmt.Errorf("fault: circuit %q is sequential", c.Name)
 	}
-	index := make(map[Fault]int, len(faults))
+	base := newSlots(c)
+	index := make([]int32, base.n()) // by slot: the fault's list index + 1, 0 if not listed
 	for i, f := range faults {
-		index[f] = i
+		if s := base.of(f); s >= 0 {
+			index[s] = int32(i) + 1
+		}
 	}
 	uf := newUnionFind(len(faults))
 	merge := func(a, b Fault) {
-		ia, oka := index[a]
-		ib, okb := index[b]
-		if oka && okb {
-			uf.union(ia, ib)
+		ia, ib := index[base.of(a)], index[base.of(b)]
+		if ia > 0 && ib > 0 {
+			uf.union(int(ia-1), int(ib-1))
 		}
 	}
 
@@ -125,20 +155,17 @@ func Collapse(c *netlist.Circuit, faults []Fault) ([]Fault, CollapseStats, error
 		}
 	}
 
-	classSize := make(map[int]int)
+	classSize := make([]int32, len(faults)) // by class root
+	maxClass := 0
 	for i := range faults {
-		classSize[uf.find(i)]++
+		r := uf.find(i)
+		classSize[r]++
+		maxClass = max(maxClass, int(classSize[r]))
 	}
 	var reps []Fault
-	seen := make(map[int]bool)
-	maxClass := 0
 	for i, f := range faults {
-		r := uf.find(i)
-		if classSize[r] > maxClass {
-			maxClass = classSize[r]
-		}
-		if !seen[r] {
-			seen[r] = true
+		if r := uf.find(i); classSize[r] > 0 {
+			classSize[r] = 0 // the class has its representative
 			reps = append(reps, f)
 		}
 	}
