@@ -12,8 +12,8 @@ import (
 // fault it neither proves untestable nor finds a test for within the
 // budget goes to PODEM as if the prover had not run. On the bundled
 // circuits up to s13207 (seed 1) no fault's solve takes more than 238
-// conflicts (one on s13207; 85 on s838, 17 or fewer on every other), so
-// the budget only stops miters far harder than those. A fault's conflicts
+// conflicts (on s13207; no more than 85 on any other circuit), so the
+// budget only stops miters far harder than those. A fault's conflicts
 // depend on the faults its region's solver decided before it (see
 // decide), never on the worker or the time.
 const proverBudget = 1000

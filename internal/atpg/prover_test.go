@@ -11,13 +11,13 @@ import (
 	"repro/internal/fsim"
 )
 
-// proveReference decides one fault on its own miter, the encoding the
-// prover used before it encoded one miter per region: a good copy of the
-// input support of the observable outputs of the fault site's fanout cone,
-// a faulty copy of that cone with the stuck value injected at the site,
-// the activation literal as a clause, and the active-path clauses from the
-// site. It resets the solver, so the verdict depends only on the view, the
-// fault and the budget.
+// proveReference decides one fault on a miter of its own, the reference
+// the region miters are checked against: a good copy of the input support
+// of the observable outputs of the fault site's fanout cone, a faulty copy
+// of that cone with the stuck value injected at the site, the activation
+// literal as a clause, and the active-path clauses from the site. It
+// resets the solver, so the verdict depends only on the view, the fault
+// and the budget.
 func proveReference(pr *prover, site int32, pin int, stuck byte, budget int) (verdict, int) {
 	pr.epoch++
 	pr.s.reset()

@@ -57,7 +57,6 @@ type sat struct {
 	watches [][]watch // by literal: the clauses watching it
 	loaded  bool      // the problem's clauses are attached
 	refuted bool      // the clauses alone are unsatisfiable
-	assumps []lit     // the current solve's assumptions
 
 	// By literal: 1 true, −1 false, 0 unassigned. The rest by variable.
 	val      []int8
@@ -92,7 +91,7 @@ type sat struct {
 // reset empties the solver.
 func (s *sat) reset() {
 	s.arena = s.arena[:0]
-	s.loaded, s.refuted, s.assumps = false, false, nil
+	s.loaded, s.refuted = false, false
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
@@ -180,9 +179,8 @@ func (s *sat) solve(assumps []lit, budget int) verdict {
 	if s.refuted {
 		return unsatisfiable
 	}
-	s.assumps = assumps
 	for restart := 1; ; restart++ {
-		switch v := s.search(int(luby(restart))*restartUnit, budget); v {
+		switch v := s.search(assumps, int(luby(restart))*restartUnit, budget); v {
 		case satisfiable, unsatisfiable:
 			return v
 		}
@@ -203,7 +201,7 @@ const restartUnit = 64
 // budget is. The first decision levels take the assumptions in order, an
 // assumption already true opening an empty level; one already false ends
 // the search with unsatisfiable.
-func (s *sat) search(limit, budget int) verdict {
+func (s *sat) search(assumps []lit, limit, budget int) verdict {
 	for n := 0; ; {
 		confl := s.propagate()
 		if confl != noReason {
@@ -235,8 +233,8 @@ func (s *sat) search(limit, budget int) verdict {
 			return unknown
 		}
 		next := lit(-1)
-		for next < 0 && len(s.trailLim) < len(s.assumps) {
-			switch a := s.assumps[len(s.trailLim)]; s.val[a] {
+		for next < 0 && len(s.trailLim) < len(assumps) {
+			switch a := assumps[len(s.trailLim)]; s.val[a] {
 			case 1:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
 			case -1:
