@@ -27,11 +27,6 @@
 // -remote-store URL the daemon reads through to (and writes through to) a
 // sibling's store, tiered under the local directory when both are set.
 //
-// With -peers URL,URL,... a POST /v1/dist/solve fans the exact solver's
-// top-level subtrees out across the named replicas (see docs/API.md); set
-// -advertise to this daemon's own base URL so lease holders can exchange
-// incumbents with it.
-//
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, running
 // jobs turn anytime (their exact solves finish with the best cover found
 // so far), and the process exits when everything has wound down or after
@@ -48,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -79,10 +73,6 @@ func main() {
 			"how long a SIGINT/SIGTERM drain may take before the process exits anyway")
 		remoteStore = flag.String("remote-store", "",
 			"base URL of a replica serving /v1/store (with -store: tiered local-then-remote)")
-		peers = flag.String("peers", "",
-			"comma-separated base URLs of sibling replicas accepting distributed subtree leases")
-		advertise = flag.String("advertise", "",
-			"this replica's own base URL as peers reach it (enables incumbent exchange)")
 		processName = flag.String("process-name", "reseedd",
 			"process label stamped on trace spans (distinguishes replicas in stitched traces)")
 		pprofAddr = flag.String("pprof", "",
@@ -143,16 +133,6 @@ func main() {
 		cfg.Backends = rem.Backends()
 		log.Printf("remote artifact store %s", *remoteStore)
 	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.Peers = append(cfg.Peers, p)
-			}
-		}
-		log.Printf("distributed solve peers: %v", cfg.Peers)
-	}
-	cfg.Advertise = strings.TrimRight(*advertise, "/")
-
 	srv := server.New(reseeding.NewEngine(engOpts), cfg)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -21,9 +21,9 @@ var DeterminismScope = []string{
 	"internal/dmatrix",
 	"internal/core",
 	"internal/engine",
-	// The distributed fabric: ring placement, subtree leases and the
-	// incumbent protocol must agree across processes, which is the same
-	// contract as within one.
+	// The gateway: ring placement must agree across processes, the same
+	// contract as within one. No search state crosses processes: every
+	// solve runs whole on the replica that owns its key.
 	"internal/cluster",
 }
 

@@ -59,7 +59,6 @@ func NewGateway(ring *Ring, health *Health, client *http.Client) *Gateway {
 	g.mux.HandleFunc("POST /v1/solve", g.keyRouted)
 	g.mux.HandleFunc("POST /v1/batch", g.keyRouted)
 	g.mux.HandleFunc("POST /v1/jobs", g.keyRouted)
-	g.mux.HandleFunc("POST /v1/dist/solve", g.keyRouted)
 	g.mux.HandleFunc("GET /v1/jobs", g.handleJobList)
 	g.mux.HandleFunc("GET /v1/jobs/{id}", g.fanFirst)
 	g.mux.HandleFunc("DELETE /v1/jobs/{id}", g.fanFirst)

@@ -51,9 +51,6 @@ func mustDecode(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
-func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
-func jsonEncode(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
-
 // echoBackend answers every solve with its own name, counting hits.
 type echoBackend struct {
 	name string
@@ -104,9 +101,10 @@ func newCluster(t *testing.T, n int) ([]*echoBackend, []*httptest.Server, *clust
 }
 
 // The same circuit always lands on the same replica; different circuits
-// spread out.
+// spread out. A route the gateway does not serve is a 404 that reaches no
+// replica.
 func TestGatewayKeyAffinity(t *testing.T) {
-	_, _, gw, _ := newCluster(t, 3)
+	backends, _, gw, _ := newCluster(t, 3)
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 
@@ -134,6 +132,22 @@ func TestGatewayKeyAffinity(t *testing.T) {
 	}
 	if len(route.Preference) != 3 {
 		t.Fatalf("preference list has %d entries, want 3", len(route.Preference))
+	}
+
+	hits := func() (n int64) {
+		for _, b := range backends {
+			n += b.hits.Load()
+		}
+		return n
+	}
+	before := hits()
+	dist := mustPost(t, front.URL+"/v1/dist/solve", mustJSON(t, map[string]any{"problem": map[string]any{"cols": 0}, "opts": map[string]any{}}))
+	dist.Body.Close()
+	if dist.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/dist/solve: %s, want 404", dist.Status)
+	}
+	if n := hits() - before; n != 0 {
+		t.Errorf("POST /v1/dist/solve reached %d replicas, want none", n)
 	}
 }
 

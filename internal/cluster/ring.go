@@ -1,16 +1,11 @@
 // Package cluster turns N reseedd replicas into one service: a
 // consistent-hash ring and request gateway that keep each replica warm
-// for its shard of the circuit universe (internal/engine.RouteKey), and a
-// distributed branch-and-bound fabric that leases the exact solver's
-// top-level subtrees (internal/setcover.ExactPlan) across replicas with
-// periodic incumbent exchange.
+// for its shard of the circuit universe (internal/engine.RouteKey), with
+// health probes that move a dead replica's keys down their preference
+// lists. Solves run whole on the replica that owns their key.
 //
-// Everything here is deterministic given its inputs: ring placement is a
-// pure hash, subtree leases replay bit-identically, and the coordinator's
-// merge replicates the in-process incumbent rule — so a distributed solve
-// that completes returns exactly the single-process answer, and a solve
-// that loses peers degrades to the anytime best-so-far, never to a wrong
-// answer.
+// Ring placement is a pure hash of the replica names, so every gateway
+// given the same replica list routes each key to the same replica.
 package cluster
 
 import (

@@ -1,9 +1,8 @@
 package cluster_test
 
-// Cross-process trace stitching over real HTTP: the gateway, the routed
-// replica and the distributed subtree workers record spans under one
-// W3C trace ID, and the gateway's GET /v1/traces/{id} assembles them
-// into a single cross-process view.
+// Cross-process trace stitching over real HTTP: the gateway and the
+// routed replica record spans under one W3C trace ID, and the gateway's
+// GET /v1/traces/{id} assembles them into a single cross-process view.
 
 import (
 	"encoding/json"
@@ -15,8 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/setcover"
-	"repro/internal/setcover/corpus"
 )
 
 // newGatewayOver fronts the given replica URLs with a traced gateway.
@@ -61,9 +58,7 @@ func fetchTrace(t *testing.T, base, id string) obs.TraceData {
 // trace endpoint serves the merged view. Pinned by the observability
 // acceptance criteria.
 func TestGatewayStitchedTraceTwoProcesses(t *testing.T) {
-	repTS, _ := newReplica(t, func(self string) server.Config {
-		return server.Config{Advertise: self, ProcessName: "replica-a"}
-	})
+	repTS := newReplica(t, server.Config{ProcessName: "replica-a"})
 	gwTS := newGatewayOver(t, repTS.URL)
 
 	body := mustJSON(t, engine.Request{Circuit: "s420", TPG: "adder", Cycles: 48, Seed: 2})
@@ -113,137 +108,11 @@ func TestGatewayStitchedTraceTwoProcesses(t *testing.T) {
 	}
 }
 
-// A leased subtree ships its spans back on the wire: a direct
-// /v1/dist/subtree call with a traceparent returns worker spans stamped
-// with the worker's process name and parented to the coordinator's
-// lease position. This pins the wire half of the three-process stitch
-// deterministically (no lease race).
-func TestSubtreeLeaseShipsSpans(t *testing.T) {
-	repTS, _ := newReplica(t, func(self string) server.Config {
-		return server.Config{Advertise: self, ProcessName: "replica-b"}
-	})
-	inst, err := corpus.Load("medium-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const parent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	body := mustJSON(t, cluster.SubtreeRequest{
-		SolveID:     "trace-test",
-		Problem:     cluster.EncodeProblem(inst.Problem, inst.Weights()),
-		Opts:        cluster.EncodeOptions(setcover.ExactOptions{Parallelism: 1}),
-		Branch:      0,
-		Traceparent: parent,
-	})
-	resp := mustPost(t, repTS.URL+"/v1/dist/subtree", body)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("subtree lease: %s", resp.Status)
-	}
-	var sr cluster.SubtreeResponse
-	mustDecode(t, resp, &sr)
-	if len(sr.Spans) == 0 {
-		t.Fatal("lease response shipped no spans")
-	}
-	var subtree obs.SpanData
-	for _, sp := range sr.Spans {
-		if sp.Name == "subtree" {
-			subtree = sp
-		}
-	}
-	if subtree.SpanID == "" {
-		t.Fatalf("no subtree span in shipped spans: %v", sr.Spans)
-	}
-	if subtree.Process != "replica-b" {
-		t.Errorf("shipped span process %q, want replica-b", subtree.Process)
-	}
-	if subtree.Parent != "b7ad6b7169203331" {
-		t.Errorf("shipped span parents to %q, want the lease position b7ad6b7169203331", subtree.Parent)
-	}
-
-	// A malformed lease traceparent degrades to an untraced lease — the
-	// result is still served, just without spans.
-	body = mustJSON(t, cluster.SubtreeRequest{
-		SolveID:     "trace-test-2",
-		Problem:     cluster.EncodeProblem(inst.Problem, inst.Weights()),
-		Opts:        cluster.EncodeOptions(setcover.ExactOptions{Parallelism: 1}),
-		Branch:      0,
-		Traceparent: "not-a-traceparent",
-	})
-	resp2 := mustPost(t, repTS.URL+"/v1/dist/subtree", body)
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("subtree lease with bad traceparent: %s", resp2.Status)
-	}
-	var sr2 cluster.SubtreeResponse
-	mustDecode(t, resp2, &sr2)
-	if !sr2.Result.Found && !sr2.Result.Truncated {
-		t.Error("lease with malformed traceparent did not solve its branch")
-	}
-}
-
-// End to end across three processes: gateway → coordinating replica →
-// leased worker replica, one trace. The coordinator's local workers and
-// the peer race for branches, so the solve retries until the worker
-// held at least one lease (DistParallelism 1 makes that the common
-// case on the first attempt).
-func TestDistributedSolveStitchesThreeProcesses(t *testing.T) {
-	workerTS, _ := newReplica(t, func(self string) server.Config {
-		return server.Config{Advertise: self, ProcessName: "replica-b"}
-	})
-	coordTS, _ := newReplica(t, func(self string) server.Config {
-		return server.Config{
-			Advertise: self, ProcessName: "replica-a",
-			Peers: []string{workerTS.URL}, DistParallelism: 1,
-		}
-	})
-	gwTS := newGatewayOver(t, coordTS.URL)
-
-	inst, err := corpus.Load("medium-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := mustJSON(t, cluster.DistSolveRequest{
-		Problem: cluster.EncodeProblem(inst.Problem, inst.Weights()),
-		Opts:    cluster.EncodeOptions(setcover.ExactOptions{Parallelism: 1}),
-	})
-
-	var procs map[string]bool
-	for attempt := 0; attempt < 5; attempt++ {
-		resp := mustPost(t, gwTS.URL+"/v1/dist/solve", body)
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			t.Fatalf("dist solve via gateway: %s", resp.Status)
-		}
-		tid, _, ok := obs.ParseTraceparent(resp.Header.Get("Traceparent"))
-		var sol cluster.SolutionWire
-		mustDecode(t, resp, &sol)
-		resp.Body.Close()
-		if !ok {
-			t.Fatal("dist solve response has no Traceparent header")
-		}
-		if sol.Cost == 0 {
-			t.Fatal("dist solve returned no solution")
-		}
-		procs = processes(fetchTrace(t, gwTS.URL, tid))
-		if procs["replica-b"] {
-			break
-		}
-		t.Logf("attempt %d: worker held no lease (processes %v), retrying", attempt, procs)
-	}
-	for _, want := range []string{"reseedgw", "replica-a", "replica-b"} {
-		if !procs[want] {
-			t.Fatalf("three-process trace missing %s: have %v", want, procs)
-		}
-	}
-}
-
 // The gateway's trace endpoints themselves are exempt from tracing (a
 // trace read must not evict the trace being read), and an unknown ID is
 // a clean 404 even with live replicas to consult.
 func TestGatewayTraceEndpointHygiene(t *testing.T) {
-	repTS, _ := newReplica(t, func(self string) server.Config {
-		return server.Config{Advertise: self}
-	})
+	repTS := newReplica(t, server.Config{})
 	gwTS := newGatewayOver(t, repTS.URL)
 
 	resp, err := http.Get(gwTS.URL + "/v1/traces/deadbeefdeadbeefdeadbeefdeadbeef")

@@ -94,14 +94,6 @@ func (t *Trace) ID() string {
 	return t.traceID
 }
 
-// Process returns the process label the trace stamps on its spans.
-func (t *Trace) Process() string {
-	if t == nil {
-		return ""
-	}
-	return t.process
-}
-
 func (t *Trace) add(sd SpanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -110,23 +102,6 @@ func (t *Trace) add(sd SpanData) {
 		return
 	}
 	t.spans = append(t.spans, sd)
-}
-
-// AddSpans folds externally recorded spans (e.g. shipped back from a
-// distributed subtree worker) into the trace, subject to the same cap.
-func (t *Trace) AddSpans(spans []SpanData) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, sd := range spans {
-		if len(t.spans) >= maxSpans {
-			t.dropped++
-			continue
-		}
-		t.spans = append(t.spans, sd)
-	}
 }
 
 // Snapshot returns a copy of the spans recorded so far.
@@ -165,8 +140,8 @@ func (t *Trace) Subtree(spanID string) *TraceData {
 	defer t.mu.Unlock()
 	keep := map[string]bool{spanID: true}
 	// Spans complete children-first, so one reverse sweep reaches every
-	// descendant: a parent appears after (or, for shipped remote spans,
-	// is re-scanned until the set stops growing).
+	// descendant; the sweep repeats until the set stops growing, so spans
+	// recorded in any order are safe.
 	for changed := true; changed; {
 		changed = false
 		for _, sd := range t.spans {

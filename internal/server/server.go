@@ -17,13 +17,11 @@
 //	GET    /v1/stats       engine cache counters + server gauges
 //	GET    /metrics        the same, as Prometheus text exposition
 //
-// Cluster endpoints (the distributed fabric, internal/cluster):
+// Replica-to-replica endpoints (the remote artifact store,
+// internal/store.Remote):
 //
-//	GET    /v1/store/{kind}/{hash}  read one artifact record (remote store)
+//	GET    /v1/store/{kind}/{hash}  read one artifact record
 //	PUT    /v1/store/{kind}/{hash}  write one artifact record (verified)
-//	POST   /v1/dist/solve           coordinate a distributed exact solve
-//	POST   /v1/dist/subtree         execute one leased B&B subtree
-//	POST   /v1/dist/incumbent       exchange incumbents for a running solve
 //
 // # Admission control
 //
@@ -53,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -95,18 +92,6 @@ type Config struct {
 	// when the engine runs a tiered store, so the gauge covers both
 	// layers. Nil defaults to Config.Store's backend.
 	Backends []store.Backend
-	// Peers are base URLs of sibling replicas accepting subtree leases;
-	// POST /v1/dist/solve fans the exact search's top-level subtrees out
-	// to them. Empty means distributed solves run on local workers only.
-	Peers []string
-	// DistParallelism caps the in-process workers draining a distributed
-	// solve's branch queue (0 = one per processor). Lowering it shifts
-	// branches toward the configured Peers.
-	DistParallelism int
-	// Advertise is this replica's own base URL as peers reach it. Workers
-	// holding one of our leases exchange incumbents with it; empty
-	// disables the exchange (leases still run, pruning is just local).
-	Advertise string
 	// ProcessName labels the spans this server records (obs.SpanData's
 	// process field), so a stitched cross-process trace names which hop
 	// did what. Default "reseedd".
@@ -158,10 +143,6 @@ type Server struct {
 	jobs     jobTable
 	metrics  metrics
 	recorder *obs.Recorder // flight recorder behind GET /v1/traces
-
-	board      *cluster.Board       // incumbent blackboard for distributed solves
-	coord      *cluster.Coordinator // fans /v1/dist/solve out across Peers
-	distClient *http.Client         // short-timeout client for incumbent exchange
 }
 
 // New returns a Server over eng.
@@ -177,14 +158,6 @@ func New(eng *engine.Engine, cfg Config) *Server {
 	s.recorder = obs.NewRecorder(0)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.jobs.init(cfg.MaxJobs)
-	s.board = cluster.NewBoard()
-	s.distClient = &http.Client{Timeout: 5 * time.Second}
-	s.coord = &cluster.Coordinator{
-		Peers:       cfg.Peers,
-		Self:        cfg.Advertise,
-		Board:       s.board,
-		Parallelism: cfg.DistParallelism,
-	}
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -199,9 +172,6 @@ func New(eng *engine.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
 	s.mux.HandleFunc("GET /v1/store/{kind}/{hash}", s.handleStoreGet)
 	s.mux.HandleFunc("PUT /v1/store/{kind}/{hash}", s.handleStorePut)
-	s.mux.HandleFunc("POST /v1/dist/solve", s.handleDistSolve)
-	s.mux.HandleFunc("POST /v1/dist/subtree", s.handleDistSubtree)
-	s.mux.HandleFunc("POST /v1/dist/incumbent", s.handleDistIncumbent)
 	return s
 }
 

@@ -113,9 +113,9 @@ func (m BoundMode) String() string {
 	}
 }
 
-// ParseBound is the inverse of BoundMode.String for the names requests and
-// the wire carry: "", "auto" and "lagrangian" all name BoundAuto, and
-// "counting" names BoundCounting.
+// ParseBound is the inverse of BoundMode.String for the names requests
+// carry: "", "auto" and "lagrangian" all name BoundAuto, and "counting"
+// names BoundCounting.
 func ParseBound(name string) (BoundMode, error) {
 	switch name {
 	case "", "auto", "lagrangian":
@@ -165,7 +165,7 @@ type dualScratch struct {
 	cells int64       // (row, column) subtractions made, summed over evaluations
 }
 
-func (pl *ExactPlan) newDualScratch() *dualScratch {
+func (pl *exactPlan) newDualScratch() *dualScratch {
 	n := pl.p.numCols
 	return &dualScratch{
 		u:    make([]float64, n),
@@ -187,7 +187,7 @@ func (pl *ExactPlan) newDualScratch() *dualScratch {
 // uncovered j — and returns its squared norm; grad entries of covered
 // columns are left alone. The result is a pure deterministic function of
 // its inputs.
-func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, grad []float64) (val, gnorm2 float64) {
+func (pl *exactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, grad []float64) (val, gnorm2 float64) {
 	u, neg := s.u, s.neg
 	neg.Clear()
 	if cand != nil {
@@ -248,7 +248,7 @@ func (pl *ExactPlan) dualEval(s *dualScratch, uncovered, banned *bitvec.Set, can
 // / (that row's column count). The classical warm start — each column
 // claims an equal share of its cheapest row — lands the ascent in the right
 // region immediately, which matters when the per-node budget is tiny.
-func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
+func (pl *exactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 	uncovered.ForEach(func(j int) {
 		best := math.Inf(1)
 		for _, r := range pl.colRows[j] {
@@ -278,7 +278,7 @@ func (pl *ExactPlan) dualInit(u []float64, uncovered, banned *bitvec.Set) {
 // it, the rounded bound is target either way. Stopping there moves no
 // prune, bound or node count, and saves the evaluations. s.u holds the
 // multipliers of the best value when it returns.
-func (pl *ExactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, target float64, iters int, agility float64) (best float64, evals int) {
+func (pl *exactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, cand []int, target float64, iters int, agility float64) (best float64, evals int) {
 	best = math.Inf(-1)
 	saved := false // s.best holds the multipliers of best
 	f := agility

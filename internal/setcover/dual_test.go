@@ -222,7 +222,7 @@ func TestLagrangianTighterRoot(t *testing.T) {
 // subtractions over the row's uncovered columns. It is kept as the
 // reference dualEval must match bit for bit, and also returns the available
 // rows of negative reduced cost.
-func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64, neg *bitvec.Set) {
+func (pl *exactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set, grad []float64) (val, gnorm2 float64, neg *bitvec.Set) {
 	if grad != nil {
 		uncovered.ForEach(func(j int) { grad[j] = 1 })
 	}
@@ -255,7 +255,7 @@ func (pl *ExactPlan) dualEvalRowMajor(u []float64, uncovered, banned *bitvec.Set
 // non-negative multipliers. One case in three draws every multiplier from
 // {0, 1/4, 1/3, 1/2, 1}, so reduced costs land exactly on zero or within
 // rounding of it; the others are of mixed magnitude with some exact zeros.
-func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
+func randomDualCase(rng *rand.Rand) (pl *exactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
 	nRows, nCols := 1+rng.Intn(130), 1+rng.Intn(130)
 	density := 0.05 + 0.55*rng.Float64()
 	p := NewProblem(nCols)
@@ -317,7 +317,7 @@ func randomDualCase(rng *rand.Rand) (pl *ExactPlan, u []float64, uncovered, bann
 // the row-major reference gives, to the float bit. Both gradient buffers
 // start from the same sentinel, so an entry outside the uncovered set must
 // be left alone.
-func checkDualEvalMatchesRowMajor(t *testing.T, pl *ExactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
+func checkDualEvalMatchesRowMajor(t *testing.T, pl *exactPlan, u []float64, uncovered, banned, rootUncovered *bitvec.Set) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	_, _, rootNeg := pl.dualEvalRowMajor(u, rootUncovered, bitvec.NewSet(len(pl.p.rows)), nil)

@@ -18,23 +18,21 @@ package setcover
 // exactly one forces that row without spending a branch node — the
 // classical essentiality rule re-applied under the current bans.
 //
-// # One fan-out: plan → per-branch search → Merge
+// # One fan-out: plan → per-branch search → merge
 //
-// Every exact solve takes one path. The ExactPlan is the read-only half:
+// Every exact solve takes one path. The exactPlan is the read-only half:
 // the problem, its static column view, the root-forced rows, the root
 // multipliers with the rows they price negative, and the canonical
 // top-level branch list, computed once by the root node. A search is the
 // per-run half: budgets, the stop flag, the shared incumbent cost and the
-// observers. runBranch explores one top-level branch on a search and
-// returns its SubtreeResult; Merge folds the results into the Solution.
-// solveBB runs every branch on the internal/parallel pool against one
-// shared search, and a subtree lease (distributed.go) runs one branch on a
-// search of its own.
+// observers. solveBB runs every top-level branch on the internal/parallel
+// pool against one shared search (runBranch), and merge folds the
+// branches' results into the Solution.
 //
 // # Determinism
 //
-// Solution.Rows is bit-identical for every Parallelism value and every
-// lease schedule, because of how the two bounds are combined:
+// Solution.Rows is bit-identical for every Parallelism value, because of
+// how the two bounds are combined:
 //
 //   - against the task-local bound (greedy seed cost, lowered only by the
 //     branch's own finds) a node prunes when cost+lb >= bound — the
@@ -43,10 +41,10 @@ package setcover
 //   - against the shared bound a node prunes only when cost+lb is STRICTLY
 //     greater. The shared bound never drops below the global optimum C*, so
 //     strict pruning can never cut a subtree containing a cost-C* cover: the
-//     foreign bound accelerates the search without changing any branch's
-//     reported result.
+//     other branches' finds accelerate the search without changing any
+//     branch's reported result.
 //
-// Merge prefers lower cost, then the lower top-level branch index (better),
+// merge prefers lower cost, then the lower top-level branch index (better),
 // so the answer is the first-discovered optimum of the lowest optimal
 // branch — no matter how branches interleave. Only Solution.Nodes (an
 // effort counter) depends on timing when Parallelism > 1, exactly as
@@ -225,18 +223,18 @@ const rootBranch = -1
 
 // better is the one answer-picking rule of an exact solve: a cover of cost
 // found by branch replaces the incumbent (bestCost, bestBranch) when it is
-// cheaper, or as cheap and from a lower top-level branch. Merge picks the
+// cheaper, or as cheap and from a lower top-level branch. merge picks the
 // answer with it and the OnIncumbent path picks its snapshots with it, so
 // the last snapshot describes the returned cover.
 func better(cost, branch, bestCost, bestBranch int) bool {
 	return cost < bestCost || (cost == bestCost && branch < bestBranch)
 }
 
-// ExactPlan is the deterministic root state of an exact solve — the
+// exactPlan is the deterministic root state of an exact solve — the
 // read-only half of the engine, ready to be fanned out branch by branch.
-// Create it with PlanExact. The plan is immutable and safe for concurrent
-// SolveSubtree calls.
-type ExactPlan struct {
+// Once plan returns, it is immutable and safe for the concurrent branch
+// searches.
+type exactPlan struct {
 	p       *Problem
 	weights []int     // nil ⇒ every row costs 1
 	costs   []float64 // every row's cost as the dual prices it
@@ -273,8 +271,8 @@ type ExactPlan struct {
 
 // newPlan returns a plan holding only p's static column view; plan fills
 // in the root.
-func newPlan(p *Problem, weights []int) *ExactPlan {
-	pl := &ExactPlan{p: p, weights: weights, colRows: make([][]int, p.numCols)}
+func newPlan(p *Problem, weights []int) *exactPlan {
+	pl := &exactPlan{p: p, weights: weights, colRows: make([][]int, p.numCols)}
 	for i, r := range p.rows {
 		r.ForEach(func(j int) { pl.colRows[j] = append(pl.colRows[j], i) })
 	}
@@ -303,13 +301,13 @@ func newPlan(p *Problem, weights []int) *ExactPlan {
 // plan runs the root node: re-reduction, the root lower bound with its
 // optional multiplier ascent, and either a terminal solution or the
 // top-level branch list. Only the tree-shaping options (Bound, AscentIters
-// and the sibling-exclusion hook) are read. An in-process solve passes its
-// search s: the root then first checks s's budgets — an expired solve
-// plans to the unproven greedy seed — and reports a cover the root
-// resolves to s's observer. Callers have checked weights and coverability.
-func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *search) *ExactPlan {
-	if s != nil && s.expired() {
-		return &ExactPlan{greedy: greedy, terminal: &Solution{Rows: greedy.Rows, Cost: greedy.Cost, Nodes: 1}}
+// and the sibling-exclusion hook) are read. The root first checks the
+// budgets of the solve's search s — an expired solve plans to the unproven
+// greedy seed — and reports a cover the root resolves to s's observer.
+// Callers have checked weights and coverability.
+func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *search) *exactPlan {
+	if s.expired() {
+		return &exactPlan{greedy: greedy, terminal: &Solution{Rows: greedy.Rows, Cost: greedy.Cost, Nodes: 1}}
 	}
 	pl := newPlan(p, weights)
 	pl.greedy = greedy
@@ -329,9 +327,7 @@ func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *sea
 		// Essential rows alone cover everything; they are in every cover,
 		// so this is the optimum. The greedy seed can only tie or lose.
 		pl.rootLB = cost
-		if s != nil {
-			s.record(cost, len(chosen), rootBranch)
-		}
+		s.record(cost, len(chosen), rootBranch)
 		sort.Ints(chosen)
 		pl.terminal = &Solution{Rows: chosen, Cost: cost, Optimal: true, Nodes: 1, RootLB: cost}
 		return pl
@@ -363,7 +359,7 @@ func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *sea
 	return pl
 }
 
-func (pl *ExactPlan) rowCost(r int) int {
+func (pl *exactPlan) rowCost(r int) int {
 	if pl.weights == nil {
 		return 1
 	}
@@ -384,7 +380,7 @@ type colAvail struct{ col, avail int }
 // lower column index) with the per-column counts appended to *infos for
 // the caller's lower bound. Availability is one word-level intersection
 // per column, not a per-row probe.
-func (pl *ExactPlan) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (infeasible bool, forcedCols []int, branchCol int) {
+func (pl *exactPlan) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvail) (infeasible bool, forcedCols []int, branchCol int) {
 	branchCol = -1
 	bestAvail := int(^uint(0) >> 1)
 	*infos = (*infos)[:0]
@@ -418,7 +414,7 @@ func (pl *ExactPlan) scanColumns(uncovered, banned *bitvec.Set, infos *[]colAvai
 // taking every collected forced column in one batch (skipping those a
 // just-taken row already covered) reaches the fixpoint: the follow-up scan
 // can force nothing new and only rebuilds infos/branchCol for the residual.
-func (pl *ExactPlan) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set, infos *[]colAvail) (newChosen []int, newCost int, infeasible bool, branchCol int) {
+func (pl *exactPlan) propagate(chosen []int, cost int, uncovered, banned *bitvec.Set, infos *[]colAvail) (newChosen []int, newCost int, infeasible bool, branchCol int) {
 	for {
 		if uncovered.Empty() {
 			return chosen, cost, false, -1
@@ -451,7 +447,7 @@ type countScratch struct {
 	sorted   []colAvail // the residual's columns, rare columns first
 }
 
-func (pl *ExactPlan) newCountScratch() *countScratch {
+func (pl *exactPlan) newCountScratch() *countScratch {
 	return &countScratch{
 		usedRows: bitvec.NewSet(pl.p.NumRows()),
 		next:     make([]int, pl.p.NumRows()+2),
@@ -473,7 +469,7 @@ func (pl *ExactPlan) newCountScratch() *countScratch {
 // cheapest available row is the first one of its byCost list not banned
 // — and the constant 1 for unit weights. cs's contents are overwritten,
 // and nothing is allocated.
-func (pl *ExactPlan) lowerBound(infos []colAvail, banned *bitvec.Set, cs *countScratch) int {
+func (pl *exactPlan) lowerBound(infos []colAvail, banned *bitvec.Set, cs *countScratch) int {
 	maxAvail := 0
 	for _, ci := range infos {
 		maxAvail = max(maxAvail, ci.avail)
@@ -521,7 +517,7 @@ func (pl *ExactPlan) lowerBound(infos []colAvail, banned *bitvec.Set, cs *countS
 // cheapest-per-newly-covered-column first (for unit weights: decreasing
 // gain), ties toward the lower row index. Ratios compare by
 // cross-multiplication, so the order is exact and platform independent.
-func (pl *ExactPlan) branchCandidates(col int, uncovered, banned *bitvec.Set) []int {
+func (pl *exactPlan) branchCandidates(col int, uncovered, banned *bitvec.Set) []int {
 	type cand struct{ row, gain int }
 	cands := make([]cand, 0, len(pl.colRows[col]))
 	for _, r := range pl.colRows[col] {
@@ -545,7 +541,7 @@ func (pl *ExactPlan) branchCandidates(col int, uncovered, banned *bitvec.Set) []
 // search is the per-run half of an exact solve: budgets, the stop flag,
 // the shared incumbent cost and the observers, over the plan pl.
 type search struct {
-	pl *ExactPlan
+	pl *exactPlan
 
 	maxNodes int64
 	deadline time.Time
@@ -560,17 +556,8 @@ type search struct {
 	// node. It only decreases; a stale read merely delays a prune.
 	sharedCost atomic.Int64
 
-	// bound, when non-nil, is polled at the 128-node cadence for the best
-	// cover cost known OUTSIDE this search — another process's incumbent
-	// in a distributed solve. It can only lower sharedCost, and sharedCost
-	// prunes on strictly-greater only, so a correct external value (never
-	// below the global optimum) accelerates the search without changing
-	// any completed result — the same argument that makes the in-process
-	// shared incumbent deterministic.
-	bound func() int
-
 	// bestCost and bestBranch describe the cover of the last OnIncumbent
-	// snapshot; the answer itself comes from Merge.
+	// snapshot; the answer itself comes from merge.
 	mu          sync.Mutex
 	bestCost    int             // guarded by mu
 	bestBranch  int             // guarded by mu
@@ -629,7 +616,7 @@ func (s *search) halt() {
 // cost and, when the cover replaces the incumbent under better, fires
 // OnIncumbent. Firing on every replacement — an equal-cost witness from a
 // lower branch included — under s.mu keeps snapshots serialized and makes
-// the last one describe the cover Merge returns.
+// the last one describe the cover merge returns.
 func (s *search) record(cost, rows, branch int) {
 	if s.onIncumbent != nil {
 		s.mu.Lock()
@@ -653,18 +640,6 @@ func (s *search) sample(n int64) {
 	s.sampleMu.Unlock()
 }
 
-// pullBound folds the external incumbent (when configured) into
-// sharedCost. Non-positive reports mean "no incumbent known" and are
-// ignored.
-func (s *search) pullBound() {
-	if s.bound == nil {
-		return
-	}
-	if b := int64(s.bound()); b > 0 {
-		lowerCost(&s.sharedCost, b)
-	}
-}
-
 // lowerCost CASes v down to x when x is an improvement.
 func lowerCost(v *atomic.Int64, x int64) {
 	for {
@@ -675,12 +650,28 @@ func lowerCost(v *atomic.Int64, x int64) {
 	}
 }
 
+// branchResult is the outcome of one top-level branch, for merge.
+type branchResult struct {
+	// found reports that the branch improved on the greedy seed; rows and
+	// cost are meaningful only then.
+	found bool
+	// rows is the improving cover, sorted and whole-solution: root-forced
+	// rows included.
+	rows []int
+	// cost is the improving cover's total cost.
+	cost int
+	// nodes is the branch's share of the search's nodes.
+	nodes int64
+	// truncated reports that a budget or cancellation stopped the search
+	// before the branch completed: its result is a best-so-far, and the
+	// merge cannot prove optimality.
+	truncated bool
+}
+
 // runBranch explores top-level branch i serially on s, pruning against the
 // greedy cost as its task-local bound, and reports the branch's first
-// optimum in DFS order with the branch's search counters. It is the unit
-// of work of both the in-process fan-out and a subtree lease, so both walk
-// bit-identical trees.
-func (s *search) runBranch(i int) (SubtreeResult, bbCounts) {
+// optimum in DFS order with the branch's search counters.
+func (s *search) runBranch(i int) (branchResult, bbCounts) {
 	pl := s.pl
 	t := &bbTask{s: s, branch: i, localBound: pl.greedy.Cost, cs: pl.newCountScratch()}
 	banned := bitvec.NewSet(pl.p.NumRows())
@@ -696,12 +687,54 @@ func (s *search) runBranch(i int) (SubtreeResult, bbCounts) {
 	copy(chosen, pl.forced)
 	t.search(append(chosen, r), pl.forcedCost+pl.rowCost(r), next, banned)
 
-	res := SubtreeResult{Branch: i, Nodes: t.nodes, Truncated: s.truncated.Load()}
+	res := branchResult{nodes: t.nodes, truncated: s.truncated.Load()}
 	if t.rows != nil {
-		res.Found, res.Cost, res.Rows = true, t.localBound, t.rows
-		sort.Ints(res.Rows)
+		res.found, res.cost, res.rows = true, t.localBound, t.rows
+		sort.Ints(res.rows)
 	}
 	return res, t.counts
+}
+
+// merge folds the branches' results, results[i] being top-level branch
+// i's, into the Solution with the engine's one answer-picking rule
+// (better): lower cost wins, ties resolve toward the lower branch, and the
+// greedy seed stands when nothing improved on it. Each claimed cover is
+// checked apart from the search that found it (accepts); a branch whose
+// claim fails is dropped and left unproven. Optimal holds only when every
+// branch completed and passed. Nodes is the root node plus every branch's
+// nodes.
+func (pl *exactPlan) merge(results []branchResult) Solution {
+	best := Solution{Rows: pl.greedy.Rows, Cost: pl.greedy.Cost, Optimal: true, Nodes: 1, RootLB: pl.rootLB}
+	bestBranch := unsetBranch
+	for i, r := range results {
+		best.Nodes += r.nodes
+		valid := pl.accepts(r)
+		if !valid || r.truncated {
+			best.Optimal = false
+		}
+		if valid && r.found && better(r.cost, i, best.Cost, bestBranch) {
+			best.Rows, best.Cost, bestBranch = r.rows, r.cost, i
+		}
+	}
+	return best
+}
+
+// accepts reports whether a branch's claimed cover is real: its rows are
+// ascending, distinct and in range, cover every column (Problem.Verify),
+// and cost exactly the claimed cost under the plan's weights. A branch
+// that found nothing claims nothing. The check is independent of the
+// search, so a search fault surfaces as an unproven answer, never as a
+// wrong "optimum".
+func (pl *exactPlan) accepts(r branchResult) bool {
+	if !r.found {
+		return true
+	}
+	for i := 1; i < len(r.rows); i++ {
+		if r.rows[i] <= r.rows[i-1] {
+			return false
+		}
+	}
+	return pl.p.Verify(r.rows) && coverCost(pl.weights, r.rows) == r.cost
 }
 
 // bbCounts are the counters that explain a search's time, summed over its
@@ -769,12 +802,9 @@ func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
 		s.halt()
 		return
 	}
-	if n&127 == 0 {
-		if s.expired() {
-			s.halt()
-			return
-		}
-		s.pullBound()
+	if n&127 == 0 && s.expired() {
+		s.halt()
+		return
 	}
 	// Telemetry sampling at a much coarser cadence than the budget
 	// checks: cheap enough to leave always-on, frequent enough for a
@@ -832,7 +862,7 @@ func (t *bbTask) search(chosen []int, cost int, uncovered, banned *bitvec.Set) {
 
 // solveBB is the shared entry point of SolveExact (weights == nil) and
 // SolveExactWeighted: plan the root, run every top-level branch on the
-// worker pool against one shared search, Merge. Callers have validated
+// worker pool against one shared search, merge. Callers have validated
 // weights already.
 func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	if bad := p.UncoverableColumns(); bad != nil {
@@ -859,18 +889,18 @@ func (p *Problem) solveBB(weights []int, opts ExactOptions) (Solution, error) {
 	// One sample right after the root, so even a solve the root resolves
 	// produces a timeline point.
 	s.sample(1)
-	if term := s.pl.Terminal(); term != nil {
-		return *term, nil
+	if s.pl.terminal != nil {
+		return *s.pl.terminal, nil
 	}
 	_, bsp := obs.StartSpan(opts.Context, "bb")
-	results := make([]SubtreeResult, s.pl.NumBranches())
+	results := make([]branchResult, len(s.pl.branchRows))
 	counts := make([]bbCounts, len(results))
 	bsp.SetInt("branches", int64(len(results)))
 	_ = parallel.ForEach(parallel.Degree(opts.Parallelism), len(results), func(_, i int) error { // infallible: the worker fn below always returns nil
 		results[i], counts[i] = s.runBranch(i)
 		return nil
 	})
-	sol := s.pl.Merge(results)
+	sol := s.pl.merge(results)
 	var total bbCounts
 	for _, c := range counts {
 		total.dualEvals += c.dualEvals

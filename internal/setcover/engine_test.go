@@ -25,7 +25,7 @@ var engineDegrees = []int{1, 2, 4, 0}
 // columns by (availability, column) and take each picked column's
 // cheapest available row by scanning all its rows. lowerBound must give
 // the same value.
-func (pl *ExactPlan) lowerBoundBySort(infos []colAvail, banned *bitvec.Set) int {
+func (pl *exactPlan) lowerBoundBySort(infos []colAvail, banned *bitvec.Set) int {
 	infos = slices.Clone(infos)
 	slices.SortFunc(infos, func(a, b colAvail) int {
 		return cmp.Or(cmp.Compare(a.avail, b.avail), cmp.Compare(a.col, b.col))
@@ -294,7 +294,7 @@ func BenchmarkExactHardInstance(b *testing.B) {
 // optimum. Runs under -race in CI (callbacks are serialized by the engine).
 // The weighted cases include zero weights, so equal-cost covers from
 // different branches can differ in row count: only the tie-break the
-// snapshots share with Merge makes the last snapshot's Rows match the
+// snapshots share with merge makes the last snapshot's Rows match the
 // returned cover's.
 func TestOnIncumbentContract(t *testing.T) {
 	check := func(trial int, p *Problem, weights []int) {
@@ -407,5 +407,86 @@ func TestOnIncumbentOffsets(t *testing.T) {
 			t.Errorf("%s: sample %+v does not include essentials (solution cost %d, root bound %d)",
 				name, *lastSample, sol.Cost, sol.RootLB)
 		}
+	}
+}
+
+// TestMergeRejectsForgedResult pins merge's cover check: a branch result
+// whose claimed cover is not real must not win the merge. A one-row
+// "cover" of cost 1 in place of branch 0's result would otherwise merge
+// to cost 1 with Optimal=true. On this instance (optimum 5, greedy seed
+// 6) the fourth of five branches finds the optimum. Its branches run
+// serially on one search, as solveBB runs them at Parallelism 1.
+func TestMergeRejectsForgedResult(t *testing.T) {
+	p := randomCoverable(rand.New(rand.NewSource(9)), 30, 80)
+	greedy, err := p.solveGreedyImpl(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSearch(greedy.Cost, ExactOptions{})
+	pl := p.plan(nil, greedy, ExactOptions{}, s)
+	s.pl = pl
+	if pl.terminal != nil {
+		t.Fatal("the instance planned terminal; the test needs branches")
+	}
+	results := make([]branchResult, len(pl.branchRows))
+	for i := range results {
+		results[i], _ = s.runBranch(i)
+		if !pl.accepts(results[i]) {
+			t.Fatalf("branch %d: genuine result %+v not accepted", i, results[i])
+		}
+	}
+	want, err := p.SolveExact(ExactOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.merge(results); !got.Optimal || got.Cost != want.Cost || !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("honest merge: cost %d optimal %v rows %v, want the solve's %d true %v",
+			got.Cost, got.Optimal, got.Rows, want.Cost, want.Rows)
+	}
+	// merge with branch b's result replaced by r.
+	mergeWith := func(b int, r branchResult) Solution {
+		rs := slices.Clone(results)
+		rs[b] = r
+		return pl.merge(rs)
+	}
+	forged := branchResult{found: true, cost: 1, rows: []int{0}}
+	if pl.accepts(forged) {
+		t.Fatal("forged result accepted")
+	}
+	if got := mergeWith(0, forged); got.Optimal || !p.Verify(got.Rows) || got.Cost < want.Cost {
+		t.Fatalf("forged merge: cost %d optimal %v rows %v", got.Cost, got.Optimal, got.Rows)
+	}
+
+	// Every way a claimed cover can be wrong is refused. An optimal unit
+	// cover is irredundant, so dropping any of its rows uncovers a column.
+	branch := slices.IndexFunc(results, func(r branchResult) bool { return r.found && r.cost == want.Cost })
+	if branch < 0 || len(results[branch].rows) < 2 {
+		t.Fatal("no branch of the instance reported the optimum")
+	}
+	edit := func(f func(r *branchResult)) branchResult {
+		r := results[branch]
+		r.rows = slices.Clone(r.rows)
+		f(&r)
+		return r
+	}
+	bad := map[string]branchResult{
+		"cost understated": edit(func(r *branchResult) { r.cost-- }),
+		"cost overstated":  edit(func(r *branchResult) { r.cost++ }),
+		"row out of range": edit(func(r *branchResult) { r.rows[len(r.rows)-1] = p.NumRows() }),
+		"negative row":     edit(func(r *branchResult) { r.rows[0] = -1 }),
+		"row dropped":      edit(func(r *branchResult) { r.rows = r.rows[1:]; r.cost-- }),
+		"row repeated":     edit(func(r *branchResult) { r.rows = append(r.rows, r.rows[len(r.rows)-1]); r.cost++ }),
+		"rows unsorted":    edit(func(r *branchResult) { r.rows[0], r.rows[1] = r.rows[1], r.rows[0] }),
+	}
+	for name, r := range bad {
+		if pl.accepts(r) {
+			t.Errorf("%s: %+v accepted", name, r)
+		}
+		if got := mergeWith(branch, r); got.Optimal || !p.Verify(got.Rows) {
+			t.Errorf("%s: merge cost %d optimal %v rows %v", name, got.Cost, got.Optimal, got.Rows)
+		}
+	}
+	if !pl.accepts(branchResult{truncated: true}) {
+		t.Error("a branch that found nothing was refused")
 	}
 }

@@ -16,20 +16,19 @@
 // Cardinality (SolveExact) and weighted (SolveExactWeighted) solves share
 // one branch-and-bound engine — cardinality is the nil-weights (unit cost)
 // instantiation — and every exact solve takes one path: plan → per-branch
-// search → Merge. The plan (ExactPlan) is the root node, computed once;
-// each top-level branch is searched serially with sibling-row exclusion
-// and per-node essentiality re-reduction; Merge picks the answer. An
-// in-process solve runs the branches on the internal/parallel pool against
-// a shared atomic incumbent, and a distributed solve runs the same
-// branches as subtree leases (PlanExact, SolveSubtree); see engine.go.
+// search → merge. The plan is the root node, computed once; each top-level
+// branch is searched serially with sibling-row exclusion and per-node
+// essentiality re-reduction, on the internal/parallel pool against a
+// shared atomic incumbent; merge checks each branch's cover and picks the
+// answer. See engine.go.
 //
 // # Determinism
 //
 // For solves that complete within their budgets, Solution.Rows is
-// bit-identical for every ExactOptions.Parallelism value and every lease
-// schedule (the same contract as internal/fsim and internal/dmatrix): each
-// branch reports the first optimum of its subtree in depth-first order,
-// and Merge tie-breaks equal costs toward the lower top-level branch. Only
+// bit-identical for every ExactOptions.Parallelism value (the same
+// contract as internal/fsim and internal/dmatrix): each branch reports the
+// first optimum of its subtree in depth-first order, and merge tie-breaks
+// equal costs toward the lower top-level branch. Only
 // Solution.Nodes — an effort counter, like wall-clock time — depends on
 // worker timing when Parallelism > 1.
 //
