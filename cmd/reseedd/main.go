@@ -22,10 +22,9 @@
 //
 // With -store, ATPG preparations and Detection Matrices are persisted as
 // content-addressed JSON under the given directory, and a restarted daemon
-// serves its first request from disk instead of re-running ATPG. The same
-// records are served to sibling replicas over GET/PUT /v1/store/...; with
-// -remote-store URL the daemon reads through to (and writes through to) a
-// sibling's store, tiered under the local directory when both are set.
+// serves its first request from disk instead of re-running ATPG. Replicas
+// share artifacts by passing the same directory on a shared filesystem;
+// the daemon serves no store records over HTTP.
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, running
 // jobs turn anytime (their exact solves finish with the best cover found
@@ -49,7 +48,6 @@ import (
 	reseeding "repro"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 func main() {
@@ -67,12 +65,11 @@ func main() {
 			"concurrent solves admitted across all endpoints (0 = 2 per processor)")
 		queue = flag.Int("queue", 64,
 			"synchronous requests allowed to wait for a slot before 429 (negative = none)")
-		maxJobs      = flag.Int("max-jobs", 256, "finished jobs retained for polling")
+		maxJobs = flag.Int("max-jobs", 256,
+			"jobs retained for polling; a new job is refused with 429 while this many are unfinished")
 		maxBatch     = flag.Int("max-batch", 64, "requests accepted per /v1/batch call")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second,
 			"how long a SIGINT/SIGTERM drain may take before the process exits anyway")
-		remoteStore = flag.String("remote-store", "",
-			"base URL of a replica serving /v1/store (with -store: tiered local-then-remote)")
 		processName = flag.String("process-name", "reseedd",
 			"process label stamped on trace spans (distinguishes replicas in stitched traces)")
 		pprofAddr = flag.String("pprof", "",
@@ -105,33 +102,18 @@ func main() {
 		log.Printf("pprof on http://%s/debug/pprof/", pln.Addr())
 		go func() { log.Print(http.Serve(pln, obs.PprofHandler())) }()
 	}
-	var localStore *reseeding.Store
 	if *storeDir != "" {
 		st, err := reseeding.OpenStore(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		localStore = st
+		engOpts.Store = st
 		cfg.Store = st
 		flows, matrices, err := st.Len()
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("artifact store %s: %d flows, %d matrices", *storeDir, flows, matrices)
-	}
-	switch {
-	case localStore != nil && *remoteStore != "":
-		t := store.NewTiered(localStore, store.NewRemote(*remoteStore, nil))
-		engOpts.Store = t
-		cfg.Backends = t.Backends()
-		log.Printf("tiered artifact store: local %s over remote %s", *storeDir, *remoteStore)
-	case localStore != nil:
-		engOpts.Store = localStore
-	case *remoteStore != "":
-		rem := store.NewRemote(*remoteStore, nil)
-		engOpts.Store = rem
-		cfg.Backends = rem.Backends()
-		log.Printf("remote artifact store %s", *remoteStore)
 	}
 	srv := server.New(reseeding.NewEngine(engOpts), cfg)
 	ln, err := net.Listen("tcp", *addr)

@@ -60,10 +60,6 @@ type Request struct {
 	// completed solves return bit-identical covers in every mode — the
 	// bound only changes how much tree is searched.
 	Bound string `json:"bound,omitempty"`
-	// AscentIters overrides the root subgradient budget of the Lagrangian
-	// bound (0 = solver default, negative = warm start only). Ignored for
-	// Bound "counting".
-	AscentIters int `json:"ascent_iters,omitempty"`
 }
 
 // CircuitInfo describes the resolved unit under test of a Response.
@@ -197,7 +193,6 @@ func (req Request) coreOptions() (core.Options, error) {
 		errs = append(errs, badField("bound",
 			"unknown bound %q (known: auto, lagrangian, counting)", req.Bound))
 	}
-	opts.Exact.AscentIters = req.AscentIters
 	opts.Exact.MaxNodes = req.MaxNodes
 	opts.Exact.TimeBudget = req.SolveBudget
 	return opts, errors.Join(errs...)

@@ -38,7 +38,6 @@ func TestValidateTable(t *testing.T) {
 		{"unknown solver", Request{Circuit: "s420", TPG: "adder", Solver: "simplex"}, []string{"solver"}},
 		{"unknown objective", Request{Circuit: "s420", TPG: "adder", Objective: "latency"}, []string{"objective"}},
 		{"known bounds", Request{Circuit: "s420", TPG: "adder", Bound: "counting"}, nil},
-		{"negative ascent is valid", Request{Circuit: "s420", TPG: "adder", Bound: "lagrangian", AscentIters: -1}, nil},
 		{"unknown bound", Request{Circuit: "s420", TPG: "adder", Bound: "simplex"}, []string{"bound"}},
 		{"negative cycles", Request{Circuit: "s420", TPG: "adder", Cycles: -1}, []string{"cycles"}},
 		{"negative max nodes", Request{Circuit: "s420", TPG: "adder", MaxNodes: -1}, []string{"max_nodes"}},

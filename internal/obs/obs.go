@@ -330,10 +330,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	parent := tr.rootParent
-	// A current span only parents spans of its own trace: when a handler
-	// swaps in a different trace (a distributed lease continuing the
-	// coordinator's), the enclosing request's span must not leak across
-	// the trace boundary as a dangling parent.
+	// A current span only parents spans of its own trace: when a context
+	// carrying one trace's span is given a different trace, that span must
+	// not leak across the trace boundary as a dangling parent.
 	if cur := CurrentSpan(ctx); cur != nil && cur.tr == tr {
 		parent = cur.id
 	}

@@ -3,8 +3,8 @@ package obs
 import "context"
 
 // W3C trace-context propagation: the `traceparent` header ties the
-// gateway's, a replica's and a distributed subtree worker's spans into
-// one trace. Only version 00 of the format is understood:
+// gateway's and a replica's spans into one trace. Only version 00 of the
+// format is understood:
 //
 //	00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>
 //

@@ -190,9 +190,15 @@ func (t *jobTable) init(limit int) {
 	t.limit = limit
 }
 
-func (t *jobTable) create(req engine.Request, cancel context.CancelFunc) *job {
+// create registers a new queued job. It refuses with errBusy while limit
+// jobs are queued or running: each holds a goroutine and its Request,
+// whose body may be megabytes, until it finishes.
+func (t *jobTable) create(req engine.Request, cancel context.CancelFunc) (*job, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if n := t.activeLocked(); n >= t.limit {
+		return nil, fmt.Errorf("%w: %d jobs queued or running", errBusy, n)
+	}
 	t.nextID++
 	j := &job{
 		id:      fmt.Sprintf("job-%06d", t.nextID),
@@ -203,13 +209,13 @@ func (t *jobTable) create(req engine.Request, cancel context.CancelFunc) *job {
 	}
 	t.jobs[j.id] = j
 	t.evictLocked()
-	return j
+	return j, nil
 }
 
 // evictLocked drops finished jobs — oldest finish time first, ids
 // breaking ties — while the table is over the limit. Queued and running
-// jobs are never evicted, so the table can transiently exceed the limit
-// when more than limit jobs are active at once.
+// jobs are never evicted; create admits a job only while fewer than limit
+// are, so the finished ones always suffice.
 func (t *jobTable) evictLocked() {
 	if len(t.jobs) <= t.limit {
 		return
@@ -260,8 +266,8 @@ func (t *jobTable) get(id string) (*job, bool) {
 }
 
 // snapshot returns the table's jobs in id order. Ids are zero-padded
-// creation counters, so this is also creation order; every reader goes
-// through here to keep list output and aggregate scans deterministic.
+// creation counters, so this is also creation order; list output and
+// per-state counts read through here so they do not depend on map order.
 func (t *jobTable) snapshot() []*job {
 	t.mu.Lock()
 	jobs := make([]*job, 0, len(t.jobs))
@@ -292,8 +298,16 @@ func (t *jobTable) countByState() map[string]int {
 
 // active counts jobs not yet finished (the drain condition).
 func (t *jobTable) active() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.activeLocked()
+}
+
+// activeLocked is active with t.mu held. A count needs no order, so it
+// ranges over the map.
+func (t *jobTable) activeLocked() int {
 	n := 0
-	for _, j := range t.snapshot() {
+	for _, j := range t.jobs {
 		if !j.snapshotState().finished() {
 			n++
 		}
@@ -302,8 +316,8 @@ func (t *jobTable) active() int {
 }
 
 // runJob executes one job to completion on its own goroutine: wait for an
-// admission slot (unbounded — the job table is the queue), then solve with
-// the anytime observer attached.
+// admission slot (the job table, bounded by MaxJobs, is the queue), then
+// solve with the anytime observer attached.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	// Release the job's context resources however it ends, or every
 	// finished job would stay registered as a child of the server's base
@@ -377,7 +391,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		jtr = obs.NewTrace(s.cfg.ProcessName)
 	}
 	ctx = obs.ContextWithTrace(ctx, jtr)
-	j := s.jobs.create(req, cancel)
+	j, err := s.jobs.create(req, cancel)
+	if err != nil {
+		cancel()
+		s.writeError(w, err)
+		return
+	}
 	go s.runJob(ctx, j)
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	s.writeJSON(w, http.StatusAccepted, j.view())

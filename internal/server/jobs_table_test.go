@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,15 +14,29 @@ import (
 
 // newTableWithJobs builds a table of n jobs directly (no HTTP, no solver):
 // the table-level invariants under test are independent of how jobs run.
+// create refuses a job while limit jobs are unfinished, so the n queued
+// jobs go in under a limit of n; the limit under test applies after.
 func newTableWithJobs(t *testing.T, limit, n int) (*jobTable, []*job) {
 	t.Helper()
 	tbl := &jobTable{}
-	tbl.init(limit)
+	tbl.init(max(limit, n))
 	jobs := make([]*job, 0, n)
 	for i := 0; i < n; i++ {
-		jobs = append(jobs, tbl.create(engine.Request{}, func() {}))
+		jobs = append(jobs, mustCreate(t, tbl))
 	}
+	tbl.mu.Lock()
+	tbl.limit = limit
+	tbl.mu.Unlock()
 	return tbl, jobs
+}
+
+func mustCreate(t *testing.T, tbl *jobTable) *job {
+	t.Helper()
+	j, err := tbl.create(engine.Request{}, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 func (j *job) setFinished(t *testing.T, st jobState, at time.Time) {
@@ -64,7 +81,7 @@ func TestJobEvictionOldestFinishedFirst(t *testing.T) {
 
 	// One more job pushes the table to 5 > 4: exactly one eviction, and it
 	// must be job 3 (earliest finish), not job 1 (earliest creation).
-	tbl.create(engine.Request{}, func() {})
+	mustCreate(t, tbl)
 	if _, ok := tbl.get(jobs[2].id); ok {
 		t.Fatalf("%s has the oldest finish time and should have been evicted", jobs[2].id)
 	}
@@ -86,7 +103,7 @@ func TestJobEvictionFinishTimeTies(t *testing.T) {
 	for _, j := range jobs {
 		j.setFinished(t, jobCancelled, at)
 	}
-	tbl.create(engine.Request{}, func() {}) // 5 jobs, limit 2 → evict 3
+	mustCreate(t, tbl) // 5 jobs, limit 2 → evict 3
 	var left []string
 	for _, v := range tbl.list() {
 		left = append(left, v.ID)
@@ -95,6 +112,33 @@ func TestJobEvictionFinishTimeTies(t *testing.T) {
 	if strings.Join(left, ",") != strings.Join(want, ",") {
 		t.Fatalf("surviving jobs = %v, want %v (ties broken by id)", left, want)
 	}
+}
+
+// TestJobCreateBoundsUnfinished pins the queue bound under concurrent
+// submissions: with limit 2, exactly two of eight creates succeed, and a
+// finished job frees its place.
+func TestJobCreateBoundsUnfinished(t *testing.T) {
+	tbl := &jobTable{}
+	tbl.init(2)
+	var wg sync.WaitGroup
+	var accepted atomic.Int64
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := tbl.create(engine.Request{}, func() {}); err == nil {
+				accepted.Add(1)
+			} else if !errors.Is(err, errBusy) {
+				t.Errorf("create: %v, want errBusy", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("%d jobs accepted, want 2", n)
+	}
+	tbl.snapshot()[0].setFinished(t, jobDone, time.Now())
+	mustCreate(t, tbl)
 }
 
 // TestJobCountsDeterministic pins that the aggregate views agree with the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/store"
 )
 
 // metrics holds the HTTP request counters and the solve histograms;
@@ -273,21 +271,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeHistogram(w, "reseedd_solve_root_lb_gap", "", gap)
 	}
 
-	// Backend liveness is probed at scrape time: a probe is a stat or one
-	// small HTTP round trip, bounded well under any scraper's timeout, and
+	// The store is probed at scrape time: the probe is one stat, and
 	// scrape-time truth beats a cached mark going stale between scrapes.
-	if backends := s.storeBackends(); len(backends) > 0 {
-		fmt.Fprintf(w, "# HELP reseedd_store_up Artifact-store backend health (1 = last probe succeeded).\n")
-		fmt.Fprintf(w, "# TYPE reseedd_store_up gauge\n")
-		ctx, cancel := context.WithTimeout(r.Context(), storeProbeTimeout)
-		defer cancel()
-		for _, b := range backends {
-			up := 1
-			if err := b.Probe(ctx); err != nil {
-				up = 0
-			}
-			fmt.Fprintf(w, "reseedd_store_up{backend=%q} %d\n", b.Name, up)
+	if s.cfg.Store != nil {
+		up := 1
+		if err := s.cfg.Store.Probe(); err != nil {
+			up = 0
 		}
+		fmt.Fprintf(w, "# HELP reseedd_store_up Artifact-store health (1 = the store directory is present).\n")
+		fmt.Fprintf(w, "# TYPE reseedd_store_up gauge\n")
+		fmt.Fprintf(w, "reseedd_store_up{backend=\"local\"} %d\n", up)
 	}
 }
 
@@ -326,20 +319,4 @@ func sortedKeys(m map[string]*histogram) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// storeProbeTimeout bounds the per-scrape backend probes.
-const storeProbeTimeout = 2 * time.Second
-
-// storeBackends resolves the backends the store_up gauge covers:
-// Config.Backends when the daemon set them (a tiered engine store has
-// two), otherwise the observational store's own.
-func (s *Server) storeBackends() []store.Backend {
-	if s.cfg.Backends != nil {
-		return s.cfg.Backends
-	}
-	if s.cfg.Store != nil {
-		return s.cfg.Store.Backends()
-	}
-	return nil
 }

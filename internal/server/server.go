@@ -17,11 +17,8 @@
 //	GET    /v1/stats       engine cache counters + server gauges
 //	GET    /metrics        the same, as Prometheus text exposition
 //
-// Replica-to-replica endpoints (the remote artifact store,
-// internal/store.Remote):
-//
-//	GET    /v1/store/{kind}/{hash}  read one artifact record
-//	PUT    /v1/store/{kind}/{hash}  write one artifact record (verified)
+// Replicas share artifacts through one store directory, never through
+// this API: no endpoint reads or writes a store record.
 //
 // # Admission control
 //
@@ -29,8 +26,9 @@
 // beyond that wait in a bounded queue (Config.MaxQueue) and overflow is
 // refused with 429 and a Retry-After hint, so a saturated daemon degrades
 // by shedding load instead of by collapsing. Jobs are their own queue:
-// they wait for a slot without bound (Config.MaxJobs bounds how many are
-// retained) and never 429.
+// they wait for a slot as long as they live, and at most Config.MaxJobs
+// of them may be unfinished at once — a POST /v1/jobs beyond that is
+// refused with the same 429 and Retry-After.
 //
 // # Error mapping
 //
@@ -67,9 +65,9 @@ type Config struct {
 	// before the server answers 429. Default 64; negative means no queue
 	// (shed immediately when saturated).
 	MaxQueue int
-	// MaxJobs bounds the jobs retained in memory; when exceeded, the
-	// oldest finished jobs are evicted (a job still queued or running is
-	// never evicted). Default 256.
+	// MaxJobs bounds the jobs retained in memory. A new job is refused
+	// with 429 while MaxJobs jobs are queued or running; otherwise the
+	// oldest finished jobs are evicted to make room. Default 256.
 	MaxJobs int
 	// MaxBatch bounds the requests accepted in one /v1/batch call.
 	// Default 64.
@@ -82,16 +80,10 @@ type Config struct {
 	// 8 MiB — far beyond any benchmark netlist; oversized bodies are 400.
 	MaxBodyBytes int64
 	// Store, when the daemon runs one, lets /v1/stats report the persisted
-	// artifact counts and backs the HTTP store endpoints
-	// (GET/PUT /v1/store/{kind}/{hash}), which turn this replica into a
-	// remote artifact backend for its siblings. The Engine holds its own
-	// reference for solving.
+	// artifact counts and /metrics probe the directory for the
+	// reseedd_store_up gauge. The Engine holds its own reference for
+	// solving.
 	Store *store.Store
-	// Backends names the artifact-store backends /metrics probes for the
-	// reseedd_store_up gauge — set it to the engine store's Backends()
-	// when the engine runs a tiered store, so the gauge covers both
-	// layers. Nil defaults to Config.Store's backend.
-	Backends []store.Backend
 	// ProcessName labels the spans this server records (obs.SpanData's
 	// process field), so a stitched cross-process trace names which hop
 	// did what. Default "reseedd".
@@ -170,8 +162,6 @@ func New(eng *engine.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraceList)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
-	s.mux.HandleFunc("GET /v1/store/{kind}/{hash}", s.handleStoreGet)
-	s.mux.HandleFunc("PUT /v1/store/{kind}/{hash}", s.handleStorePut)
 	return s
 }
 

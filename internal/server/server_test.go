@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmatrix"
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // newTestServer boots a Server over a fresh Engine behind httptest.
@@ -281,33 +283,55 @@ func TestJobLifecycle(t *testing.T) {
 
 // DELETE cancels a queued job deterministically: with every admission slot
 // occupied the job cannot start, so cancellation must resolve it without
-// ever running the solve.
+// ever running the solve. The queue is bounded: once MaxJobs jobs are
+// unfinished, a new one is refused with 429 instead of holding a goroutine
+// and its Request.
 func TestJobCancelWhileQueued(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxJobs: 2})
 	srv.sem <- struct{}{} // occupy the only slot
 	defer func() { <-srv.sem }()
 
-	_, body := postJSON(t, ts.URL+"/v1/jobs", s420Req())
-	var created jobView
-	if err := json.Unmarshal(body, &created); err != nil {
-		t.Fatal(err)
+	var ids []string
+	for range 2 {
+		hres, body := postJSON(t, ts.URL+"/v1/jobs", s420Req())
+		if hres.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /v1/jobs: %d, want 202: %s", hres.StatusCode, body)
+		}
+		var created jobView
+		if err := json.Unmarshal(body, &created); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, created.ID)
 	}
-	var got jobView
-	getJSON(t, ts.URL+"/v1/jobs/"+created.ID, &got)
-	if got.State != jobQueued {
-		t.Fatalf("state %q, want queued", got.State)
+	hres, body := postJSON(t, ts.URL+"/v1/jobs", s420Req())
+	if hres.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third POST /v1/jobs: %d, want 429: %s", hres.StatusCode, body)
+	}
+	if hres.Header.Get("Retry-After") == "" {
+		t.Error("no Retry-After header on 429")
 	}
 
-	hres, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+created.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := http.DefaultClient.Do(hres); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: %v %v", resp, err)
-	}
-	final := waitJob(t, ts.URL+"/v1/jobs/"+created.ID)
-	if final.State != jobCancelled {
-		t.Fatalf("state %q, want cancelled", final.State)
+	for _, id := range ids {
+		var got jobView
+		getJSON(t, ts.URL+"/v1/jobs/"+id, &got)
+		if got.State != jobQueued {
+			t.Fatalf("%s: state %q, want queued", id, got.State)
+		}
+		del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s: %d", id, resp.StatusCode)
+		}
+		if final := waitJob(t, ts.URL+"/v1/jobs/"+id); final.State != jobCancelled {
+			t.Fatalf("%s: state %q, want cancelled", id, final.State)
+		}
 	}
 	if st := srv.eng.Stats(); st.Solves != 0 {
 		t.Errorf("cancelled-before-start job reached the engine: %+v", st)
@@ -315,27 +339,46 @@ func TestJobCancelWhileQueued(t *testing.T) {
 }
 
 // Unknown job ids are 404, and so are routes the server does not serve:
-// no /v1/dist endpoint is served, so a well-formed body for one reaches
-// no handler.
+// no /v1/dist endpoint is served, and no client can write a store record
+// even on a replica that has a store, so a well-formed body for one
+// reaches no handler.
 func TestUnknownJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: st})
 	if resp := getJSON(t, ts.URL+"/v1/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown job: %d, want 404", resp.StatusCode)
 	}
+	const key = "bench:s420|planted"
+	rec, err := store.EncodeMatrix(key, &dmatrix.Matrix{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const problem = `{"cols":4,"rows":["c","6","3","9","8"]}`
-	for path, body := range map[string]string{
-		"/v1/dist/solve":     `{"problem":` + problem + `,"opts":{}}`,
-		"/v1/dist/subtree":   `{"solve_id":"s","problem":` + problem + `,"opts":{},"branch":0}`,
-		"/v1/dist/incumbent": `{"solve_id":"s","cost":1}`,
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/dist/solve", `{"problem":` + problem + `,"opts":{}}`},
+		{http.MethodPost, "/v1/dist/subtree", `{"solve_id":"s","problem":` + problem + `,"opts":{},"branch":0}`},
+		{http.MethodPost, "/v1/dist/incumbent", `{"solve_id":"s","cost":1}`},
+		{http.MethodPut, "/v1/store/matrices/" + store.HashKey(key), string(rec)},
 	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("POST %s: %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s: %d, want 404", c.method, c.path, resp.StatusCode)
 		}
+	}
+	if flows, matrices, err := st.Len(); err != nil || flows+matrices != 0 {
+		t.Errorf("store holds %d flows and %d matrices (%v), want none", flows, matrices, err)
 	}
 }
 

@@ -127,9 +127,9 @@ func ParseBound(name string) (BoundMode, error) {
 }
 
 const (
-	// defaultAscentIters is the root subgradient budget when
-	// ExactOptions.AscentIters is zero.
-	defaultAscentIters = 64
+	// rootAscentSteps is the subgradient budget of every exact solve's
+	// root ascent, and of DualBound when its iters is not positive.
+	rootAscentSteps = 64
 	// ascentPerNode is the number of task-local refinement steps applied
 	// to the root multipliers at every branch node before its dual value
 	// is read (Lagrangian modes only).
@@ -323,8 +323,8 @@ func (pl *exactPlan) dualAscend(s *dualScratch, uncovered, banned *bitvec.Set, c
 // Lagrangian subgradient ascent — the root bound the engine's
 // BoundAuto mode prunes with, exposed for corpus tightness reports
 // and for tests asserting the bound never exceeds a known optimum. A nil
-// weights slice means unit costs; iters <= 0 uses the engine default
-// ascent budget. The bound is deterministic for a given problem.
+// weights slice means unit costs; iters <= 0 uses the exact solver's
+// root ascent budget. The bound is deterministic for a given problem.
 func (p *Problem) DualBound(weights []int, iters int) (int, error) {
 	if weights != nil {
 		if err := p.validateWeights(weights); err != nil {
@@ -342,7 +342,7 @@ func (p *Problem) DualBound(weights []int, iters int) (int, error) {
 		return 0, err
 	}
 	if iters <= 0 {
-		iters = defaultAscentIters
+		iters = rootAscentSteps
 	}
 	pl := newPlan(p, weights)
 	uncovered := bitvec.NewSet(p.numCols)

@@ -28,22 +28,6 @@ func TestBoundModeString(t *testing.T) {
 	}
 }
 
-func TestAscentBudgets(t *testing.T) {
-	cases := []struct {
-		opts ExactOptions
-		root int
-	}{
-		{ExactOptions{}, defaultAscentIters},
-		{ExactOptions{AscentIters: 10}, 10},
-		{ExactOptions{AscentIters: -1}, 0},
-	}
-	for _, c := range cases {
-		if root := c.opts.ascentBudget(); root != c.root {
-			t.Errorf("ascentBudget(%+v) = %d, want %d", c.opts, root, c.root)
-		}
-	}
-}
-
 func TestDualRound(t *testing.T) {
 	cases := []struct {
 		in   float64

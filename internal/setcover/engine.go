@@ -132,26 +132,10 @@ type ExactOptions struct {
 	// changes Nodes and wall time only: completed solves return
 	// bit-identical Rows/Cost/Optimal in every mode.
 	Bound BoundMode
-	// AscentIters is the subgradient budget of the root multiplier ascent
-	// (Lagrangian modes only). 0 means the default (64); negative means no
-	// ascent — the warm-start multipliers are used as-is.
-	AscentIters int
 
 	// noSiblingExclusion disables the duplicate-sibling-subtree fix so its
 	// node-count reduction is assertable. Test hook only.
 	noSiblingExclusion bool
-}
-
-// ascentBudget resolves the zero-default/negative-disable convention of
-// AscentIters.
-func (o ExactOptions) ascentBudget() int {
-	switch {
-	case o.AscentIters == 0:
-		return defaultAscentIters
-	case o.AscentIters < 0:
-		return 0
-	}
-	return o.AscentIters
 }
 
 // withIncumbentOffset returns options whose OnIncumbent and OnSample
@@ -300,8 +284,8 @@ func newPlan(p *Problem, weights []int) *exactPlan {
 
 // plan runs the root node: re-reduction, the root lower bound with its
 // optional multiplier ascent, and either a terminal solution or the
-// top-level branch list. Only the tree-shaping options (Bound, AscentIters
-// and the sibling-exclusion hook) are read. The root first checks the
+// top-level branch list. Only the tree-shaping options (Bound and the
+// sibling-exclusion hook) are read. The root first checks the
 // budgets of the solve's search s — an expired solve plans to the unproven
 // greedy seed — and reports a cover the root resolves to s's observer.
 // Callers have checked weights and coverability.
@@ -340,7 +324,7 @@ func (p *Problem) plan(weights []int, greedy Solution, opts ExactOptions, s *sea
 		// the rows they price negative here.
 		ds := pl.newDualScratch()
 		pl.dualInit(ds.u, uncovered, banned)
-		best, _ := pl.dualAscend(ds, uncovered, banned, nil, float64(greedy.Cost-cost), opts.ascentBudget(), rootAgility)
+		best, _ := pl.dualAscend(ds, uncovered, banned, nil, float64(greedy.Cost-cost), rootAscentSteps, rootAgility)
 		pl.rootMult = ds.u
 		pl.dualEval(ds, uncovered, banned, nil, nil)
 		pl.rootNeg = ds.neg.Elements()

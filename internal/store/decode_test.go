@@ -19,11 +19,10 @@ import (
 	"repro/internal/tpg"
 )
 
-// Store records are untrusted bytes: PUT /v1/store accepts any record
-// whose embedded key hashes to its address, and a peer's Remote store
-// serves whatever it holds. A malformed record must decode to an error —
-// never a panic, an allocation sized by a claimed count, or a flow whose
-// fault classification contradicts itself.
+// Store records are untrusted bytes: a file may be torn by a crash, left
+// by another schema version or damaged on disk. A malformed record must
+// decode to an error — never a panic, an allocation sized by a claimed
+// count, or a flow whose fault classification contradicts itself.
 
 // matrixCrash claims a 2^40-bit seed width: before seeds and rows were
 // length-checked, decoding it allocated 128 GiB.

@@ -40,14 +40,14 @@
 // The Store itself is stateless beyond its root path and safe for
 // concurrent use.
 //
-// # Remote and tiered backends
+// # Sharing between replicas
 //
-// The same record bytes travel over HTTP: reseedd serves its local store
-// at /v1/store/{flows,matrices}/{hash} (GET/PUT of whole records), Remote
-// is the client-side ArtifactStore over those endpoints, and Tiered
-// layers a local Store in front of a Remote — reads fill the local level
-// back, writes go to both — so N replicas share one content-addressed
-// artifact universe while keeping warm-shard reads on local disk.
+// Replicas share artifacts by opening one directory on a shared
+// filesystem; there is no network protocol. The decoders check a record's
+// structure — its key, its sizes, first detections consistent with its
+// rows — never its truth: a well-formed record of a wrong Detection Matrix
+// would be covered as given. Only processes trusted to compute artifacts
+// may write the directory.
 package store
 
 import (
@@ -56,6 +56,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -76,8 +77,7 @@ import (
 const formatVersion = 1
 
 // A Kind names one of the store's two artifact namespaces; it doubles as
-// the subdirectory name on disk and the path segment of the HTTP store
-// endpoints.
+// the subdirectory name on disk.
 type Kind string
 
 const (
@@ -85,19 +85,8 @@ const (
 	KindMatrices Kind = "matrices"
 )
 
-// ParseKind maps an HTTP path segment to its Kind.
-func ParseKind(s string) (Kind, bool) {
-	switch Kind(s) {
-	case KindFlows, KindMatrices:
-		return Kind(s), true
-	}
-	return "", false
-}
-
 // HashKey maps an Engine cache key to its content address: the lowercase
-// hex SHA-256 of the key. It is the on-disk file name (plus ".json") and
-// the {hash} segment of the HTTP store endpoints, so every backend
-// addresses the same artifact the same way.
+// hex SHA-256 of the key. It is the on-disk file name (plus ".json").
 func HashKey(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])
@@ -125,12 +114,21 @@ func (s *Store) Dir() string { return s.root }
 
 // path maps an Engine cache key to its file: subdir/<sha256(key)>.json.
 func (s *Store) path(subdir Kind, key string) string {
-	return s.hashPath(subdir, HashKey(key))
+	return filepath.Join(s.root, string(subdir), HashKey(key)+".json")
 }
 
-// hashPath maps an already-hashed address to its file.
-func (s *Store) hashPath(subdir Kind, hash string) string {
-	return filepath.Join(s.root, string(subdir), hash+".json")
+// Probe is the store's health check behind the reseedd_store_up gauge:
+// the root directory must still exist and be a directory. It is one stat,
+// cheap enough to run on every scrape.
+func (s *Store) Probe() error {
+	fi, err := os.Stat(s.root)
+	if err != nil {
+		return err
+	}
+	if !fi.IsDir() {
+		return errors.New("store: root is not a directory")
+	}
+	return nil
 }
 
 // Len reports the number of persisted flows and matrices (observability;
@@ -209,59 +207,6 @@ func readFile(path string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// GetRaw returns the stored record bytes at (kind, hash), or (nil, nil)
-// when absent — the read side of the HTTP store endpoints. The hash must
-// be a well-formed content address (64 lowercase hex digits).
-func (s *Store) GetRaw(kind Kind, hash string) ([]byte, error) {
-	if err := checkHash(hash); err != nil {
-		return nil, err
-	}
-	data, ok, err := readFile(s.hashPath(kind, hash))
-	if err != nil || !ok {
-		return nil, err
-	}
-	return data, nil
-}
-
-// PutRaw stores raw record bytes under (kind, hash) — the write side of
-// the HTTP store endpoints. The record must be a well-formed store record
-// whose embedded key hashes to the given address, so a confused or
-// malicious writer cannot poison someone else's artifact: content
-// addressing is verified, not trusted.
-func (s *Store) PutRaw(kind Kind, hash string, data []byte) error {
-	if err := checkHash(hash); err != nil {
-		return err
-	}
-	var rec struct {
-		Format int    `json:"format"`
-		Key    string `json:"key"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("store: put %s/%s: malformed record: %w", kind, hash, err)
-	}
-	if rec.Key == "" {
-		return fmt.Errorf("store: put %s/%s: record carries no key", kind, hash)
-	}
-	if got := HashKey(rec.Key); got != hash {
-		return fmt.Errorf("store: put %s/%s: record key hashes to %s", kind, hash, got)
-	}
-	return writeFileAtomic(s.hashPath(kind, hash), data)
-}
-
-// checkHash validates a content address: exactly the lowercase hex form
-// HashKey produces, so an address can never traverse outside the store.
-func checkHash(hash string) error {
-	if len(hash) != sha256.Size*2 {
-		return fmt.Errorf("store: malformed content address %q", hash)
-	}
-	for _, c := range []byte(hash) {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("store: malformed content address %q", hash)
-		}
-	}
-	return nil
-}
-
 // faultJSON is a stuck-at fault addressed by gate name (stable across the
 // circuit's Format/Parse round trip, unlike gate IDs).
 type faultJSON struct {
@@ -299,8 +244,7 @@ func (s *Store) SaveFlow(key string, f *core.Flow) error {
 	return writeFileAtomic(s.path(KindFlows, key), data)
 }
 
-// EncodeFlow renders a flow as its store record bytes — the form every
-// backend (disk file, HTTP body) persists.
+// EncodeFlow renders a flow as its store record bytes.
 func EncodeFlow(key string, f *core.Flow) ([]byte, error) {
 	rec := flowJSON{
 		Format:     formatVersion,

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -279,6 +280,55 @@ func TestEngineRecoversFromCorruptStore(t *testing.T) {
 	}
 	if st.PrepareBuilds != 1 || st.MatrixBuilds != 1 {
 		t.Errorf("corrupt store should force recomputation: %+v", st)
+	}
+}
+
+// The shared-directory crash scenario of the fsync fix: a torn record (a
+// valid prefix cut mid-file, as a crash without fsync could publish) must
+// be a counted store error followed by recomputation — never a fatal
+// request failure, never silently accepted.
+func TestTornRecordIsCountedAndRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := engine.Request{Circuit: "s420", TPG: "adder", Cycles: 48, Seed: 2}
+	if _, err := engine.New(engine.Options{Store: s}).Solve(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	// Tear every record in half — a truncated-but-prefix-valid file, the
+	// exact artifact a crashed peer without the fsync could leave behind.
+	for _, kind := range []Kind{KindFlows, KindMatrices} {
+		entries, err := os.ReadDir(fmt.Sprintf("%s/%s", dir, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			p := fmt.Sprintf("%s/%s/%s", dir, kind, e.Name())
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng := engine.New(engine.Options{Store: s})
+	resp, err := eng.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("torn records failed the solve: %v", err)
+	}
+	if resp.Solution.NumTriplets() == 0 {
+		t.Error("degenerate solution after torn records")
+	}
+	st := eng.Stats()
+	if st.StoreReadErrors == 0 {
+		t.Errorf("torn records not counted as read errors: %+v", st)
+	}
+	if st.PrepareBuilds != 1 || st.MatrixBuilds != 1 {
+		t.Errorf("torn records should force recomputation: %+v", st)
 	}
 }
 
